@@ -17,13 +17,12 @@ from contextlib import nullcontext
 from .canon import NormalFormError, RawMatrix, canonicalize, classify
 from .census import (
     count,
-    emit_plot_data,
     export_records,
     record_to_json_line,
     verify_claims,
 )
 from .invariants import surface_record
-from .series import SERIES_TAGS, SeriesId, SeriesKey
+from .series import SERIES_TAGS, SeriesId, SeriesKey, _check_rho
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,6 +45,7 @@ def _parse_eta(text: str) -> SeriesKey:
     if len(parts) < 4:
         raise ValueError("eta needs at least RHO,SERIES,IOTA+,IOTA-")
     rho = int(parts[0])
+    _check_rho(rho)
     tag = parts[1].lower()
     if tag not in SERIES_TAGS:
         raise ValueError(f"series must be one of {', '.join(SERIES_TAGS)}")
@@ -86,7 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--rho", type=int, choices=(1, 2, 3), required=True)
     p_count.add_argument("--iota-max", type=int, required=True)
     p_count.add_argument("--plot-data", help="also write 'iota cumulative' lines to this path")
-    p_count.add_argument("--workers", type=int, default=None)
 
     p_verify = sub.add_parser("verify", help="re-check the census totals and oracle suites")
     p_verify.add_argument("--iota-max", type=int, required=True)
@@ -136,12 +135,12 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    table = count(args.rho, args.iota_max, workers=args.workers)
+    table = count(args.rho, args.iota_max)
     sys.stdout.write("# iota exact cumulative ke ke_cumulative\n")
     sys.stdout.write(table.to_text())
     if args.plot_data:
         with open(args.plot_data, "w", encoding="ascii") as sink:
-            emit_plot_data(args.rho, args.iota_max, sink)
+            sink.write(table.to_plot_text())
     return 0
 
 

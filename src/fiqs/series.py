@@ -21,7 +21,7 @@ predicates are in :func:`series_membership`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import isqrt, lcm
 
 from .core import IntMatrix
 
@@ -143,7 +143,8 @@ class DefiningMatrix:
 
 def _lcm_pairs(iota: int) -> list[tuple[int, int]]:
     """All (p, q) with p, q dividing iota and lcm(p, q) = iota, lexicographic."""
-    divs = [n for n in range(1, iota + 1) if iota % n == 0]
+    small = [n for n in range(1, isqrt(iota) + 1) if iota % n == 0]
+    divs = small + [iota // n for n in reversed(small) if n * n != iota]
     return [(p, q) for p in divs for q in divs if lcm(p, q) == iota]
 
 

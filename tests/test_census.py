@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import io
 import json
+from math import lcm
 
 import pytest
 
@@ -20,7 +21,9 @@ from fiqs import (
     surface_record,
     verify_claims,
 )
-from fiqs.census import CSV_COLUMNS, _cd_count
+from fiqs.census import CSV_COLUMNS, _cd_count, _ke_cd_count, _ke_explicit_ranges
+from fiqs.cli import main
+from fiqs.series import _lcm_pairs
 
 
 def brute_cd_count(bound: int) -> int:
@@ -35,6 +38,36 @@ def brute_cd_count(bound: int) -> int:
 def test_cd_count_closed_form():
     for bound in range(0, 60):
         assert _cd_count(bound) == brute_cd_count(bound)
+
+
+def brute_ke_cd_count(bound: int, t: int) -> int:
+    total = 0
+    c_lo = -((bound - 1) // 2)
+    for c in range(c_lo, 0):
+        d_lo = max(c, -bound - 2 * c)
+        d_hi = min(-1, -t - 1 - c)
+        if d_hi >= d_lo:
+            total += d_hi - d_lo + 1
+    return total
+
+
+def test_ke_cd_count_closed_form():
+    # covers bound < 3, t >= bound and both call shapes (2i, i) and (4i, 2i)
+    for bound in range(0, 401):
+        for t in range(0, 301):
+            assert _ke_cd_count(bound, t) == brute_ke_cd_count(bound, t), (bound, t)
+
+
+def test_lcm_pairs_match_full_divisor_scan():
+    for n in range(1, 501):
+        divs = [k for k in range(1, n + 1) if n % k == 0]
+        scan = [(p, q) for p in divs for q in divs if lcm(p, q) == n]
+        assert _lcm_pairs(n) == scan, n
+
+
+def test_count_ke_matches_explicit_ranges():
+    for iota in range(1, 61):
+        assert count_ke(3, iota) == len(_ke_explicit_ranges(3, iota)), iota
 
 
 def test_counts_match_enumeration():
@@ -64,17 +97,19 @@ def test_count_small_values():
     assert table.total == 7
 
 
-def test_count_worker_independence():
-    for rho in (1, 2, 3):
-        base = count(rho, 40).to_text()
-        assert count(rho, 40, workers=4).to_text() == base
-        assert count(rho, 40, workers=8).to_text() == base
-
-
 def test_plot_data_small_golden():
     sink = io.StringIO()
     assert emit_plot_data(1, 5, sink) == 5
     assert sink.getvalue() == "1 1\n2 1\n3 3\n4 5\n5 7\n"
+
+
+def test_cli_plot_data_matches_emit_plot_data(tmp_path, capsys):
+    for rho in (1, 2, 3):
+        plot = tmp_path / f"plot{rho}.txt"
+        assert main(["count", "--rho", str(rho), "--iota-max", "50", "--plot-data", str(plot)]) == 0
+        sink = io.StringIO()
+        assert emit_plot_data(rho, 50, sink) == 50
+        assert plot.read_text(encoding="ascii") == sink.getvalue()
 
 
 def test_plot_data_line_format():

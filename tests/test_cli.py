@@ -103,6 +103,14 @@ def test_invariants_rejects_bad_eta(capsys):
     assert main(["invariants", "--eta", "2,s99,1,1,-1"]) == 1
 
 
+def test_invariants_rejects_eta_rho_out_of_range(capsys):
+    for eta in ("4,s11,1,1", "0,s11,1,1"):
+        assert main(["invariants", "--eta", eta]) == 1
+        err = capsys.readouterr().err
+        assert "fiqs: error: rho must be 1, 2 or 3" in err
+        assert "Traceback" not in err
+
+
 def test_matrix_with_leading_negative_entry(capsys):
     # argparse needs the --matrix=... form when the value starts with '-'
     assert main(["classify", "--rho", "3", "--matrix=-3,-1,0,2,0,2"]) == 0
