@@ -159,6 +159,14 @@ def is_valid(m: DefiningMatrix) -> bool:
     return not validate(m)
 
 
+def _checked(m: DefiningMatrix) -> DefiningMatrix:
+    """The matrix itself; ValueError naming the violated inequalities if it is not a normal form."""
+    bad = validate(m)
+    if bad:
+        raise ValueError(f"matrix is not in normal form, violated: {', '.join(bad)}")
+    return m
+
+
 def apply_op(m: RawMatrix, op: AdmissibleOp) -> RawMatrix:
     """Apply one admissible operation to the stored third row.
 
@@ -299,21 +307,16 @@ def canonicalize(m: RawMatrix) -> DefiningMatrix:
 
 def classify(m: DefiningMatrix) -> SeriesKey:
     """The unique (series, eta) whose table matrix equals the given normal form."""
-    bad = validate(m)
-    if bad:
-        raise ValueError(f"matrix is not in normal form, violated: {', '.join(bad)}")
+    _checked(m)
     if m.rho == 1:
-        ip = m.a + 1 if m.a % 2 == 0 else 2 * m.a + 2
-        im = -m.b - 1 if m.b % 2 == 0 else -2 * m.b - 2
-        i = "1" if m.a % 2 == 0 else "2"
-        j = "1" if m.b % 2 == 0 else "2"
+        i, ip = ("1", m.a + 1) if m.a % 2 == 0 else ("2", 2 * m.a + 2)
+        j, im = ("1", -m.b - 1) if m.b % 2 == 0 else ("2", -2 * m.b - 2)
         return SeriesKey(SeriesId(1, f"s{i}{j}"), ip, im)
+    # the orders of x+/x- are w * iota+/w * iota- with series weight w in {1, p}
     if m.rho == 2:
-        np_, nm = 2 * m.a + 1, -(2 * m.b + 2 * m.c + 1)
-        i, ip = ("2", np_ // 3) if np_ % 3 == 0 else ("1", np_)
-        j, im = ("2", nm // 3) if nm % 3 == 0 else ("1", nm)
-        return SeriesKey(SeriesId(2, f"s{i}{j}"), ip, im, m.c)
-    np_, nm = m.a, -(m.b + m.c + m.d)
-    i, ip = ("2", np_ // 2) if np_ % 2 == 0 else ("1", np_)
-    j, im = ("2", nm // 2) if nm % 2 == 0 else ("1", nm)
-    return SeriesKey(SeriesId(3, f"s{i}{j}"), ip, im, m.c, m.d)
+        p, np_, nm = 3, 2 * m.a + 1, -(2 * m.b + 2 * m.c + 1)
+    else:
+        p, np_, nm = 2, m.a, -(m.b + m.c + m.d)
+    i, ip = ("2", np_ // p) if np_ % p == 0 else ("1", np_)
+    j, im = ("2", nm // p) if nm % p == 0 else ("1", nm)
+    return SeriesKey(SeriesId(m.rho, f"s{i}{j}"), ip, im, m.c, m.d)

@@ -12,7 +12,12 @@ agree with brute enumeration (tested for small indices), and
 classification plus the internal oracle suites.
 
 Record export uses a fixed JSONL / CSV schema; exact rationals travel as
-"numerator/denominator" strings.
+"numerator/denominator" strings.  Each exported key is checked once, in
+:func:`~fiqs.invariants.surface_record`, and each record is encoded
+directly: :func:`record_to_json_line` equals
+``json.dumps(record_to_obj(rec), separators=(",", ":"))`` byte for byte,
+with :func:`record_to_obj` the documented dict form, and resolution chains
+are stringified through a bounded memo because the all-(-2) chains recur.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import csv
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Iterable, Iterator, TextIO
 
@@ -31,6 +37,7 @@ from .invariants import (
     LocalData,
     ResolutionGraph,
     SurfaceRecord,
+    _gorenstein_indices,
     chain_determinant,
     class_group,
     class_group_oracle,
@@ -48,6 +55,7 @@ from .invariants import (
 from .kaehler import barycenter_oracle, barycenters, is_ke_family, is_ke_oracle
 from .series import (
     SERIES_TAGS,
+    DefiningMatrix,
     SeriesId,
     SeriesKey,
     _check_rho,
@@ -285,8 +293,33 @@ def record_to_obj(rec: SurfaceRecord) -> dict:
     }
 
 
+@lru_cache(maxsize=1024)
+def _chain_text(chain: tuple[int, ...], sep: str) -> str:
+    """Weights of a resolution chain joined by sep; the all-(-2) chains recur."""
+    return sep.join(map(str, chain))
+
+
+def _null(v: int | None, null: str) -> str:
+    return null if v is None else str(v)
+
+
 def record_to_json_line(rec: SurfaceRecord) -> str:
-    return json.dumps(record_to_obj(rec), separators=(",", ":"))
+    """``json.dumps(record_to_obj(rec), separators=(",", ":"))``, built directly."""
+    key, m = rec.key, rec.matrix
+    labels = POINT_LABELS[key.rho]
+    orders, chains = rec.local.orders, rec.resolution.chains
+    return (
+        f'{{"rho":{key.rho},"series":"{key.series.tag}","iota_plus":{key.iota_plus},'
+        f'"iota_minus":{key.iota_minus},"c":{_null(key.c, "null")},"d":{_null(key.d, "null")},'
+        f'"a":{m.a},"b":{m.b},"gorenstein_index":{rec.gorenstein_index},'
+        f'"cl_rank":{rec.class_group.free_rank},"cl_torsion":{rec.class_group.torsion_order},'
+        f'"degree":"{_frac_str(rec.degree)}","log_canonicity":"{_frac_str(rec.log_canonicity)}",'
+        f'"picard_index":{rec.picard_index},"ke":{"true" if rec.ke else "false"},"local_orders":{{'
+        + ",".join(f'"{p}":{orders[p]}' for p in labels)
+        + '},"resolution":{'
+        + ",".join(f'"{p}":[{_chain_text(chains[p], ",")}]' for p in labels)
+        + "}}"
+    )
 
 
 def _key_from_fields(rho: int, tag: str, ip: int, im: int, c, d) -> SeriesKey:
@@ -311,7 +344,7 @@ def record_from_json_line(line: str) -> SurfaceRecord:
         key=key,
         matrix=m,
         class_group=ClassGroup(obj["cl_rank"], obj["cl_torsion"]),
-        local=LocalData(dict(obj["local_orders"]), _gorenstein_map(key)),
+        local=LocalData(dict(obj["local_orders"]), _gorenstein_indices(key)),
         gorenstein_index=obj["gorenstein_index"],
         degree=_parse_frac(obj["degree"]),
         log_canonicity=_parse_frac(obj["log_canonicity"]),
@@ -321,30 +354,25 @@ def record_from_json_line(line: str) -> SurfaceRecord:
     )
 
 
-def _gorenstein_map(key: SeriesKey) -> dict[str, int]:
-    gor = {p: 1 for p in POINT_LABELS[key.rho]}
-    gor["x+"] = key.iota_plus
-    gor["x-"] = key.iota_minus
-    return gor
-
-
 def record_to_csv_row(rec: SurfaceRecord) -> list[str]:
-    obj = record_to_obj(rec)
-    row = []
-    for field in _JSON_FIELDS[:15]:
-        v = obj[field]
-        if v is None:
-            row.append("")
-        elif isinstance(v, bool):
-            row.append("true" if v else "false")
-        else:
-            row.append(str(v))
-    for p in POINT_LABELS[3]:
-        row.append(str(obj["local_orders"][p]) if p in obj["local_orders"] else "")
-    for p in POINT_LABELS[3]:
-        chains = obj["resolution"]
-        row.append(";".join(str(w) for w in chains[p]) if p in chains else "")
-    return row
+    """The CSV_COLUMNS fields of a record; points the rho lacks are empty."""
+    key, m, cl = rec.key, rec.matrix, rec.class_group
+    labels = POINT_LABELS[key.rho]
+    absent = [""] * (len(POINT_LABELS[3]) - len(labels))
+    return [
+        *map(str, (key.rho, key.series.tag, key.iota_plus, key.iota_minus)),
+        _null(key.c, ""),
+        _null(key.d, ""),
+        *map(str, (m.a, m.b, rec.gorenstein_index, cl.free_rank, cl.torsion_order)),
+        _frac_str(rec.degree),
+        _frac_str(rec.log_canonicity),
+        str(rec.picard_index),
+        "true" if rec.ke else "false",
+        *(str(rec.local.orders[p]) for p in labels),
+        *absent,
+        *(_chain_text(rec.resolution.chains[p], ";") for p in labels),
+        *absent,
+    ]
 
 
 def record_from_csv_row(row: list[str]) -> SurfaceRecord:
@@ -369,7 +397,7 @@ def record_from_csv_row(row: list[str]) -> SurfaceRecord:
         key=key,
         matrix=m,
         class_group=ClassGroup(int(vals["cl_rank"]), int(vals["cl_torsion"])),
-        local=LocalData(orders, _gorenstein_map(key)),
+        local=LocalData(orders, _gorenstein_indices(key)),
         gorenstein_index=int(vals["gorenstein_index"]),
         degree=_parse_frac(vals["degree"]),
         log_canonicity=_parse_frac(vals["log_canonicity"]),
@@ -382,15 +410,11 @@ def record_from_csv_row(row: list[str]) -> SurfaceRecord:
 def _iter_records(
     rho: int, iotas: Iterable[int], series: str | None = None
 ) -> Iterator[SurfaceRecord]:
+    tags = SERIES_TAGS if series is None else (series,)
     for iota in iotas:
-        if series is None:
-            pairs = enumerate_all(rho, iota)
-        else:
-            pairs = [
-                (key, matrix_from_eta(key)) for key in enumerate_eta(SeriesId(rho, series), iota)
-            ]
-        for key, m in pairs:
-            yield surface_record(key, m)
+        for tag in tags:
+            for key in enumerate_eta(SeriesId(rho, tag), iota):
+                yield surface_record(key)
 
 
 def export_records(

@@ -21,7 +21,7 @@ from .census import (
     record_to_json_line,
     verify_claims,
 )
-from .invariants import surface_record
+from .invariants import record_from_matrix, surface_record
 from .series import SERIES_TAGS, SeriesId, SeriesKey, _check_rho
 
 
@@ -118,7 +118,7 @@ def _cmd_invariants(args) -> int:
         if args.rho is None:
             raise ValueError("--matrix requires --rho")
         m = canonicalize(_parse_third_row(args.matrix, args.rho))
-        rec = surface_record(classify(m), m)
+        rec = record_from_matrix(m)
     print(record_to_json_line(rec))
     return 0
 

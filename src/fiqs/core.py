@@ -16,12 +16,8 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 __all__ = [
-    "Rational",
     "gcd_list",
-    "lcm2",
     "IntMatrix",
     "SmithForm",
     "det3",
@@ -39,13 +35,6 @@ def gcd_list(values: Iterable[int]) -> int:
     for v in values:
         g = gcd(g, v)
     return g
-
-
-def lcm2(x: int, y: int) -> int:
-    """Least common multiple of two positive integers."""
-    if x < 1 or y < 1:
-        raise ValueError(f"lcm2 requires positive arguments, got ({x}, {y})")
-    return x // gcd(x, y) * y
 
 
 @dataclass(frozen=True)

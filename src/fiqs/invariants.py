@@ -12,18 +12,25 @@ paired with an independent oracle where the derivation allows it:
 * resolution graphs: tabulated chains, checked downstream by the
   determinant law (the negated intersection matrix of each chain has
   determinant equal to the local class group order).
+
+Input is checked once, at the boundary.  Each public closed form checks its
+matrix (:func:`fiqs.canon.validate`) or its key (the series predicate),
+raising ``ValueError`` on failure, and then calls an unchecked kernel.
+:func:`surface_record` checks once per record and assembles the bundle
+from the same kernels; the matrix-parameter forms are written in the local
+class group orders, which it computes once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
-from .canon import classify, validate
-from .core import IntMatrix, gcd_list, smith_normal_form, solve3
-from .kaehler import is_ke_family
-from .series import DefiningMatrix, SeriesKey, matrix_from_eta
+from .canon import _checked, classify
+from .core import IntMatrix, smith_normal_form, solve3
+from .kaehler import _ke_rule
+from .series import _WEIGHTS, DefiningMatrix, SeriesKey, matrix_from_eta
 
 __all__ = [
     "POINT_LABELS",
@@ -64,6 +71,12 @@ SIGMA_RAY_COLUMNS: dict[int, dict[str, tuple[int, int, int]]] = {
     2: {"plus": (0, 2, 4), "minus": (1, 3, 4)},
     3: {"plus": (0, 2, 4), "minus": (1, 3, 5)},
 }
+
+# The matrix-parameter closed forms in the local class group orders
+# o = (x+, x-, x0[, x1[, x2]]), per rho as (p, q, e, t): degree
+# p/q * (1/o[x+] + 1/o[x-]), log canonicity e/o[x-], class group torsion
+# gcd(o[x+], t*o[x0], o[x1], ...), Picard index prod(o) / torsion.
+_ORDER_FORMS = {1: (4, 1, 4, 2), 2: (9, 2, 3, 1), 3: (4, 1, 2, 1)}
 
 
 @dataclass(frozen=True)
@@ -108,25 +121,93 @@ class SurfaceRecord:
     resolution: ResolutionGraph
 
 
-def _require_valid(m: DefiningMatrix) -> None:
-    bad = validate(m)
-    if bad:
-        raise ValueError(f"matrix fails normal-form inequalities: {', '.join(bad)}")
+def _orders(m: DefiningMatrix) -> tuple[int, ...]:
+    """Local class group orders in POINT_LABELS order (determinant formulas)."""
+    a, b = m.a, m.b
+    if m.rho == 1:
+        return (4 * a + 4, -4 * b - 4, a - b)
+    if m.rho == 2:
+        return (1 + 2 * a, -1 - 2 * b - 2 * m.c, a - b, -m.c)
+    return (a, -b - m.c - m.d, a - b, -m.c, -m.d)
+
+
+def _torsion(rho: int, o: tuple[int, ...]) -> int:
+    return gcd(o[0], _ORDER_FORMS[rho][3] * o[2], *o[3:])
+
+
+def _degree(rho: int, o: tuple[int, ...]) -> Fraction:
+    p, q = _ORDER_FORMS[rho][:2]
+    return Fraction(p * (o[0] + o[1]), q * o[0] * o[1])
+
+
+def _log_canonicity(rho: int, o: tuple[int, ...]) -> Fraction:
+    return Fraction(_ORDER_FORMS[rho][2], o[1])
+
+
+def _picard_index(o: tuple[int, ...], torsion: int) -> int:
+    num = prod(o)
+    if num % torsion != 0 or num <= 0:
+        raise ArithmeticError(f"Springer expression is not a positive integer for orders {o}")
+    return num // torsion
+
+
+def _gorenstein_indices(key: SeriesKey) -> dict[str, int]:
+    """Local Gorenstein index per fixed point: eta at x+/x-, one at the interior points."""
+    gor = dict.fromkeys(POINT_LABELS[key.rho], 1)
+    gor["x+"] = key.iota_plus
+    gor["x-"] = key.iota_minus
+    return gor
+
+
+def _local_data(key: SeriesKey, o: tuple[int, ...]) -> LocalData:
+    return LocalData(dict(zip(POINT_LABELS[key.rho], o)), _gorenstein_indices(key))
+
+
+def _resolution(key: SeriesKey, o: tuple[int, ...]) -> ResolutionGraph:
+    rho, tag = key.series.rho, key.series.tag
+    ip, im = key.iota_plus, key.iota_minus
+    if rho == 1:
+        wp = -1 - ip if tag in ("s11", "s12") else -1 - ip // 2
+        wm = -1 - im if tag in ("s11", "s21") else -1 - im // 2
+        chains = {"x+": (-2, wp, -2), "x-": (-2, wm, -2)}
+    else:
+        wp, wm = _WEIGHTS[rho][tag]
+        if rho == 2:
+            plus, minus = (-2, -(1 + wp * ip) // 2), (-2, -(1 + wm * im) // 2)
+        else:
+            plus, minus = (-wp * ip,), (-wm * im,)
+        chains = {"x+": () if o[0] == 1 else plus, "x-": () if o[1] == 1 else minus}
+    for label, order in zip(POINT_LABELS[rho][2:], o[2:]):
+        chains[label] = (-2,) * (order - 1)
+    return ResolutionGraph(chains)
+
+
+def _record(key: SeriesKey, m: DefiningMatrix) -> SurfaceRecord:
+    o = _orders(m)
+    rho = m.rho
+    torsion = _torsion(rho, o)
+    return SurfaceRecord(
+        key=key,
+        matrix=m,
+        class_group=ClassGroup(rho, torsion),
+        local=_local_data(key, o),
+        gorenstein_index=key.iota,
+        degree=_degree(rho, o),
+        log_canonicity=_log_canonicity(rho, o),
+        picard_index=_picard_index(o, torsion),
+        ke=_ke_rule(key),
+        resolution=_resolution(key, o),
+    )
 
 
 def class_group(m: DefiningMatrix) -> ClassGroup:
-    """Divisor class group from the per-rho gcd formula."""
-    _require_valid(m)
-    if m.rho == 1:
-        return ClassGroup(1, 2 * gcd(2 * m.a + 2, m.a - m.b))
-    if m.rho == 2:
-        return ClassGroup(2, gcd_list([2 * m.a + 1, m.a - m.b, -m.c]))
-    return ClassGroup(3, gcd_list([m.a, m.b, m.c, m.d]))
+    """Divisor class group: free of rank rho, torsion by the gcd formula."""
+    return ClassGroup(m.rho, _torsion(m.rho, _orders(_checked(m))))
 
 
 def class_group_oracle(m: DefiningMatrix) -> ClassGroup:
     """Divisor class group as the cokernel Z^(rho+3) / im(P^T), via Smith form."""
-    _require_valid(m)
+    _checked(m)
     snf = smith_normal_form(m.expand().transpose())
     n = m.rho + 3
     return ClassGroup(n - snf.rank, snf.torsion_order)
@@ -134,37 +215,13 @@ def class_group_oracle(m: DefiningMatrix) -> ClassGroup:
 
 def local_orders(m: DefiningMatrix) -> dict[str, int]:
     """Local class group orders of the fixed points (determinant formulas)."""
-    _require_valid(m)
-    if m.rho == 1:
-        return {"x+": 4 * m.a + 4, "x-": -4 * m.b - 4, "x0": m.a - m.b}
-    if m.rho == 2:
-        return {
-            "x+": 1 + 2 * m.a,
-            "x-": -1 - 2 * m.b - 2 * m.c,
-            "x0": m.a - m.b,
-            "x1": -m.c,
-        }
-    return {
-        "x+": m.a,
-        "x-": -m.b - m.c - m.d,
-        "x0": m.a - m.b,
-        "x1": -m.c,
-        "x2": -m.d,
-    }
+    return dict(zip(POINT_LABELS[m.rho], _orders(_checked(m))))
 
 
 def local_gorenstein(m: DefiningMatrix) -> tuple[int, int]:
-    """Local Gorenstein indices (iota+, iota-) by the divisibility case split."""
-    _require_valid(m)
-    if m.rho == 1:
-        ip = m.a + 1 if m.a % 2 == 0 else 2 * m.a + 2
-        im = -m.b - 1 if m.b % 2 == 0 else -2 * m.b - 2
-        return ip, im
-    if m.rho == 2:
-        np_, nm = 2 * m.a + 1, -(2 * m.b + 2 * m.c + 1)
-        return (np_ // 3 if np_ % 3 == 0 else np_, nm // 3 if nm % 3 == 0 else nm)
-    np_, nm = m.a, -(m.b + m.c + m.d)
-    return (np_ // 2 if np_ % 2 == 0 else np_, nm // 2 if nm % 2 == 0 else nm)
+    """Local Gorenstein indices (iota+, iota-): the divisibility case split of :func:`classify`."""
+    key = classify(m)
+    return key.iota_plus, key.iota_minus
 
 
 def local_gorenstein_oracle(m: DefiningMatrix, which: str) -> int:
@@ -174,7 +231,7 @@ def local_gorenstein_oracle(m: DefiningMatrix, which: str) -> int:
     alpha_i is the anticanonical coefficient (0 on the elliptic column, 1 on
     the others); the index is the lcm of the denominators of u.
     """
-    _require_valid(m)
+    _checked(m)
     if which not in ("plus", "minus"):
         raise ValueError(f"which must be 'plus' or 'minus', got {which!r}")
     cols = [m.column(j) for j in SIGMA_RAY_COLUMNS[m.rho][which]]
@@ -187,26 +244,16 @@ def local_data(m: DefiningMatrix) -> LocalData:
 
     Interior points always have local Gorenstein index one.
     """
-    ip, im = local_gorenstein(m)
-    gor = {label: 1 for label in POINT_LABELS[m.rho]}
-    gor["x+"] = ip
-    gor["x-"] = im
-    return LocalData(local_orders(m), gor)
+    return _local_data(classify(m), _orders(m))
 
 
 def gorenstein_index(m: DefiningMatrix) -> int:
-    ip, im = local_gorenstein(m)
-    return lcm(ip, im)
+    return classify(m).iota
 
 
 def degree(m: DefiningMatrix) -> Fraction:
     """Anticanonical self-intersection from the matrix parameters."""
-    _require_valid(m)
-    if m.rho == 1:
-        return Fraction(1, m.a + 1) - Fraction(1, m.b + 1)
-    if m.rho == 2:
-        return Fraction(9, 4 * m.a + 2) - Fraction(9, 2 + 4 * m.b + 4 * m.c)
-    return Fraction(4, m.a) - Fraction(4, m.b + m.c + m.d)
+    return _degree(m.rho, _orders(_checked(m)))
 
 
 # Per-series numerators of the degree summands n+/iota+ + n-/iota- (for
@@ -229,29 +276,13 @@ def degree_from_eta(key: SeriesKey) -> Fraction:
 
 def log_canonicity(m: DefiningMatrix) -> Fraction:
     """One plus the minimal discrepancy; attained on the sink side by slope ordering."""
-    _require_valid(m)
-    if m.rho == 1:
-        return Fraction(1, -m.b - 1)
-    if m.rho == 2:
-        return Fraction(3, -2 * m.b - 2 * m.c - 1)
-    return Fraction(2, -m.b - m.c - m.d)
+    return _log_canonicity(m.rho, _orders(_checked(m)))
 
 
 def picard_index(m: DefiningMatrix) -> int:
-    """Picard index by Springer's formula in the matrix parameters."""
-    _require_valid(m)
-    if m.rho == 1:
-        num = -8 * (m.a + 1) * (m.b + 1) * (m.a - m.b)
-        den = gcd(2 * m.a + 2, m.a - m.b)
-    elif m.rho == 2:
-        num = m.c * (1 + 2 * m.a) * (1 + 2 * m.b + 2 * m.c) * (m.a - m.b)
-        den = gcd_list([1 + 2 * m.a, m.a - m.b, m.c])
-    else:
-        num = -m.a * m.c * m.d * (m.b + m.c + m.d) * (m.a - m.b)
-        den = gcd_list([m.a, m.b, m.c, m.d])
-    if num % den != 0 or num <= 0:
-        raise ArithmeticError(f"Springer expression is not a positive integer for {m}")
-    return num // den
+    """Picard index by Springer's formula: product of the local orders over the torsion order."""
+    o = _orders(_checked(m))
+    return _picard_index(o, _torsion(m.rho, o))
 
 
 def picard_index_from_eta(key: SeriesKey) -> int:
@@ -268,24 +299,15 @@ def picard_index_from_eta(key: SeriesKey) -> int:
             num, den = 4 * ip * im * (ip + 2 * im), gcd(2 * ip, ip + 2 * im)
         else:
             num, den = 2 * ip * im * (ip + im), gcd(2 * ip, ip + im)
-    elif rho == 2:
-        if tag == "s11":
-            num, den = -c * ip * im * (ip + im + 2 * c), gcd_list([2 * ip, ip + im, 2 * c])
-        elif tag == "s12":
-            num, den = -3 * c * ip * im * (ip + 3 * im + 2 * c), gcd_list([2 * ip, ip + 3 * im, 2 * c])
-        elif tag == "s21":
-            num, den = -3 * c * ip * im * (3 * ip + im + 2 * c), gcd_list([6 * ip, 3 * ip + im, 2 * c])
-        else:
-            num, den = -9 * c * ip * im * (3 * ip + 3 * im + 2 * c), gcd_list([6 * ip, 3 * ip + 3 * im, 2 * c])
     else:
-        if tag == "s11":
-            num, den = c * d * ip * im * (ip + im + c + d), gcd_list([ip, im, c, d])
-        elif tag == "s12":
-            num, den = 2 * c * d * ip * im * (ip + 2 * im + c + d), gcd_list([ip, 2 * im, c, d])
-        elif tag == "s21":
-            num, den = 2 * c * d * ip * im * (2 * ip + im + c + d), gcd_list([2 * ip, im, c, d])
+        # rho = 2, 3: one form per rho in the series weights (w+, w-)
+        wp, wm = _WEIGHTS[rho][tag]
+        if rho == 2:
+            num = -wp * wm * c * ip * im * (wp * ip + wm * im + 2 * c)
+            den = gcd(2 * wp * ip, wp * ip + wm * im, 2 * c)
         else:
-            num, den = 4 * c * d * ip * im * (2 * ip + 2 * im + c + d), gcd_list([2 * ip, 2 * im, c, d])
+            num = wp * wm * c * d * ip * im * (wp * ip + wm * im + c + d)
+            den = gcd(wp * ip, wm * im, c, d)
     if num % den != 0 or num <= 0:
         raise ArithmeticError(f"tabulated Picard expression is not a positive integer for {key}")
     return num // den
@@ -300,31 +322,7 @@ def resolution_graph(key: SeriesKey) -> ResolutionGraph:
     chain of length one less than its local class group order.  Points of
     local class group order one are smooth: empty chain.
     """
-    m = matrix_from_eta(key)
-    rho, tag = key.series.rho, key.series.tag
-    ip, im = key.iota_plus, key.iota_minus
-    orders = local_orders(m)
-
-    if rho == 1:
-        wp = -1 - ip if tag in ("s11", "s12") else -1 - ip // 2
-        wm = -1 - im if tag in ("s11", "s21") else -1 - im // 2
-        plus = (-2, wp, -2)
-        minus = (-2, wm, -2)
-    elif rho == 2:
-        wp = -(1 + ip) // 2 if tag in ("s11", "s12") else -(1 + 3 * ip) // 2
-        wm = -(1 + im) // 2 if tag in ("s11", "s21") else -(1 + 3 * im) // 2
-        plus = () if orders["x+"] == 1 else (-2, wp)
-        minus = () if orders["x-"] == 1 else (-2, wm)
-    else:
-        wp = -ip if tag in ("s11", "s12") else -2 * ip
-        wm = -im if tag in ("s11", "s21") else -2 * im
-        plus = () if orders["x+"] == 1 else (wp,)
-        minus = () if orders["x-"] == 1 else (wm,)
-
-    chains = {"x+": plus, "x-": minus}
-    for label in POINT_LABELS[rho][2:]:
-        chains[label] = (-2,) * (orders[label] - 1)
-    return ResolutionGraph(chains)
+    return _resolution(key, _orders(_checked(matrix_from_eta(key))))
 
 
 def chain_determinant(chain: tuple[int, ...]) -> int:
@@ -340,22 +338,20 @@ def chain_determinant(chain: tuple[int, ...]) -> int:
 
 
 def surface_record(key: SeriesKey, matrix: DefiningMatrix | None = None) -> SurfaceRecord:
-    """Assemble the full invariant bundle for one series member."""
-    m = matrix_from_eta(key) if matrix is None else matrix
-    return SurfaceRecord(
-        key=key,
-        matrix=m,
-        class_group=class_group(m),
-        local=local_data(m),
-        gorenstein_index=key.iota,
-        degree=degree(m),
-        log_canonicity=log_canonicity(m),
-        picard_index=picard_index(m),
-        ke=is_ke_family(key),
-        resolution=resolution_graph(key),
-    )
+    """Assemble the full invariant bundle for one series member.
+
+    The input is checked once.  A key alone must satisfy its series
+    predicate, and the matrix it expands to must be a valid normal form; a
+    key given with a matrix must be what :func:`classify` returns for that
+    matrix.  A failed check raises ``ValueError``.
+    """
+    if matrix is None:
+        matrix = _checked(matrix_from_eta(key))
+    elif classify(matrix) != key:
+        raise ValueError(f"matrix {matrix} is not the normal form of {key}")
+    return _record(key, matrix)
 
 
 def record_from_matrix(m: DefiningMatrix) -> SurfaceRecord:
-    """Invariant bundle for a normal-form matrix (classified first)."""
-    return surface_record(classify(m), m)
+    """Invariant bundle for a normal-form matrix, classified once."""
+    return _record(classify(m), m)

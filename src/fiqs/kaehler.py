@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .canon import validate
+from .canon import _checked
 from .series import DefiningMatrix, SeriesKey, series_membership
 
 __all__ = [
@@ -139,9 +139,7 @@ def barycenter_oracle(m: DefiningMatrix, kappa: int) -> tuple[Fraction, Fraction
 
 def barycenters(m: DefiningMatrix) -> list[Barycenter]:
     """Closed-form barycenters for the special degenerations of the matrix."""
-    bad = validate(m)
-    if bad:
-        raise ValueError(f"matrix fails normal-form inequalities: {', '.join(bad)}")
+    _checked(m)
     a, b = m.a, m.b
     if m.rho == 1:
         x = Fraction(-(a + b + 2), 3 * (1 + a) * (1 + b))
@@ -174,6 +172,11 @@ def is_ke_family(key: SeriesKey) -> bool:
     """
     if not series_membership(key):
         raise ValueError(f"key does not satisfy its series predicate: {key}")
+    return _ke_rule(key)
+
+
+def _ke_rule(key: SeriesKey) -> bool:
+    """The rule of :func:`is_ke_family` for a key that satisfies its series predicate."""
     rho, tag = key.series.rho, key.series.tag
     if rho == 2 or tag not in ("s11", "s22"):
         return False

@@ -92,12 +92,7 @@ class SeriesKey:
         return lcm(self.iota_plus, self.iota_minus)
 
     def eta(self) -> tuple[int, ...]:
-        parts = [self.iota_plus, self.iota_minus]
-        if self.c is not None:
-            parts.append(self.c)
-        if self.d is not None:
-            parts.append(self.d)
-        return tuple(parts)
+        return tuple(v for v in (self.iota_plus, self.iota_minus, self.c, self.d) if v is not None)
 
 
 @dataclass(frozen=True, order=True)
@@ -118,11 +113,7 @@ class DefiningMatrix:
             raise ValueError(f"d must be present exactly for rho = 3 (rho={self.rho})")
 
     def params(self) -> tuple[int, ...]:
-        if self.rho == 1:
-            return (self.a, self.b)
-        if self.rho == 2:
-            return (self.a, self.b, self.c)
-        return (self.a, self.b, self.c, self.d)
+        return tuple(v for v in (self.a, self.b, self.c, self.d) if v is not None)
 
     def third_row(self) -> tuple[int, ...]:
         if self.rho == 1:
@@ -195,15 +186,12 @@ def series_membership(key: SeriesKey) -> bool:
         return False
     if rho == 1:
         return True
+    wp, wm = _WEIGHTS[rho][tag]
+    s, c = wp * ip + wm * im, key.c
     if rho == 2:
-        wp, wm = _WEIGHTS[2][tag]
-        s = wp * ip + wm * im
-        c = key.c
         # 1 - s/2 <= c <= -s/4, both sides compared exactly over rationals
         return c <= -1 and 2 - s <= 2 * c and 4 * c <= -s
-    wp, wm = _WEIGHTS[3][tag]
-    c, d = key.c, key.d
-    return c <= d <= -1 and 2 * c + d >= -(wp * ip + wm * im)
+    return c <= key.d <= -1 and 2 * c + key.d >= -s
 
 
 def enumerate_eta(series: SeriesId, iota: int) -> list[SeriesKey]:
@@ -221,19 +209,17 @@ def enumerate_eta(series: SeriesId, iota: int) -> list[SeriesKey]:
         if rho == 1:
             out.append(SeriesKey(series, ip, im))
             continue
+        wp, wm = _WEIGHTS[rho][tag]
+        s = wp * ip + wm * im
         if rho == 2:
-            wp, wm = _WEIGHTS[2][tag]
-            s = wp * ip + wm * im
             c_lo = 1 - s // 2  # s is even: both iota are odd and the weights match parity
             c_hi = (-s) // 4  # floor of -s/4
             for c in range(c_lo, c_hi + 1):
                 out.append(SeriesKey(series, ip, im, c))
             continue
-        wp, wm = _WEIGHTS[3][tag]
-        bound = wp * ip + wm * im
-        c_lo = -((bound - 1) // 2)  # smallest c admitting some d
+        c_lo = -((s - 1) // 2)  # smallest c admitting some d
         for c in range(c_lo, 0):
-            d_lo = max(c, -bound - 2 * c)
+            d_lo = max(c, -s - 2 * c)
             for d in range(d_lo, 0):
                 out.append(SeriesKey(series, ip, im, c, d))
     return out
@@ -249,13 +235,10 @@ def matrix_from_eta(key: SeriesKey) -> DefiningMatrix:
         a = ip - 1 if tag in ("s11", "s12") else ip // 2 - 1
         b = -im - 1 if tag in ("s11", "s21") else -(im // 2) - 1
         return DefiningMatrix(1, a, b)
+    wp, wm = _WEIGHTS[rho][tag]
     if rho == 2:
-        a = (ip - 1) // 2 if tag in ("s11", "s12") else (3 * ip - 1) // 2
-        b = -(im + 1) // 2 - key.c if tag in ("s11", "s21") else -(3 * im + 1) // 2 - key.c
-        return DefiningMatrix(2, a, b, key.c)
-    a = ip if tag in ("s11", "s12") else 2 * ip
-    b = -im - key.c - key.d if tag in ("s11", "s21") else -2 * im - key.c - key.d
-    return DefiningMatrix(3, a, b, key.c, key.d)
+        return DefiningMatrix(2, (wp * ip - 1) // 2, -(wm * im + 1) // 2 - key.c, key.c)
+    return DefiningMatrix(3, wp * ip, -wm * im - key.c - key.d, key.c, key.d)
 
 
 def enumerate_all(rho: int, iota: int) -> list[tuple[SeriesKey, DefiningMatrix]]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from math import lcm
@@ -21,7 +22,7 @@ from fiqs import (
     surface_record,
     verify_claims,
 )
-from fiqs.census import CSV_COLUMNS, _cd_count, _ke_cd_count, _ke_explicit_ranges
+from fiqs.census import CSV_COLUMNS, _cd_count, _ke_cd_count, _ke_explicit_ranges, record_to_obj
 from fiqs.cli import main
 from fiqs.series import _lcm_pairs
 
@@ -163,6 +164,48 @@ def test_export_full_picard_one_census():
     assert len(lines) == 883
     last = json.loads(lines[-1])
     assert last["gorenstein_index"] == 200
+
+
+def csv_row_from_obj(obj: dict) -> list[str]:
+    """A CSV row built from the dict form, field by field."""
+    row = []
+    for field in CSV_COLUMNS[:15]:
+        v = obj[field]
+        if v is None:
+            row.append("")
+        elif isinstance(v, bool):
+            row.append("true" if v else "false")
+        else:
+            row.append(str(v))
+    for p in ("x+", "x-", "x0", "x1", "x2"):
+        row.append(str(obj["local_orders"][p]) if p in obj["local_orders"] else "")
+    for p in ("x+", "x-", "x0", "x1", "x2"):
+        chains = obj["resolution"]
+        row.append(";".join(str(w) for w in chains[p]) if p in chains else "")
+    return row
+
+
+@pytest.mark.parametrize("rho", [1, 2, 3])
+def test_direct_encoders_match_dict_form(rho):
+    for iota in range(1, 16):
+        for key, m in enumerate_all(rho, iota):
+            rec = surface_record(key, m)
+            obj = record_to_obj(rec)
+            assert record_to_json_line(rec) == json.dumps(obj, separators=(",", ":"))
+            assert record_to_csv_row(rec) == csv_row_from_obj(obj)
+
+
+@pytest.mark.parametrize(
+    "rho, iota_max, fmt, digest",
+    [
+        (3, 8, "jsonl", "e19de7e553479783c0d67fad46ed92fe397cb658b9ecee33eed6ef10b1e87568"),
+        (2, 20, "csv", "151c80ee1e0f17a5ce8fc638cd18217b963e3b026976c334df49bd2bfe93fc08"),
+    ],
+)
+def test_export_golden_digest(rho, iota_max, fmt, digest):
+    sink = io.StringIO()
+    export_records(rho, iota_max, fmt, sink)
+    assert hashlib.sha256(sink.getvalue().encode("ascii")).hexdigest() == digest
 
 
 def test_jsonl_round_trip():

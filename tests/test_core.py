@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from fiqs import IntMatrix, SmithForm, det3, gcd_list, lcm2, smith_normal_form, solve3
+from fiqs import IntMatrix, SmithForm, det3, gcd_list, smith_normal_form, solve3
 
 
 def det_by_permutation_expansion(m: IntMatrix) -> int:
@@ -52,17 +52,6 @@ class TestGcdLcm:
     def test_gcd_empty_rejected(self):
         with pytest.raises(ValueError):
             gcd_list([])
-
-    def test_lcm(self):
-        assert lcm2(1, 1) == 1
-        assert lcm2(1, 4) == 4
-        assert lcm2(6, 4) == 12
-
-    def test_lcm_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            lcm2(0, 3)
-        with pytest.raises(ValueError):
-            lcm2(2, -1)
 
 
 class TestDet3:

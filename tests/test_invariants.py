@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+import fiqs.canon
+import fiqs.invariants
 from fiqs import (
     ClassGroup,
     DefiningMatrix,
@@ -15,7 +17,9 @@ from fiqs import (
     class_group_oracle,
     degree,
     degree_from_eta,
+    enumerate_all,
     gorenstein_index,
+    is_ke_family,
     local_data,
     local_gorenstein,
     local_gorenstein_oracle,
@@ -23,6 +27,7 @@ from fiqs import (
     log_canonicity,
     picard_index,
     picard_index_from_eta,
+    record_from_matrix,
     resolution_graph,
     surface_record,
 )
@@ -199,8 +204,6 @@ class TestSurfaceRecord:
         assert rec.ke is True
 
     def test_from_matrix_classifies_first(self):
-        from fiqs import record_from_matrix
-
         assert record_from_matrix(M2) == surface_record(classify(M2), M2)
 
     def test_invalid_matrix_rejected(self):
@@ -208,3 +211,79 @@ class TestSurfaceRecord:
             degree(DefiningMatrix(1, 4, -2))
         with pytest.raises(ValueError):
             local_gorenstein_oracle(M1, "sideways")
+
+    @pytest.mark.parametrize(
+        "closed_form",
+        [
+            class_group,
+            class_group_oracle,
+            local_orders,
+            local_gorenstein,
+            lambda m: local_gorenstein_oracle(m, "plus"),
+            local_data,
+            gorenstein_index,
+            degree,
+            log_canonicity,
+            picard_index,
+            record_from_matrix,
+        ],
+    )
+    def test_every_closed_form_rejects_invalid_matrices(self, closed_form):
+        # one violated normal-form inequality per rho (b <= -2, c < 0, 0 < a)
+        for m in (DefiningMatrix(1, 0, -1), DefiningMatrix(2, 1, 0, 2), DefiningMatrix(3, 0, -1, -1, -1)):
+            with pytest.raises(ValueError):
+                closed_form(m)
+
+    def test_key_with_foreign_matrix_rejected(self):
+        (k1, _), (_, m2) = enumerate_all(3, 6)[:2]
+        assert classify(m2) != k1
+        with pytest.raises(ValueError):
+            surface_record(k1, m2)
+        with pytest.raises(ValueError):
+            surface_record(k1, DefiningMatrix(3, 0, -1, -1, -1))
+
+    def test_key_outside_its_series_rejected(self):
+        with pytest.raises(ValueError):
+            surface_record(SeriesKey(SeriesId(1, "s12"), 1, 3))  # s12 needs 4 | iota-
+
+    def test_fields_equal_eta_and_checked_forms(self, surfaces_by_rho):
+        for rho in (1, 2, 3):
+            for key, m in up_to(surfaces_by_rho[rho], 12):
+                rec = surface_record(key)
+                assert rec.key == key and rec.matrix == m
+                assert rec.class_group == class_group(m)
+                assert rec.local == local_data(m)
+                assert (rec.local.gorenstein_indices["x+"], rec.local.gorenstein_indices["x-"]) == key.eta()[:2]
+                assert rec.gorenstein_index == key.iota == gorenstein_index(m)
+                assert rec.degree == degree_from_eta(key) == degree(m)
+                assert rec.log_canonicity == log_canonicity(m)
+                assert rec.picard_index == picard_index_from_eta(key) == picard_index(m)
+                assert rec.ke == is_ke_family(key)
+                assert rec.resolution == resolution_graph(key)
+                assert surface_record(key, m) == rec == record_from_matrix(m)
+
+    def test_each_path_checks_once(self, monkeypatch):
+        calls = {"validate": 0, "classify": 0, "matrix_from_eta": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(fiqs.canon, "validate", counting("validate", fiqs.canon.validate))
+        monkeypatch.setattr(fiqs.invariants, "classify", counting("classify", fiqs.invariants.classify))
+        monkeypatch.setattr(
+            fiqs.invariants, "matrix_from_eta", counting("matrix_from_eta", fiqs.invariants.matrix_from_eta)
+        )
+        key = classify(M3)
+        calls.update(validate=0)
+        surface_record(key)
+        assert calls == {"validate": 1, "classify": 0, "matrix_from_eta": 1}
+        calls.update(validate=0, matrix_from_eta=0)
+        surface_record(key, M3)
+        assert calls == {"validate": 1, "classify": 1, "matrix_from_eta": 0}
+        calls.update(validate=0, classify=0)
+        record_from_matrix(M3)
+        assert calls == {"validate": 1, "classify": 1, "matrix_from_eta": 0}
