@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .canon import classify, is_valid, raw_from_matrix, canonicalize
 from .invariants import (
@@ -55,7 +55,6 @@ from .invariants import (
 from .kaehler import barycenter_oracle, barycenters, is_ke_family, is_ke_oracle
 from .series import (
     SERIES_TAGS,
-    DefiningMatrix,
     SeriesId,
     SeriesKey,
     _check_rho,
@@ -333,25 +332,34 @@ def _key_from_fields(rho: int, tag: str, ip: int, im: int, c, d) -> SeriesKey:
 
 
 def record_from_json_line(line: str) -> SurfaceRecord:
-    """Rebuild a record from its JSONL form (round-trip inverse of export)."""
+    """Rebuild a record from its JSONL form (round-trip inverse of export).
+
+    Malformed input raises ``ValueError`` naming the offending field.
+    """
     obj = json.loads(line)
-    rho = obj["rho"]
-    key = _key_from_fields(rho, obj["series"], obj["iota_plus"], obj["iota_minus"], obj["c"], obj["d"])
-    m = matrix_from_eta(key)
-    if (m.a, m.b) != (obj["a"], obj["b"]):
-        raise ValueError(f"inconsistent record: matrix {m} vs fields {obj['a']}, {obj['b']}")
-    return SurfaceRecord(
-        key=key,
-        matrix=m,
-        class_group=ClassGroup(obj["cl_rank"], obj["cl_torsion"]),
-        local=LocalData(dict(obj["local_orders"]), _gorenstein_indices(key)),
-        gorenstein_index=obj["gorenstein_index"],
-        degree=_parse_frac(obj["degree"]),
-        log_canonicity=_parse_frac(obj["log_canonicity"]),
-        picard_index=obj["picard_index"],
-        ke=obj["ke"],
-        resolution=ResolutionGraph({p: tuple(w) for p, w in obj["resolution"].items()}),
-    )
+    try:
+        rho = obj["rho"]
+        key = _key_from_fields(rho, obj["series"], obj["iota_plus"], obj["iota_minus"], obj["c"], obj["d"])
+        m = matrix_from_eta(key)
+        if (m.a, m.b) != (obj["a"], obj["b"]):
+            raise ValueError(f"inconsistent record: matrix {m} vs fields {obj['a']}, {obj['b']}")
+        return SurfaceRecord(
+            key=key,
+            matrix=m,
+            class_group=ClassGroup(obj["cl_rank"], obj["cl_torsion"]),
+            local=LocalData(dict(obj["local_orders"]), _gorenstein_indices(key)),
+            gorenstein_index=obj["gorenstein_index"],
+            degree=_parse_frac(obj["degree"]),
+            log_canonicity=_parse_frac(obj["log_canonicity"]),
+            picard_index=obj["picard_index"],
+            ke=obj["ke"],
+            resolution=ResolutionGraph({p: tuple(w) for p, w in obj["resolution"].items()}),
+        )
+    except _DECODE_ERRORS as exc:
+        problem = _json_shape_problem(obj)
+        if problem is None and isinstance(exc, ValueError):
+            raise
+        raise ValueError(f"malformed JSON record: {problem or repr(exc)}") from exc
 
 
 def record_to_csv_row(rec: SurfaceRecord) -> list[str]:
@@ -376,35 +384,125 @@ def record_to_csv_row(rec: SurfaceRecord) -> list[str]:
 
 
 def record_from_csv_row(row: list[str]) -> SurfaceRecord:
+    """Rebuild a record from its CSV row; malformed input raises ``ValueError`` naming the column."""
     vals = dict(zip(CSV_COLUMNS, row))
-    rho = int(vals["rho"])
-    key = _key_from_fields(
-        rho,
-        vals["series"],
-        int(vals["iota_plus"]),
-        int(vals["iota_minus"]),
-        vals["c"] or None,
-        vals["d"] or None,
-    )
-    m = matrix_from_eta(key)
-    labels = POINT_LABELS[rho]
-    orders = {p: int(vals[f"local_{p}"]) for p in labels}
-    chains = {
-        p: tuple(int(w) for w in vals[f"resolution_{p}"].split(";")) if vals[f"resolution_{p}"] else ()
-        for p in labels
-    }
-    return SurfaceRecord(
-        key=key,
-        matrix=m,
-        class_group=ClassGroup(int(vals["cl_rank"]), int(vals["cl_torsion"])),
-        local=LocalData(orders, _gorenstein_indices(key)),
-        gorenstein_index=int(vals["gorenstein_index"]),
-        degree=_parse_frac(vals["degree"]),
-        log_canonicity=_parse_frac(vals["log_canonicity"]),
-        picard_index=int(vals["picard_index"]),
-        ke=vals["ke"] == "true",
-        resolution=ResolutionGraph(chains),
-    )
+    try:
+        rho = int(vals["rho"])
+        key = _key_from_fields(
+            rho,
+            vals["series"],
+            int(vals["iota_plus"]),
+            int(vals["iota_minus"]),
+            vals["c"] or None,
+            vals["d"] or None,
+        )
+        m = matrix_from_eta(key)
+        labels = POINT_LABELS[rho]
+        orders = {p: int(vals[f"local_{p}"]) for p in labels}
+        chains = {
+            p: tuple(int(w) for w in vals[f"resolution_{p}"].split(";")) if vals[f"resolution_{p}"] else ()
+            for p in labels
+        }
+        return SurfaceRecord(
+            key=key,
+            matrix=m,
+            class_group=ClassGroup(int(vals["cl_rank"]), int(vals["cl_torsion"])),
+            local=LocalData(orders, _gorenstein_indices(key)),
+            gorenstein_index=int(vals["gorenstein_index"]),
+            degree=_parse_frac(vals["degree"]),
+            log_canonicity=_parse_frac(vals["log_canonicity"]),
+            picard_index=int(vals["picard_index"]),
+            ke=vals["ke"] == "true",
+            resolution=ResolutionGraph(chains),
+        )
+    except _DECODE_ERRORS as exc:
+        problem = _csv_shape_problem(vals)
+        if problem is None and isinstance(exc, ValueError):
+            raise
+        raise ValueError(f"malformed CSV row: {problem or repr(exc)}") from exc
+
+
+# What a decoder can raise on malformed input; the shape checks below run
+# only then, to name the field, so well-formed lines pay nothing for them.
+_DECODE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError)
+
+
+def _is_int(v: object) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _parses(parse: Callable[[str], object], s: object) -> bool:
+    """Whether the decoder's own parser accepts s."""
+    try:
+        parse(s)
+    except (AttributeError, TypeError, ValueError, ZeroDivisionError):
+        return False
+    return True
+
+
+def _is_frac_text(s: object) -> bool:
+    return _parses(_parse_frac, s)
+
+
+def _is_int_text(s: str) -> bool:
+    return _parses(int, s)
+
+
+_JSON_SHAPES = {
+    "series": lambda v: isinstance(v, str),
+    "c": lambda v: v is None or _is_int(v),
+    "d": lambda v: v is None or _is_int(v),
+    "degree": _is_frac_text,
+    "log_canonicity": _is_frac_text,
+    "ke": lambda v: isinstance(v, bool),
+    "local_orders": lambda v: isinstance(v, dict)
+    and all(isinstance(p, str) and _is_int(n) for p, n in v.items()),
+    "resolution": lambda v: isinstance(v, dict)
+    and all(isinstance(p, str) and isinstance(w, list) and all(map(_is_int, w)) for p, w in v.items()),
+}
+
+
+def _json_shape_problem(obj: object) -> str | None:
+    """The first field of a decoded JSONL record with the wrong shape, described; None if none."""
+    if not isinstance(obj, dict):
+        return f"expected a JSON object, got {type(obj).__name__}"
+    for name in _JSON_FIELDS:
+        if name not in obj:
+            return f"missing field {name!r}"
+        if not _JSON_SHAPES.get(name, _is_int)(obj[name]):
+            return f"field {name!r} has the wrong shape: {obj[name]!r}"
+    return None
+
+
+_CSV_SHAPES = {
+    "series": lambda s: True,
+    "c": lambda s: s == "" or _is_int_text(s),
+    "d": lambda s: s == "" or _is_int_text(s),
+    "degree": _is_frac_text,
+    "log_canonicity": _is_frac_text,
+    "ke": lambda s: True,
+}
+
+
+def _csv_shape_problem(vals: dict[str, str]) -> str | None:
+    """The first column a CSV row needs that is missing or malformed, described; None if none."""
+    if "rho" not in vals:
+        return "missing column 'rho'"
+    if vals["rho"] not in ("1", "2", "3"):
+        return f"column 'rho' must be 1, 2 or 3, got {vals['rho']!r}"
+    labels = POINT_LABELS[int(vals["rho"])]
+    names = [n for n in CSV_COLUMNS[:15] if n not in ("rho", "a", "b")]
+    for name in names + [f"local_{p}" for p in labels] + [f"resolution_{p}" for p in labels]:
+        if name not in vals:
+            return f"missing column {name!r}"
+        v = vals[name]
+        if name.startswith("resolution_"):
+            ok = v == "" or all(map(_is_int_text, v.split(";")))
+        else:
+            ok = _CSV_SHAPES.get(name, _is_int_text)(v)
+        if not ok:
+            return f"column {name!r} has the wrong shape: {v!r}"
+    return None
 
 
 def _iter_records(
@@ -490,12 +588,11 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
-def _bounds_violations(rho: int, key: SeriesKey, m: DefiningMatrix) -> list[str]:
-    """Per-rho bound checks on degree, log canonicity and Picard index."""
+def _bounds_violations(
+    rho: int, key: SeriesKey, deg: Fraction, eps: Fraction, pic: int
+) -> list[str]:
+    """Per-rho bound checks on a surface's degree, log canonicity and Picard index."""
     iota = key.iota
-    deg = degree(m)
-    eps = log_canonicity(m)
-    pic = picard_index(m)
     bad = []
     deg_lo = Fraction(rho + 1, iota)
     deg_hi = {1: 1 + Fraction(4, iota), 2: Fraction(9, 2) + Fraction(9, 2 * iota), 3: 4 + Fraction(4, iota)}[rho]
@@ -543,9 +640,11 @@ def _ke_explicit_ranges(rho: int, iota: int) -> list[SeriesKey]:
 def verify_claims(iota_max: int) -> VerifyReport:
     """Re-check the internal consistency suites and, at full scale, the census.
 
-    Oracle suites run over Gorenstein index up to min(iota_max, 30), bound
-    and round-trip suites up to min(iota_max, 50); the full-scale census
-    totals are checked whenever iota_max >= 200 (computed at 200).
+    Oracle suites run over Gorenstein index up to min(iota_max, 30), the
+    comparison of the closed-form barycenters with the polygon oracle up to
+    min(iota_max, 20), bound and round-trip suites up to min(iota_max, 50);
+    the full-scale census totals are checked whenever iota_max >= 200
+    (computed at 200).
     """
     if iota_max < 1:
         raise ValueError(f"iota_max must be positive, got {iota_max}")
@@ -608,7 +707,7 @@ def verify_claims(iota_max: int) -> VerifyReport:
                     mismatch["gorenstein index divides picard index"] += 1
                 if not (deg > 0 and 0 < eps <= 1):
                     mismatch["positivity: degree > 0, 0 < eps <= 1"] += 1
-                if _bounds_violations(rho, key, m):
+                if _bounds_violations(rho, key, deg, eps, pic):
                     mismatch["degree, log canonicity, picard bounds"] += 1
                 if eps < Fraction(2, iota):
                     combined_eps_flags += 1

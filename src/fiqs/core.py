@@ -136,21 +136,28 @@ def det3(m: IntMatrix) -> int:
 def solve3(m: IntMatrix, rhs: Sequence[int]) -> tuple[Fraction, Fraction, Fraction]:
     """Solve ``m^T u = rhs`` exactly, i.e. find u with <u, column_j(m)> = rhs[j].
 
-    Uses Cramer's rule on the transpose; raises on singular input.
+    Cramer's rule on integers: u_i = <rhs, c_i> / det(m), where c_i is the
+    cross product of the two rows of m other than row i (its cofactor row).
+    Raises on singular input.
     """
     if m.rows != 3 or m.cols != 3:
         raise ValueError(f"solve3 requires a 3x3 matrix, got {m.rows}x{m.cols}")
     if len(rhs) != 3:
         raise ValueError("rhs must have length 3")
-    det = det3(m)
+    a0, a1, a2, b0, b1, b2, c0, c1, c2 = m.entries
+    # cofactor rows: b x c, c x a, a x b for the rows a, b, c of m
+    u0, u1, u2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
+    v0, v1, v2 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
+    w0, w1, w2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    det = a0 * u0 + a1 * u1 + a2 * u2
     if det == 0:
         raise ValueError("singular matrix")
-    t = m.transpose()
-    sols = []
-    for j in range(3):
-        cols = [list(t.column(k)) if k != j else list(rhs) for k in range(3)]
-        sols.append(Fraction(det3(IntMatrix.from_columns(cols)), det))
-    return sols[0], sols[1], sols[2]
+    r0, r1, r2 = rhs
+    return (
+        Fraction(r0 * u0 + r1 * u1 + r2 * u2, det),
+        Fraction(r0 * v0 + r1 * v1 + r2 * v2, det),
+        Fraction(r0 * w0 + r1 * w1 + r2 * w2, det),
+    )
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:

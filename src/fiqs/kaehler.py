@@ -10,8 +10,8 @@ The moment polytope is the dual { u : <u, v> >= -1 for all v } of the
 degeneration's Fano polygon, whose integral vertices are written down in
 :func:`degeneration_polygon`.  :func:`barycenters` evaluates the closed
 forms obtained by carrying out the dual-centroid computation symbolically;
-:func:`barycenter_oracle` redoes it from the polygon with exact rational
-arithmetic, so the two paths check each other.
+:func:`barycenter_oracle` redoes it from the polygon in integer homogeneous
+coordinates, exact, so the two paths check each other.
 
 At the family level the criterion collapses to a finite description:
 no rho=2 surface is Kaehler-Einstein (its single barycenter lies on the
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .canon import _checked
 from .series import DefiningMatrix, SeriesKey, series_membership
@@ -94,47 +95,69 @@ def _hull_ccw(points: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
     return lower[:-1] + upper[:-1]
 
 
-def dual_polygon(vertices: tuple[tuple[int, int], ...]) -> list[tuple[Fraction, Fraction]]:
-    """Vertices of { u : <u, v> >= -1 for all v }, for a polygon with 0 inside."""
+def _dual_homogeneous(vertices: tuple[tuple[int, int], ...]) -> list[tuple[int, int, int]]:
+    """Dual vertices as integer triples (p, q, det), each standing for (p/det, q/det).
+
+    The dual vertex of the hull edge from (x1, y1) to (x2, y2) is
+    (y1 - y2, x2 - x1) / det with det = x1*y2 - x2*y1, which is positive
+    exactly when the origin lies strictly left of the edge.
+    """
     hull = _hull_ccw(vertices)
-    n = len(hull)
-    out: list[tuple[Fraction, Fraction]] = []
-    for i in range(n):
-        x1, y1 = hull[i]
-        x2, y2 = hull[(i + 1) % n]
+    out: list[tuple[int, int, int]] = []
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:] + hull[:1]):
         det = x1 * y2 - x2 * y1
         if det <= 0:
             raise ValueError("origin is not in the interior of the polygon")
-        u = (Fraction(y1 - y2, det), Fraction(x2 - x1, det))
-        out.append(u)
-    for ux, uy in out:
+        out.append((y1 - y2, x2 - x1, det))
+    # <u, v> >= -1 for every dual vertex u and hull vertex v, times det > 0
+    for p, q, det in out:
         for vx, vy in hull:
-            if ux * vx + uy * vy < -1:
+            if p * vx + q * vy < -det:
                 raise ValueError("dual vertex computation is inconsistent")
     return out
 
 
-def polygon_centroid(vertices: list[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:
-    """Exact area centroid of a polygon given by vertices in boundary order."""
-    area2 = Fraction(0)
-    cx = Fraction(0)
-    cy = Fraction(0)
-    n = len(vertices)
-    for i in range(n):
-        x1, y1 = vertices[i]
-        x2, y2 = vertices[(i + 1) % n]
+def _centroid_homogeneous(vertices: list[tuple[int, int, int]]) -> tuple[Fraction, Fraction]:
+    """Area centroid of a polygon whose vertices are triples (p, q, den), den > 0.
+
+    The vertices are put over the lcm L of their denominators, so the
+    shoelace sums run on integers: the centroid is (cx, cy) / (3 * area2 * L).
+    """
+    big = lcm(*(den for _, _, den in vertices))
+    pts = [(p * (big // den), q * (big // den)) for p, q, den in vertices]
+    area2 = cx = cy = 0
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
         w = x1 * y2 - x2 * y1
         area2 += w
         cx += (x1 + x2) * w
         cy += (y1 + y2) * w
     if area2 == 0:
         raise ValueError("degenerate polygon")
-    return cx / (3 * area2), cy / (3 * area2)
+    den = 3 * area2 * big
+    return Fraction(cx, den), Fraction(cy, den)
+
+
+def dual_polygon(vertices: tuple[tuple[int, int], ...]) -> list[tuple[Fraction, Fraction]]:
+    """Vertices of { u : <u, v> >= -1 for all v }, for a polygon with 0 inside."""
+    return [(Fraction(p, det), Fraction(q, det)) for p, q, det in _dual_homogeneous(vertices)]
+
+
+def polygon_centroid(vertices: list[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:
+    """Exact area centroid of a polygon given by vertices in boundary order."""
+    triples = []
+    for x, y in vertices:
+        den = lcm(x.denominator, y.denominator)
+        triples.append((x.numerator * (den // x.denominator), y.numerator * (den // y.denominator), den))
+    return _centroid_homogeneous(triples)
 
 
 def barycenter_oracle(m: DefiningMatrix, kappa: int) -> tuple[Fraction, Fraction]:
-    """Barycenter recomputed from the polygon: dual, then exact centroid."""
-    return polygon_centroid(dual_polygon(degeneration_polygon(m, kappa)))
+    """Barycenter recomputed from the polygon: dual, then centroid.
+
+    Integer homogeneous coordinates, exact; a single ``Fraction`` per final
+    coordinate.  Independent of the closed forms of :func:`barycenters`.
+    """
+    return _centroid_homogeneous(_dual_homogeneous(degeneration_polygon(m, kappa)))
 
 
 def barycenters(m: DefiningMatrix) -> list[Barycenter]:
@@ -159,7 +182,12 @@ def barycenters(m: DefiningMatrix) -> list[Barycenter]:
 
 
 def is_ke_oracle(m: DefiningMatrix) -> bool:
-    """Kaehler-Einstein test on the barycenters: x = 0 and y > 0 for all special kappa."""
+    """Kaehler-Einstein criterion applied to the closed-form :func:`barycenters`.
+
+    True when x = 0 and y > 0 for every special kappa.  The closed forms are
+    tied to the geometry by comparing them with :func:`barycenter_oracle`
+    (``verify_claims`` does so for iota <= 20).
+    """
     return all(bc.x == 0 and bc.y > 0 for bc in barycenters(m))
 
 

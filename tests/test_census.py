@@ -8,6 +8,8 @@ from math import lcm
 import pytest
 
 from fiqs import (
+    SeriesId,
+    SeriesKey,
     count,
     count_exact,
     count_ke,
@@ -222,6 +224,41 @@ def test_csv_round_trip():
             for key, m in enumerate_all(rho, iota):
                 rec = surface_record(key, m)
                 assert record_from_csv_row(record_to_csv_row(rec)) == rec
+
+
+_GOOD_REC = surface_record(SeriesKey(SeriesId(3, "s11"), 3, 3, -2, -2))
+
+
+def _json_with(**fields):
+    obj = json.loads(record_to_json_line(_GOOD_REC))
+    obj.update(fields)
+    return json.dumps(obj)
+
+
+def _csv_with(column, value):
+    row = record_to_csv_row(_GOOD_REC)
+    row[CSV_COLUMNS.index(column)] = value
+    return row
+
+
+@pytest.mark.parametrize(
+    "decode, raw, field",
+    [
+        (record_from_csv_row, ["1"], "series"),
+        (record_from_csv_row, [], "rho"),
+        (record_from_csv_row, record_to_csv_row(_GOOD_REC)[:8], "gorenstein_index"),
+        (record_from_csv_row, _csv_with("degree", "1/0"), "degree"),
+        (record_from_csv_row, _csv_with("iota_plus", "x"), "iota_plus"),
+        (record_from_json_line, "[]", "object"),
+        (record_from_json_line, "{}", "rho"),
+        (record_from_json_line, _json_with(degree="1/0"), "degree"),
+        (record_from_json_line, _json_with(local_orders=5), "local_orders"),
+        (record_from_json_line, _json_with(resolution=[1]), "resolution"),
+    ],
+)
+def test_decoders_name_malformed_field(decode, raw, field):
+    with pytest.raises(ValueError, match=field):
+        decode(raw)
 
 
 def test_verify_claims_small_range_passes():

@@ -174,6 +174,28 @@ class TestSolve3:
             col = m.column(j)
             assert sum(ui * vi for ui, vi in zip(u, col)) == rhs[j]
 
+    @given(
+        st.lists(st.integers(-50, 50), min_size=9, max_size=9),
+        st.tuples(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50)),
+    )
+    def test_against_sympy(self, entries, rhs):
+        sympy = pytest.importorskip("sympy")
+        m = IntMatrix(3, 3, tuple(entries))
+        if det3(m) == 0:
+            with pytest.raises(ValueError, match="singular"):
+                solve3(m, rhs)
+            return
+        theirs = sympy.Matrix(3, 3, entries).T.LUsolve(sympy.Matrix(rhs))
+        assert solve3(m, rhs) == tuple(Fraction(int(q.p), int(q.q)) for q in theirs)
+
+    def test_shape_and_length_rejected(self):
+        with pytest.raises(ValueError, match="3x3"):
+            solve3(IntMatrix.from_rows([[1, 0], [0, 1]]), (1, 1, 1))
+        with pytest.raises(ValueError, match="3x3"):
+            solve3(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]), (1, 1, 1))
+        with pytest.raises(ValueError, match="length 3"):
+            solve3(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), (1, 1))
+
 
 _fractions = st.fractions(
     min_value=-(10**6), max_value=10**6, max_denominator=10**4

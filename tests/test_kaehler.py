@@ -3,6 +3,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fiqs import (
     DefiningMatrix,
@@ -14,9 +15,72 @@ from fiqs import (
     is_ke_family,
     is_ke_oracle,
 )
-from fiqs.kaehler import SPECIAL_KAPPAS, dual_polygon, polygon_centroid
+from fiqs.kaehler import SPECIAL_KAPPAS, _hull_ccw, dual_polygon, polygon_centroid
 
 from conftest import up_to
+
+
+def fraction_dual_polygon(vertices):
+    """Reference: the dual polygon with one ``Fraction`` per coordinate throughout."""
+    hull = _hull_ccw(vertices)
+    n = len(hull)
+    out = []
+    for i in range(n):
+        x1, y1 = hull[i]
+        x2, y2 = hull[(i + 1) % n]
+        det = x1 * y2 - x2 * y1
+        if det <= 0:
+            raise ValueError("origin is not in the interior of the polygon")
+        out.append((Fraction(y1 - y2, det), Fraction(x2 - x1, det)))
+    for ux, uy in out:
+        for vx, vy in hull:
+            if ux * vx + uy * vy < -1:
+                raise ValueError("dual vertex computation is inconsistent")
+    return out
+
+
+def fraction_polygon_centroid(vertices):
+    """Reference: the shoelace centroid summed in ``Fraction`` arithmetic."""
+    area2 = cx = cy = Fraction(0)
+    n = len(vertices)
+    for i in range(n):
+        x1, y1 = vertices[i]
+        x2, y2 = vertices[(i + 1) % n]
+        w = x1 * y2 - x2 * y1
+        area2 += w
+        cx += (x1 + x2) * w
+        cy += (y1 + y2) * w
+    if area2 == 0:
+        raise ValueError("degenerate polygon")
+    return cx / (3 * area2), cy / (3 * area2)
+
+
+def outcome(dual, centroid, vertices):
+    try:
+        verts = dual(vertices)
+        return verts, centroid(verts)
+    except ValueError:
+        return "ValueError"
+
+
+_coord = st.integers(-12, 12)
+_point = st.tuples(_coord, _coord)
+
+
+@st.composite
+def polygons_around_origin(draw):
+    """Lattice points whose hull has the origin strictly inside.
+
+    p, q span the plane and r = -(s*p + t*q) with s, t >= 1, so the origin is
+    a strictly positive combination of the triangle p, q, r; further points
+    only enlarge the hull.
+    """
+    p = draw(_point.filter(lambda v: v != (0, 0)))
+    q = draw(_point.filter(lambda v: p[0] * v[1] - p[1] * v[0] != 0))
+    s, t = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    r = (-(s * p[0] + t * q[0]), -(s * p[1] + t * q[1]))
+    extra = draw(st.lists(_point, max_size=5))
+    return (p, q, r, *extra)
 
 
 class TestBarycenters:
@@ -41,7 +105,7 @@ class TestBarycenters:
 
     def test_polygon_oracle_agrees(self, surfaces_by_rho):
         for rho in (1, 2, 3):
-            for _, m in up_to(surfaces_by_rho[rho], 10):
+            for _, m in up_to(surfaces_by_rho[rho], 20):
                 for bc in barycenters(m):
                     assert (bc.x, bc.y) == barycenter_oracle(m, bc.kappa), m
 
@@ -68,6 +132,47 @@ class TestPolygons:
     def test_centroid_of_triangle(self):
         tri = [(Fraction(0), Fraction(0)), (Fraction(3), Fraction(0)), (Fraction(0), Fraction(3))]
         assert polygon_centroid(tri) == (1, 1)
+
+    @given(polygons_around_origin())
+    def test_integer_path_equals_fraction_reference(self, vertices):
+        ours = outcome(dual_polygon, polygon_centroid, vertices)
+        assert ours != "ValueError"
+        assert ours == outcome(fraction_dual_polygon, fraction_polygon_centroid, vertices)
+
+    @given(st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)), max_size=6))
+    def test_integer_path_matches_reference_on_any_points(self, points):
+        vertices = tuple(points)
+        assert outcome(dual_polygon, polygon_centroid, vertices) == outcome(
+            fraction_dual_polygon, fraction_polygon_centroid, vertices
+        )
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            ((0, 0), (1, 0), (0, 1)),  # origin is a vertex
+            ((-1, 0), (1, 0), (0, 1)),  # origin on an edge
+            ((1, 0), (2, 1), (1, 2)),  # origin outside
+            ((-1, -1), (0, 0), (1, 1), (2, 2)),  # collinear through the origin
+            ((1, 1), (2, 2), (3, 3)),  # collinear, away from the origin
+            ((1, 0), (1, 0), (-1, 0)),  # fewer than 3 distinct points
+        ],
+    )
+    def test_both_paths_reject_origin_not_interior(self, vertices):
+        for dual, centroid in ((dual_polygon, polygon_centroid), (fraction_dual_polygon, fraction_polygon_centroid)):
+            with pytest.raises(ValueError):
+                centroid(dual(vertices))
+
+    @pytest.mark.parametrize(
+        "vertices",
+        [
+            [],
+            [(Fraction(0), Fraction(0)), (Fraction(1, 2), Fraction(1, 3)), (Fraction(1), Fraction(2, 3))],
+        ],
+    )
+    def test_both_centroids_reject_degenerate_polygon(self, vertices):
+        for centroid in (polygon_centroid, fraction_polygon_centroid):
+            with pytest.raises(ValueError, match="degenerate"):
+                centroid(vertices)
 
 
 class TestKeOracle:
