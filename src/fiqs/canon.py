@@ -12,16 +12,18 @@ exactly one matrix satisfying the normal-form inequalities checked by
 row-reduce the stored third row so the designated entries take their
 canonical values, close the reduced parameter tuple under the finite
 symmetry orbit (closed-form maps derived from the arm swaps and the
-negation), and select the single orbit element passing :func:`validate`.
-Zero or several passing elements indicate corrupted input and raise
-:class:`NormalFormError`.
+negation), and select the single orbit element passing the normal-form
+inequalities.  The orbit is checked on the parameter tuples themselves,
+with the kernel behind :func:`validate`; only the one passing tuple becomes
+a :class:`~fiqs.series.DefiningMatrix`.  Zero or several passing elements
+indicate corrupted input and raise :class:`NormalFormError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import FIRST_TWO_ROWS, DefiningMatrix, SeriesId, SeriesKey
+from .series import FIRST_TWO_ROWS, SERIES_IDS, DefiningMatrix, SeriesKey
 
 __all__ = [
     "NormalFormError",
@@ -60,7 +62,7 @@ SWAPPABLE_ARM_PAIRS: dict[int, frozenset[tuple[int, int]]] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdmissibleOp:
     """One isomorphy-preserving matrix move.
 
@@ -86,7 +88,7 @@ class AdmissibleOp:
             raise ValueError("swap_arms needs an arm pair")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RawMatrix:
     """A defining matrix with standard first two rows and free third row."""
 
@@ -109,19 +111,19 @@ def raw_from_matrix(m: DefiningMatrix) -> RawMatrix:
     return RawMatrix(m.rho, m.third_row())
 
 
-def validate(m: DefiningMatrix) -> tuple[str, ...]:
-    """Normal-form inequality check; returns the violated inequalities (empty = ok)."""
+def _violations(
+    rho: int, a: int, b: int, c: int | None = None, d: int | None = None
+) -> tuple[str, ...]:
+    """The normal-form inequalities that the parameters (a, b[, c[, d]]) violate."""
     bad: list[str] = []
-    if m.rho == 1:
-        a, b = m.a, m.b
+    if rho == 1:
         if not b <= -2:
             bad.append("b <= -2")
         if not 0 <= a:
             bad.append("0 <= a")
         if not a <= -b - 2:
             bad.append("a <= -b-2")
-    elif m.rho == 2:
-        a, b, c = m.a, m.b, m.c
+    elif rho == 2:
         if not b < a:
             bad.append("b < a")
         if not c < 0:
@@ -135,7 +137,6 @@ def validate(m: DefiningMatrix) -> tuple[str, ...]:
         if not a <= -b - c - 1:
             bad.append("a <= -b-c-1")
     else:
-        a, b, c, d = m.a, m.b, m.c, m.d
         if not a > b:
             bad.append("a > b")
         if not c < 0:
@@ -153,6 +154,11 @@ def validate(m: DefiningMatrix) -> tuple[str, ...]:
         if not a <= -b - c - d:
             bad.append("a <= -b-c-d")
     return tuple(bad)
+
+
+def validate(m: DefiningMatrix) -> tuple[str, ...]:
+    """Normal-form inequality check; returns the violated inequalities (empty = ok)."""
+    return _violations(m.rho, m.a, m.b, m.c, m.d)
 
 
 def is_valid(m: DefiningMatrix) -> bool:
@@ -294,9 +300,7 @@ def parameter_orbit(rho: int, params: tuple[int, ...]) -> frozenset[tuple[int, .
 def canonicalize(m: RawMatrix) -> DefiningMatrix:
     """The unique normal form in the isomorphy class of a raw matrix."""
     params = reduce_raw(m)
-    passing = [
-        p for p in sorted(parameter_orbit(m.rho, params)) if is_valid(DefiningMatrix(m.rho, *p))
-    ]
+    passing = [p for p in parameter_orbit(m.rho, params) if not _violations(m.rho, *p)]
     if len(passing) != 1:
         raise NormalFormError(
             f"expected exactly one normal form in the orbit, found {len(passing)} "
@@ -311,7 +315,7 @@ def classify(m: DefiningMatrix) -> SeriesKey:
     if m.rho == 1:
         i, ip = ("1", m.a + 1) if m.a % 2 == 0 else ("2", 2 * m.a + 2)
         j, im = ("1", -m.b - 1) if m.b % 2 == 0 else ("2", -2 * m.b - 2)
-        return SeriesKey(SeriesId(1, f"s{i}{j}"), ip, im)
+        return SeriesKey(SERIES_IDS[1, f"s{i}{j}"], ip, im)
     # the orders of x+/x- are w * iota+/w * iota- with series weight w in {1, p}
     if m.rho == 2:
         p, np_, nm = 3, 2 * m.a + 1, -(2 * m.b + 2 * m.c + 1)
@@ -319,4 +323,4 @@ def classify(m: DefiningMatrix) -> SeriesKey:
         p, np_, nm = 2, m.a, -(m.b + m.c + m.d)
     i, ip = ("2", np_ // p) if np_ % p == 0 else ("1", np_)
     j, im = ("2", nm // p) if nm % p == 0 else ("1", nm)
-    return SeriesKey(SeriesId(m.rho, f"s{i}{j}"), ip, im, m.c, m.d)
+    return SeriesKey(SERIES_IDS[m.rho, f"s{i}{j}"], ip, im, m.c, m.d)

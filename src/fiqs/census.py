@@ -54,12 +54,13 @@ from .invariants import (
 )
 from .kaehler import barycenter_oracle, barycenters, is_ke_family, is_ke_oracle
 from .series import (
+    SERIES_IDS,
     SERIES_TAGS,
-    SeriesId,
     SeriesKey,
     _check_rho,
     _lcm_pairs,
     _pair_ok,
+    _series_id,
     _WEIGHTS,
     enumerate_all,
     enumerate_eta,
@@ -181,7 +182,7 @@ def count_ke(rho: int, iota: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CountRow:
     iota: int
     exact: int
@@ -190,7 +191,7 @@ class CountRow:
     ke_cumulative: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CountTable:
     rho: int
     rows: tuple[CountRow, ...]
@@ -323,7 +324,7 @@ def record_to_json_line(rec: SurfaceRecord) -> str:
 
 def _key_from_fields(rho: int, tag: str, ip: int, im: int, c, d) -> SeriesKey:
     return SeriesKey(
-        SeriesId(rho, tag),
+        _series_id(rho, tag),
         ip,
         im,
         None if c is None else int(c),
@@ -352,7 +353,7 @@ def record_from_json_line(line: str) -> SurfaceRecord:
             degree=_parse_frac(obj["degree"]),
             log_canonicity=_parse_frac(obj["log_canonicity"]),
             picard_index=obj["picard_index"],
-            ke=obj["ke"],
+            ke=_json_bool(obj["ke"]),
             resolution=ResolutionGraph({p: tuple(w) for p, w in obj["resolution"].items()}),
         )
     except _DECODE_ERRORS as exc:
@@ -360,6 +361,12 @@ def record_from_json_line(line: str) -> SurfaceRecord:
         if problem is None and isinstance(exc, ValueError):
             raise
         raise ValueError(f"malformed JSON record: {problem or repr(exc)}") from exc
+
+
+def _json_bool(v: object) -> bool:
+    if not isinstance(v, bool):
+        raise ValueError(f"expected a JSON bool, got {v!r}")
+    return v
 
 
 def record_to_csv_row(rec: SurfaceRecord) -> list[str]:
@@ -383,10 +390,20 @@ def record_to_csv_row(rec: SurfaceRecord) -> list[str]:
     ]
 
 
+_CSV_BOOLS = {"true": True, "false": False}
+
+
+def _parse_chain(text: str) -> tuple[int, ...]:
+    """The weights of a ';'-joined resolution chain; the empty text is the empty chain."""
+    return tuple(map(int, text.split(";"))) if text else ()
+
+
 def record_from_csv_row(row: list[str]) -> SurfaceRecord:
     """Rebuild a record from its CSV row; malformed input raises ``ValueError`` naming the column."""
     vals = dict(zip(CSV_COLUMNS, row))
     try:
+        if len(row) != len(CSV_COLUMNS):
+            raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(row)}")
         rho = int(vals["rho"])
         key = _key_from_fields(
             rho,
@@ -399,10 +416,7 @@ def record_from_csv_row(row: list[str]) -> SurfaceRecord:
         m = matrix_from_eta(key)
         labels = POINT_LABELS[rho]
         orders = {p: int(vals[f"local_{p}"]) for p in labels}
-        chains = {
-            p: tuple(int(w) for w in vals[f"resolution_{p}"].split(";")) if vals[f"resolution_{p}"] else ()
-            for p in labels
-        }
+        chains = {p: _parse_chain(vals[f"resolution_{p}"]) for p in labels}
         return SurfaceRecord(
             key=key,
             matrix=m,
@@ -412,11 +426,11 @@ def record_from_csv_row(row: list[str]) -> SurfaceRecord:
             degree=_parse_frac(vals["degree"]),
             log_canonicity=_parse_frac(vals["log_canonicity"]),
             picard_index=int(vals["picard_index"]),
-            ke=vals["ke"] == "true",
+            ke=_CSV_BOOLS[vals["ke"]],
             resolution=ResolutionGraph(chains),
         )
     except _DECODE_ERRORS as exc:
-        problem = _csv_shape_problem(vals)
+        problem = _csv_shape_problem(row)
         if problem is None and isinstance(exc, ValueError):
             raise
         raise ValueError(f"malformed CSV row: {problem or repr(exc)}") from exc
@@ -480,12 +494,15 @@ _CSV_SHAPES = {
     "d": lambda s: s == "" or _is_int_text(s),
     "degree": _is_frac_text,
     "log_canonicity": _is_frac_text,
-    "ke": lambda s: True,
+    "ke": lambda s: s in _CSV_BOOLS,
 }
 
 
-def _csv_shape_problem(vals: dict[str, str]) -> str | None:
-    """The first column a CSV row needs that is missing or malformed, described; None if none."""
+def _csv_shape_problem(row: list[str]) -> str | None:
+    """The first column of a CSV row that is missing, extra or malformed, described; None if none."""
+    if len(row) > len(CSV_COLUMNS):
+        return f"extra column after {CSV_COLUMNS[-1]!r}: {row[len(CSV_COLUMNS)]!r}"
+    vals = dict(zip(CSV_COLUMNS, row))
     if "rho" not in vals:
         return "missing column 'rho'"
     if vals["rho"] not in ("1", "2", "3"):
@@ -502,6 +519,8 @@ def _csv_shape_problem(vals: dict[str, str]) -> str | None:
             ok = _CSV_SHAPES.get(name, _is_int_text)(v)
         if not ok:
             return f"column {name!r} has the wrong shape: {v!r}"
+    if len(row) < len(CSV_COLUMNS):
+        return f"missing column {CSV_COLUMNS[len(row)]!r}"
     return None
 
 
@@ -511,7 +530,7 @@ def _iter_records(
     tags = SERIES_TAGS if series is None else (series,)
     for iota in iotas:
         for tag in tags:
-            for key in enumerate_eta(SeriesId(rho, tag), iota):
+            for key in enumerate_eta(_series_id(rho, tag), iota):
                 yield surface_record(key)
 
 
@@ -561,7 +580,7 @@ def emit_plot_data(rho: int, iota_max: int, sink: TextIO) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClaimResult:
     claim: str
     expected: object
@@ -569,7 +588,7 @@ class ClaimResult:
     passed: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerifyReport:
     results: tuple[ClaimResult, ...]
     notes: tuple[str, ...]
@@ -588,25 +607,31 @@ class VerifyReport:
         return "\n".join(lines) + "\n"
 
 
+# Per rho, the upper bounds at Gorenstein index iota: the degree, k^2 for
+# the log canonicity bound eps <= k/sqrt(iota), and the Picard index.
+_UPPER_BOUNDS: dict[int, Callable[[int], tuple[Fraction, int, Fraction | int]]] = {
+    1: lambda iota: (1 + Fraction(4, iota), 4, 8 * iota * iota),
+    2: lambda iota: (
+        Fraction(9, 2) + Fraction(9, 2 * iota),
+        9,
+        Fraction(27, 2) * iota**3 * (3 * iota - 1),
+    ),
+    3: lambda iota: (4 + Fraction(4, iota), 4, 2 * iota**2 * (4 * iota - 1) ** 2 * (2 * iota - 1)),
+}
+
+
 def _bounds_violations(
     rho: int, key: SeriesKey, deg: Fraction, eps: Fraction, pic: int
 ) -> list[str]:
     """Per-rho bound checks on a surface's degree, log canonicity and Picard index."""
     iota = key.iota
     bad = []
-    deg_lo = Fraction(rho + 1, iota)
-    deg_hi = {1: 1 + Fraction(4, iota), 2: Fraction(9, 2) + Fraction(9, 2 * iota), 3: 4 + Fraction(4, iota)}[rho]
-    if not deg_lo <= deg <= deg_hi:
+    deg_hi, k2, pic_hi = _UPPER_BOUNDS[rho](iota)
+    if not Fraction(rho + 1, iota) <= deg <= deg_hi:
         bad.append(f"degree bound at {key}")
     # upper bound eps <= k/sqrt(iota) tested by squaring: eps^2 * iota <= k^2
-    k2 = {1: 4, 2: 9, 3: 4}[rho]
     if not (Fraction(1, iota) <= eps and eps * eps * iota <= k2):
         bad.append(f"log canonicity bound at {key}")
-    pic_hi = {
-        1: 8 * iota * iota,
-        2: Fraction(27, 2) * iota**3 * (3 * iota - 1),
-        3: 2 * iota**2 * (4 * iota - 1) ** 2 * (2 * iota - 1),
-    }[rho]
     if not iota <= pic <= pic_hi:
         bad.append(f"picard bound at {key}")
     return bad
@@ -621,19 +646,19 @@ def _ke_explicit_ranges(rho: int, iota: int) -> list[SeriesKey]:
     out = []
     if rho == 1:
         if iota % 2 == 1:
-            out.append(SeriesKey(SeriesId(1, "s11"), iota, iota))
+            out.append(SeriesKey(SERIES_IDS[1, "s11"], iota, iota))
         if iota % 4 == 0:
-            out.append(SeriesKey(SeriesId(1, "s22"), iota, iota))
+            out.append(SeriesKey(SERIES_IDS[1, "s22"], iota, iota))
         return out
     if rho != 3:
         return out
     if iota % 2 == 1:
         for c in range(-iota + 1, -1):
             for d in range(max(c, -2 * iota - 2 * c), -iota - c):
-                out.append(SeriesKey(SeriesId(3, "s11"), iota, iota, c, d))
+                out.append(SeriesKey(SERIES_IDS[3, "s11"], iota, iota, c, d))
     for c in range(-2 * iota + 1, -1):
         for d in range(max(c, -4 * iota - 2 * c), -2 * iota - c):
-            out.append(SeriesKey(SeriesId(3, "s22"), iota, iota, c, d))
+            out.append(SeriesKey(SERIES_IDS[3, "s22"], iota, iota, c, d))
     return out
 
 

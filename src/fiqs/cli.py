@@ -22,7 +22,7 @@ from .census import (
     verify_claims,
 )
 from .invariants import record_from_matrix, surface_record
-from .series import SERIES_TAGS, SeriesId, SeriesKey, _check_rho
+from .series import SERIES_IDS, SERIES_TAGS, SeriesKey, _check_rho
 
 
 class _Parser(argparse.ArgumentParser):
@@ -55,7 +55,7 @@ def _parse_eta(text: str) -> SeriesKey:
     nums = [int(p) for p in parts[2:]]
     c = nums[2] if rho >= 2 else None
     d = nums[3] if rho == 3 else None
-    return SeriesKey(SeriesId(rho, tag), nums[0], nums[1], c, d)
+    return SeriesKey(SERIES_IDS[rho, tag], nums[0], nums[1], c, d)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -37,7 +37,7 @@ def gcd_list(values: Iterable[int]) -> int:
     return g
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntMatrix:
     """Immutable integer matrix with row-major entries."""
 
@@ -94,7 +94,7 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SmithForm:
     """Invariant factors d1 | d2 | ... of an integer matrix; rank = number of nonzero factors."""
 

@@ -79,7 +79,7 @@ SIGMA_RAY_COLUMNS: dict[int, dict[str, tuple[int, int, int]]] = {
 _ORDER_FORMS = {1: (4, 1, 4, 2), 2: (9, 2, 3, 1), 3: (4, 1, 2, 1)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassGroup:
     """Divisor class group Z^free_rank x Z/torsion (torsion_order 1 = free)."""
 
@@ -87,7 +87,7 @@ class ClassGroup:
     torsion_order: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LocalData:
     """Per fixed point: local class group order and local Gorenstein index."""
 
@@ -95,7 +95,7 @@ class LocalData:
     gorenstein_indices: dict[str, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResolutionGraph:
     """Per fixed point, the chain of exceptional-curve self-intersections.
 
@@ -105,7 +105,7 @@ class ResolutionGraph:
     chains: dict[str, tuple[int, ...]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SurfaceRecord:
     """Full invariant bundle of one surface."""
 

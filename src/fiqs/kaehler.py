@@ -43,7 +43,7 @@ __all__ = [
 SPECIAL_KAPPAS: dict[int, tuple[int, ...]] = {1: (1, 2), 2: (2,), 3: (0, 1, 2)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Barycenter:
     """Moment-polytope barycenter of the special degeneration kappa."""
 

@@ -27,6 +27,7 @@ from .core import IntMatrix
 
 __all__ = [
     "SERIES_TAGS",
+    "SERIES_IDS",
     "SeriesId",
     "SeriesKey",
     "DefiningMatrix",
@@ -52,7 +53,7 @@ def _check_rho(rho: int) -> None:
         raise ValueError(f"rho must be 1, 2 or 3, got {rho}")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SeriesId:
     rho: int
     tag: str
@@ -63,7 +64,21 @@ class SeriesId:
             raise ValueError(f"unknown series tag {self.tag!r}")
 
 
-@dataclass(frozen=True, order=True)
+# The twelve series ids, shared by every key that names one.
+SERIES_IDS: dict[tuple[int, str], SeriesId] = {
+    (rho, tag): SeriesId(rho, tag) for rho in (1, 2, 3) for tag in SERIES_TAGS
+}
+
+
+def _series_id(rho: int, tag: str) -> SeriesId:
+    """The shared id of (rho, tag); ValueError naming rho or the tag if there is none."""
+    try:
+        return SERIES_IDS[rho, tag]
+    except (KeyError, TypeError):
+        return SeriesId(rho, tag)  # raises the ValueError of the bad field
+
+
+@dataclass(frozen=True, order=True, slots=True)
 class SeriesKey:
     """One surface: a series together with eta = (iota+, iota-[, c[, d]])."""
 
@@ -95,7 +110,7 @@ class SeriesKey:
         return tuple(v for v in (self.iota_plus, self.iota_minus, self.c, self.d) if v is not None)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DefiningMatrix:
     """Normal-form defining matrix, stored by its free third-row parameters."""
 
@@ -252,6 +267,6 @@ def enumerate_all(rho: int, iota: int) -> list[tuple[SeriesKey, DefiningMatrix]]
         raise ValueError(f"iota must be positive, got {iota}")
     out = []
     for tag in SERIES_TAGS:
-        for key in enumerate_eta(SeriesId(rho, tag), iota):
+        for key in enumerate_eta(SERIES_IDS[rho, tag], iota):
             out.append((key, matrix_from_eta(key)))
     return out

@@ -3,8 +3,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from fiqs import (
+    SERIES_TAGS,
     AdmissibleOp,
     DefiningMatrix,
     NormalFormError,
@@ -15,11 +17,13 @@ from fiqs import (
     canonicalize,
     classify,
     enumerate_all,
+    is_valid,
     matrix_from_eta,
     raw_from_matrix,
     validate,
 )
 from fiqs.canon import ARM_COLUMNS, SWAPPABLE_ARM_PAIRS, parameter_orbit, reduce_raw
+from fiqs.series import SERIES_IDS
 
 from conftest import up_to
 
@@ -172,3 +176,84 @@ class TestClassify:
                 for key, m in enumerate_all(rho, iota):
                     assert classify(m) == key
                     assert matrix_from_eta(classify(m)) == m
+
+
+def reference_canonicalize(m: RawMatrix) -> DefiningMatrix:
+    """The orbit filter that builds and validates a DefiningMatrix per orbit element."""
+    params = reduce_raw(m)
+    passing = [
+        p for p in sorted(parameter_orbit(m.rho, params)) if is_valid(DefiningMatrix(m.rho, *p))
+    ]
+    if len(passing) != 1:
+        raise NormalFormError(
+            f"expected exactly one normal form in the orbit, found {len(passing)} "
+            f"(rho={m.rho}, reduced={params})"
+        )
+    return DefiningMatrix(m.rho, *passing[0])
+
+
+def canon_outcome(canon, raw: RawMatrix):
+    try:
+        return canon(raw)
+    except NormalFormError as exc:
+        return f"NormalFormError: {exc}"
+
+
+_NORMAL_FORMS = {rho: [m for iota in range(1, 13) for _, m in enumerate_all(rho, iota)] for rho in (1, 2, 3)}
+
+
+@st.composite
+def scrambled_raw(draw):
+    """A normal form moved by admissible operations, one arm made to coincide in some draws."""
+    rho = draw(st.sampled_from((1, 2, 3)))
+    raw = raw_from_matrix(draw(st.sampled_from(_NORMAL_FORMS[rho])))
+    two_col_arms = [i for i, cols in enumerate(ARM_COLUMNS[rho]) if len(cols) == 2]
+    op = st.one_of(
+        st.builds(AdmissibleOp, st.just("add_row"), row=st.sampled_from((1, 2)), multiplier=st.integers(-3, 3)),
+        st.builds(AdmissibleOp, st.just("swap_within_arm"), arm=st.sampled_from(two_col_arms)),
+        st.builds(AdmissibleOp, st.just("swap_arms"), arms=st.sampled_from(sorted(SWAPPABLE_ARM_PAIRS[rho]))),
+        st.just(AdmissibleOp("negate_last_row")),
+    )
+    for o in draw(st.lists(op, max_size=8)):
+        raw = apply_op(raw, o)
+    if draw(st.booleans()):
+        i, j = ARM_COLUMNS[rho][draw(st.sampled_from(two_col_arms))]
+        row = list(raw.third_row)
+        row[j] = row[i]
+        raw = RawMatrix(rho, tuple(row))
+    return raw
+
+
+@st.composite
+def arbitrary_raw(draw):
+    """Any in-shape third row: small entries, odd where primitivity needs it."""
+    rho = draw(st.sampled_from((1, 2, 3)))
+    row = draw(st.lists(st.integers(-12, 12), min_size=rho + 3, max_size=rho + 3))
+    odd = {1: (2, 3), 2: (4,), 3: ()}[rho]
+    return RawMatrix(rho, tuple(2 * x + 1 if j in odd else x for j, x in enumerate(row)))
+
+
+class TestCanonicalizeEqualsReference:
+    @given(scrambled_raw())
+    def test_scrambled_and_corrupted(self, raw):
+        assert canon_outcome(canonicalize, raw) == canon_outcome(reference_canonicalize, raw)
+
+    @given(arbitrary_raw())
+    def test_arbitrary_rows(self, raw):
+        assert canon_outcome(canonicalize, raw) == canon_outcome(reference_canonicalize, raw)
+
+    def test_no_normal_form_message(self):
+        raw = RawMatrix(1, (-3, -2, -3, -3))
+        with pytest.raises(NormalFormError, match="expected exactly one normal form in the orbit, found 0"):
+            canonicalize(raw)
+        assert canon_outcome(canonicalize, raw) == canon_outcome(reference_canonicalize, raw)
+
+
+@pytest.mark.parametrize("rho", (1, 2, 3))
+@pytest.mark.parametrize("tag", SERIES_TAGS)
+def test_classify_shares_series_ids(rho, tag):
+    key = next(k for iota in range(1, 13) for k, _ in enumerate_all(rho, iota) if k.series.tag == tag)
+    series = classify(matrix_from_eta(key)).series
+    assert series is SERIES_IDS[rho, tag]
+    assert series == SeriesId(rho, tag)
+    assert key.series is series

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -24,7 +26,14 @@ from fiqs import (
     surface_record,
     verify_claims,
 )
-from fiqs.census import CSV_COLUMNS, _cd_count, _ke_cd_count, _ke_explicit_ranges, record_to_obj
+from fiqs.census import (
+    CSV_COLUMNS,
+    _bounds_violations,
+    _cd_count,
+    _ke_cd_count,
+    _ke_explicit_ranges,
+    record_to_obj,
+)
 from fiqs.cli import main
 from fiqs.series import _lcm_pairs
 
@@ -226,7 +235,21 @@ def test_csv_round_trip():
                 assert record_from_csv_row(record_to_csv_row(rec)) == rec
 
 
+def test_csv_round_trip_of_short_chains():
+    """A chain of no weights (a smooth point) and one of a single weight survive a CSV file."""
+    records = [surface_record(key, m) for rho in (2, 3) for iota in (1, 2, 3) for key, m in enumerate_all(rho, iota)]
+    chosen = [
+        next(r for r in records if any(len(c) == n for c in r.resolution.chains.values())) for n in (0, 1)
+    ]
+    for rec in chosen:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(record_to_csv_row(rec))
+        (row,) = csv.reader(io.StringIO(buf.getvalue()))
+        assert record_from_csv_row(row) == rec
+
+
 _GOOD_REC = surface_record(SeriesKey(SeriesId(3, "s11"), 3, 3, -2, -2))
+_RHO1_REC = surface_record(SeriesKey(SeriesId(1, "s11"), 3, 3))
 
 
 def _json_with(**fields):
@@ -254,6 +277,12 @@ def _csv_with(column, value):
         (record_from_json_line, _json_with(degree="1/0"), "degree"),
         (record_from_json_line, _json_with(local_orders=5), "local_orders"),
         (record_from_json_line, _json_with(resolution=[1]), "resolution"),
+        (record_from_csv_row, _csv_with("ke", "yes"), "'ke'"),
+        (record_from_csv_row, _csv_with("ke", "True"), "'ke'"),
+        (record_from_json_line, _json_with(ke="yes"), "'ke'"),
+        (record_from_json_line, _json_with(ke=1), "'ke'"),
+        (record_from_csv_row, record_to_csv_row(_GOOD_REC) + ["junk"], "extra column after 'resolution_x2'"),
+        (record_from_csv_row, record_to_csv_row(_RHO1_REC)[:-1], "missing column 'resolution_x2'"),
     ],
 )
 def test_decoders_name_malformed_field(decode, raw, field):
@@ -287,3 +316,49 @@ def test_errors_on_nonpositive_bounds():
         emit_plot_data(1, 0, io.StringIO())
     with pytest.raises(ValueError):
         verify_claims(0)
+
+
+def reference_bounds_violations(rho, key, deg, eps, pic):
+    """The bound checks with the bounds of all three rho built on every call."""
+    iota = key.iota
+    bad = []
+    deg_lo = Fraction(rho + 1, iota)
+    deg_hi = {1: 1 + Fraction(4, iota), 2: Fraction(9, 2) + Fraction(9, 2 * iota), 3: 4 + Fraction(4, iota)}[rho]
+    if not deg_lo <= deg <= deg_hi:
+        bad.append(f"degree bound at {key}")
+    k2 = {1: 4, 2: 9, 3: 4}[rho]
+    if not (Fraction(1, iota) <= eps and eps * eps * iota <= k2):
+        bad.append(f"log canonicity bound at {key}")
+    pic_hi = {
+        1: 8 * iota * iota,
+        2: Fraction(27, 2) * iota**3 * (3 * iota - 1),
+        3: 2 * iota**2 * (4 * iota - 1) ** 2 * (2 * iota - 1),
+    }[rho]
+    if not iota <= pic <= pic_hi:
+        bad.append(f"picard bound at {key}")
+    return bad
+
+
+def test_bounds_violations_match_reference():
+    """Every surface with iota <= 30 as computed; about 20 per rho and iota pushed past each bound."""
+    flagged = set()
+    for rho in (1, 2, 3):
+        for iota in range(1, 31):
+            surfaces = enumerate_all(rho, iota)
+            for i, (key, m) in enumerate(surfaces):
+                rec = surface_record(key, m)
+                deg, eps, pic = rec.degree, rec.log_canonicity, rec.picard_index
+                cases = [(deg, eps, pic)]
+                if i % max(1, len(surfaces) // 20) == 0:
+                    cases += [
+                        (deg / 2 / iota, eps / 2 / iota, pic // (2 * iota)),
+                        (deg * 8, eps * 4, pic * 64 * iota**3),
+                        (Fraction(rho + 1, iota), 3 * eps, 0),
+                    ]
+                for args in cases:
+                    got = _bounds_violations(rho, key, *args)
+                    assert got == reference_bounds_violations(rho, key, *args), (key, args)
+                    flagged.update((rho, msg.split(" at ")[0]) for msg in got)
+    # the pushed values cross every bound of every rho
+    kinds = ("degree bound", "log canonicity bound", "picard bound")
+    assert flagged == {(rho, k) for rho in (1, 2, 3) for k in kinds}
