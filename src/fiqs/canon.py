@@ -10,12 +10,12 @@ exactly one matrix satisfying the normal-form inequalities checked by
 
 :func:`canonicalize` recovers that unique representative in three steps:
 row-reduce the stored third row so the designated entries take their
-canonical values, close the reduced parameter tuple under the finite
-symmetry orbit (closed-form maps derived from the arm swaps and the
-negation), and select the single orbit element passing the normal-form
-inequalities.  The orbit is checked on the parameter tuples themselves,
-with the kernel behind :func:`validate`; only the one passing tuple becomes
-a :class:`~fiqs.series.DefiningMatrix`.  Zero or several passing elements
+canonical values, list the orbit of the reduced parameter tuple under the
+finite symmetry group of the arm swaps and the negation (one closed-form
+image per group element), and select the single orbit element passing the
+normal-form inequalities.  The orbit is checked on the parameter tuples
+themselves, with the kernel behind :func:`validate`; only the one passing
+tuple becomes a :class:`~fiqs.series.DefiningMatrix`.  Zero or several passing elements
 indicate corrupted input and raise :class:`NormalFormError`.
 """
 
@@ -246,55 +246,42 @@ def reduce_raw(m: RawMatrix) -> tuple[int, ...]:
     return (max(x, y), min(x, y), c, d)
 
 
-def _neg1(p: tuple[int, ...]) -> tuple[int, ...]:
+# The orbit of a slope-ordered parameter tuple under the group generated by
+# the arm swaps and the negation of the last row, one closed-form image per
+# group element: Z2 for rho=1, Z2 x Z2 for rho=2, S3 x Z2 for rho=3.
+def _orbit1(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     a, b = p
-    return (-b - 2, -a - 2)
+    return ((a, b), (-b - 2, -a - 2))
 
 
-def _swap2(p: tuple[int, ...]) -> tuple[int, ...]:
+def _orbit2(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     a, b, c = p
-    return (a, a + c, b - a)
+    n = -b - c - 1
+    return ((a, b, c), (a, a + c, b - a), (n, -a - c - 1, c), (n, -b - 1, b - a))
 
 
-def _neg2(p: tuple[int, ...]) -> tuple[int, ...]:
-    a, b, c = p
-    return (-b - c - 1, -a - c - 1, c)
-
-
-def _swap3_12(p: tuple[int, ...]) -> tuple[int, ...]:
+def _orbit3(p: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     a, b, c, d = p
-    return (a, b, d, c)
+    n, e = -b - c - d, b - a
+    return (
+        (a, b, c, d), (a, b, d, c),
+        (a, a + c, e, d), (a, a + d, e, c),
+        (a, a + c, d, e), (a, a + d, c, e),
+        (n, -a - c - d, c, d), (n, -a - c - d, d, c),
+        (n, -b - d, e, d), (n, -b - c, e, c),
+        (n, -b - d, d, e), (n, -b - c, c, e),
+    )
 
 
-def _swap3_01(p: tuple[int, ...]) -> tuple[int, ...]:
-    a, b, c, d = p
-    return (a, a + c, b - a, d)
-
-
-def _neg3(p: tuple[int, ...]) -> tuple[int, ...]:
-    a, b, c, d = p
-    return (-b - c - d, -a - c - d, c, d)
-
-
-_ORBIT_MAPS = {1: (_neg1,), 2: (_swap2, _neg2), 3: (_swap3_12, _swap3_01, _neg3)}
+_ORBITS = {1: _orbit1, 2: _orbit2, 3: _orbit3}
 
 
 def parameter_orbit(rho: int, params: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
-    """Closure of a slope-ordered parameter tuple under the symmetry maps.
+    """Orbit of a slope-ordered parameter tuple under the symmetry maps.
 
     At most 2 / 4 / 12 elements for rho = 1 / 2 / 3.
     """
-    maps = _ORBIT_MAPS[rho]
-    seen = {params}
-    frontier = [params]
-    while frontier:
-        p = frontier.pop()
-        for f in maps:
-            q = f(p)
-            if q not in seen:
-                seen.add(q)
-                frontier.append(q)
-    return frozenset(seen)
+    return frozenset(_ORBITS[rho](params))
 
 
 def canonicalize(m: RawMatrix) -> DefiningMatrix:

@@ -3,9 +3,10 @@
 Counting never materializes surfaces: for fixed (series, iota+, iota-) the
 admissible (c, d) form a lattice set whose size has a closed form, and so
 does its Kaehler-Einstein part.  Per Gorenstein index the work is one
-divisor listing plus O(1) arithmetic per divisor pair, so the census of all
-three Picard numbers up to index 200 takes about 20 ms and up to 1000
-about 0.07 s (Python 3.11 on one core of a shared Intel Xeon; see
+factorisation, which lists the lcm pairs (iota+, iota-), plus one table
+lookup and O(1) arithmetic per pair, so the census of all three Picard
+numbers up to index 200 takes about 10 ms and up to 1000 about 0.048 s
+(reference seconds, Python 3.11 on one core of a shared x86-64 host; see
 ``python3 perfbench/run.py --workload census``).  The closed-form counters
 agree with brute enumeration (tested for small indices), and
 :func:`verify_claims` re-checks every quantitative claim of the
@@ -57,11 +58,10 @@ from .series import (
     SERIES_IDS,
     SERIES_TAGS,
     SeriesKey,
+    _CLASS_WEIGHTS,
     _check_rho,
     _lcm_pairs,
-    _pair_ok,
     _series_id,
-    _WEIGHTS,
     enumerate_all,
     enumerate_eta,
     matrix_from_eta,
@@ -145,24 +145,29 @@ def _ke_cd_count(bound: int, t: int) -> int:
 
 
 def count_exact(rho: int, iota: int) -> int:
-    """Number of surfaces of Gorenstein index exactly iota."""
+    """Number of surfaces of Gorenstein index exactly iota.
+
+    Each lcm pair (iota+, iota-) is looked up once in the index-class table
+    of its residues mod 12; each admitted series with w+ iota+ <= w- iota-
+    adds the size of its (c, d) set, which depends on s = w+ iota+ + w- iota-.
+    """
     _check_rho(rho)
     if iota < 1:
         raise ValueError(f"iota must be positive, got {iota}")
+    table = _CLASS_WEIGHTS[rho]
     total = 0
     for ip, im in _lcm_pairs(iota):
-        for tag in SERIES_TAGS:
-            if not _pair_ok(rho, tag, ip, im):
+        for wp, wm in table[ip % 12][im % 12]:
+            op, om = wp * ip, wm * im
+            if op > om:
                 continue
             if rho == 1:
                 total += 1
             elif rho == 2:
-                wp, wm = _WEIGHTS[2][tag]
-                s = wp * ip + wm * im
+                s = op + om
                 total += s // 2 - (s + 3) // 4  # = #{1 - s/2 <= c <= -s/4}, s even
             else:
-                wp, wm = _WEIGHTS[3][tag]
-                total += _cd_count(wp * ip + wm * im)
+                total += _cd_count(op + om)
     return total
 
 

@@ -164,18 +164,13 @@ def _local_data(key: SeriesKey, o: tuple[int, ...]) -> LocalData:
 
 
 def _resolution(key: SeriesKey, o: tuple[int, ...]) -> ResolutionGraph:
-    rho, tag = key.series.rho, key.series.tag
-    ip, im = key.iota_plus, key.iota_minus
+    rho = key.series.rho
+    wp, wm = _WEIGHTS[rho][key.series.tag]
+    op, om = wp * key.iota_plus, wm * key.iota_minus
     if rho == 1:
-        wp = -1 - ip if tag in ("s11", "s12") else -1 - ip // 2
-        wm = -1 - im if tag in ("s11", "s21") else -1 - im // 2
-        chains = {"x+": (-2, wp, -2), "x-": (-2, wm, -2)}
+        chains = {"x+": (-2, -1 - op // 4, -2), "x-": (-2, -1 - om // 4, -2)}
     else:
-        wp, wm = _WEIGHTS[rho][tag]
-        if rho == 2:
-            plus, minus = (-2, -(1 + wp * ip) // 2), (-2, -(1 + wm * im) // 2)
-        else:
-            plus, minus = (-wp * ip,), (-wm * im,)
+        plus, minus = ((-2, -(1 + op) // 2), (-2, -(1 + om) // 2)) if rho == 2 else ((-op,), (-om,))
         chains = {"x+": () if o[0] == 1 else plus, "x-": () if o[1] == 1 else minus}
     for label, order in zip(POINT_LABELS[rho][2:], o[2:]):
         chains[label] = (-2,) * (order - 1)
@@ -285,6 +280,11 @@ def picard_index(m: DefiningMatrix) -> int:
     return _picard_index(o, _torsion(m.rho, o))
 
 
+# Per tag digit, the factor w in the tabulated Picard forms for rho = 2, 3
+# (spelled out here so that this oracle does not read the series table).
+_PICARD_FACTORS = {2: {"1": 1, "2": 3}, 3: {"1": 1, "2": 2}}
+
+
 def picard_index_from_eta(key: SeriesKey) -> int:
     """Picard index in terms of eta (tabulated forms, one per series)."""
     rho, tag = key.series.rho, key.series.tag
@@ -300,8 +300,8 @@ def picard_index_from_eta(key: SeriesKey) -> int:
         else:
             num, den = 2 * ip * im * (ip + im), gcd(2 * ip, ip + im)
     else:
-        # rho = 2, 3: one form per rho in the series weights (w+, w-)
-        wp, wm = _WEIGHTS[rho][tag]
+        # rho = 2, 3: one form per rho in the factors w+, w- of the tag digits
+        wp, wm = _PICARD_FACTORS[rho][tag[1]], _PICARD_FACTORS[rho][tag[2]]
         if rho == 2:
             num = -wp * wm * c * ip * im * (wp * ip + wm * im + 2 * c)
             den = gcd(2 * wp * ip, wp * ip + wm * im, 2 * c)

@@ -14,14 +14,16 @@ matrix
 
 whose third-row parameters satisfy per-rho normal-form inequalities (see
 :func:`fiqs.canon.validate`).  The two digits of a series tag record a
-divisibility case at each of the two elliptic fixed points; the exact
-predicates are in :func:`series_membership`.
+divisibility case at each of the two elliptic fixed points: the local
+Gorenstein index there lies in an index class (a set of residues mod 12),
+and the local class group order is w * iota with a series weight w.  The
+exact predicates are in :func:`series_membership`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt, lcm
+from math import lcm
 
 from .core import IntMatrix
 
@@ -148,49 +150,70 @@ class DefiningMatrix:
 
 
 def _lcm_pairs(iota: int) -> list[tuple[int, int]]:
-    """All (p, q) with p, q dividing iota and lcm(p, q) = iota, lexicographic."""
-    small = [n for n in range(1, isqrt(iota) + 1) if iota % n == 0]
-    divs = small + [iota // n for n in reversed(small) if n * n != iota]
-    return [(p, q) for p in divs for q in divs if lcm(p, q) == iota]
+    """All (p, q) with p, q dividing iota and lcm(p, q) = iota, lexicographic.
+
+    At each prime power r^e of iota one side takes r^e and the other any r^k
+    with k <= e, so there are prod(2e + 1) pairs, read off the factorisation.
+    """
+    pairs = [(1, 1)]
+    n, r = iota, 2
+    while n > 1:
+        if r * r > n:
+            r = n  # what is left is prime
+        if n % r == 0:
+            powers = [1]
+            while n % r == 0:
+                n //= r
+                powers.append(powers[-1] * r)
+            full = powers[-1]
+            sides = [(full, x) for x in powers] + [(x, full) for x in powers[:-1]]
+            pairs = [(p * u, q * v) for p, q in pairs for u, v in sides]
+        r += 1
+    pairs.sort()
+    return pairs
 
 
-def _pair_ok(rho: int, tag: str, ip: int, im: int) -> bool:
-    """Parity/divisibility and ordering constraints on (iota+, iota-)."""
-    if rho == 1:
-        if tag == "s11":
-            return ip % 2 == 1 and im % 2 == 1 and ip <= im
-        if tag == "s12":
-            return ip % 2 == 1 and im % 4 == 0 and 2 * ip <= im
-        if tag == "s21":
-            return ip % 4 == 0 and im % 2 == 1 and ip <= 2 * im
-        return ip % 4 == 0 and im % 4 == 0 and ip <= im
-    if rho == 2:
-        if ip % 2 == 0 or im % 2 == 0:
-            return False
-        if tag == "s11":
-            return ip % 3 != 0 and im % 3 != 0 and ip <= im
-        if tag == "s12":
-            return ip % 3 != 0 and ip <= 3 * im
-        if tag == "s21":
-            return im % 3 != 0 and 3 * ip <= im
-        return ip <= im
-    if tag == "s11":
-        return ip % 2 == 1 and im % 2 == 1 and ip <= im
-    if tag == "s12":
-        return ip % 2 == 1 and ip <= 2 * im
-    if tag == "s21":
-        return im % 2 == 1 and 2 * ip <= im
-    return ip <= im
-
-
-# Multipliers (w+, w-): local class group order of the elliptic fixed point
-# x^+/x^- equals w * iota^+ / w * iota^-.  For rho=2 they are 1 or 3, for
-# rho=3 they are 1 or 2; for rho=1 the analogous role is played by the
-# halving in the matrix table and is handled inline.
+# Series weights (w+, w-): the local class group order of the elliptic fixed
+# point x+ (x-) is w+ * iota+ (w- * iota-), for every rho.
 _WEIGHTS = {
+    1: {"s11": (4, 4), "s12": (4, 2), "s21": (2, 4), "s22": (2, 2)},
     2: {"s11": (1, 1), "s12": (1, 3), "s21": (3, 1), "s22": (3, 3)},
     3: {"s11": (1, 1), "s12": (1, 2), "s21": (2, 1), "s22": (2, 2)},
 }
+
+# Index classes of the tag digits 1 and 2 as residues mod 12: the local
+# Gorenstein index of a point whose digit is 1 (2) lies in the first
+# (second) set.  rho=1: odd / 0 mod 4; rho=2: odd and prime to 3 / odd;
+# rho=3: odd / any.
+_ODD = frozenset(range(1, 12, 2))
+_INDEX_CLASSES = {
+    1: (_ODD, frozenset({0, 4, 8})),
+    2: (frozenset({1, 5, 7, 11}), _ODD),
+    3: (_ODD, frozenset(range(12))),
+}
+
+# _CLASS_WEIGHTS[rho][iota+ % 12][iota- % 12]: the weights (w+, w-) of the
+# series whose index classes admit the pair, in SERIES_TAGS order.
+_CLASS_WEIGHTS = {
+    rho: tuple(
+        tuple(
+            tuple(
+                _WEIGHTS[rho][tag]
+                for tag in SERIES_TAGS
+                if rp in classes[int(tag[1]) - 1] and rm in classes[int(tag[2]) - 1]
+            )
+            for rm in range(12)
+        )
+        for rp in range(12)
+    )
+    for rho, classes in _INDEX_CLASSES.items()
+}
+
+
+def _pair_ok(rho: int, tag: str, ip: int, im: int) -> bool:
+    """Index classes and ordering of (iota+, iota-): w+ iota+ <= w- iota-."""
+    w = _WEIGHTS[rho][tag]
+    return w in _CLASS_WEIGHTS[rho][ip % 12][im % 12] and w[0] * ip <= w[1] * im
 
 
 def series_membership(key: SeriesKey) -> bool:
@@ -244,16 +267,14 @@ def matrix_from_eta(key: SeriesKey) -> DefiningMatrix:
     """The defining matrix P_eta of a series member."""
     if not series_membership(key):
         raise ValueError(f"key does not satisfy its series predicate: {key}")
-    rho, tag = key.series.rho, key.series.tag
-    ip, im = key.iota_plus, key.iota_minus
+    rho = key.series.rho
+    wp, wm = _WEIGHTS[rho][key.series.tag]
+    op, om = wp * key.iota_plus, wm * key.iota_minus  # local orders of x+, x-
     if rho == 1:
-        a = ip - 1 if tag in ("s11", "s12") else ip // 2 - 1
-        b = -im - 1 if tag in ("s11", "s21") else -(im // 2) - 1
-        return DefiningMatrix(1, a, b)
-    wp, wm = _WEIGHTS[rho][tag]
+        return DefiningMatrix(1, op // 4 - 1, -(om // 4) - 1)
     if rho == 2:
-        return DefiningMatrix(2, (wp * ip - 1) // 2, -(wm * im + 1) // 2 - key.c, key.c)
-    return DefiningMatrix(3, wp * ip, -wm * im - key.c - key.d, key.c, key.d)
+        return DefiningMatrix(2, (op - 1) // 2, -(om + 1) // 2 - key.c, key.c)
+    return DefiningMatrix(3, op, -om - key.c - key.d, key.c, key.d)
 
 
 def enumerate_all(rho: int, iota: int) -> list[tuple[SeriesKey, DefiningMatrix]]:

@@ -28,6 +28,56 @@ from fiqs.series import SERIES_IDS
 from conftest import up_to
 
 
+# The generators of the symmetry group as maps on parameter tuples: the
+# negation of the last row and the arm swaps.  reference_orbit closes a tuple
+# under them; parameter_orbit lists the same set as closed-form images.
+def _neg1(p: tuple[int, ...]) -> tuple[int, ...]:
+    a, b = p
+    return (-b - 2, -a - 2)
+
+
+def _swap2(p: tuple[int, ...]) -> tuple[int, ...]:
+    a, b, c = p
+    return (a, a + c, b - a)
+
+
+def _neg2(p: tuple[int, ...]) -> tuple[int, ...]:
+    a, b, c = p
+    return (-b - c - 1, -a - c - 1, c)
+
+
+def _swap3_12(p: tuple[int, ...]) -> tuple[int, ...]:
+    a, b, c, d = p
+    return (a, b, d, c)
+
+
+def _swap3_01(p: tuple[int, ...]) -> tuple[int, ...]:
+    a, b, c, d = p
+    return (a, a + c, b - a, d)
+
+
+def _neg3(p: tuple[int, ...]) -> tuple[int, ...]:
+    a, b, c, d = p
+    return (-b - c - d, -a - c - d, c, d)
+
+
+_GENERATORS = {1: (_neg1,), 2: (_swap2, _neg2), 3: (_swap3_12, _swap3_01, _neg3)}
+
+
+def reference_orbit(rho: int, params: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+    """Closure of a parameter tuple under the generators (set-and-frontier loop)."""
+    seen = {params}
+    frontier = [params]
+    while frontier:
+        p = frontier.pop()
+        for f in _GENERATORS[rho]:
+            q = f(p)
+            if q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return frozenset(seen)
+
+
 class TestValidate:
     def test_minimal_instance_ok(self):
         assert validate(DefiningMatrix(1, 0, -2)) == ()
@@ -96,8 +146,6 @@ class TestCanonicalize:
                 assert len(parameter_orbit(rho, m.params())) <= caps[rho]
 
     def test_rho2_maps_commute(self, surfaces_by_rho):
-        from fiqs.canon import _neg2, _swap2
-
         for _, m in up_to(surfaces_by_rho[2], 15):
             p = m.params()
             assert _neg2(_swap2(p)) == _swap2(_neg2(p))
@@ -139,8 +187,6 @@ def test_scramble_stability(surfaces_by_rho):
 
 def test_closed_form_maps_match_matrix_level(surfaces_by_rho):
     """The parameter maps equal arm swap / negation performed on the raw matrix."""
-    from fiqs.canon import _neg1, _neg2, _neg3, _swap2, _swap3_01, _swap3_12
-
     negs = {1: _neg1, 2: _neg2, 3: _neg3}
     for rho in (1, 2, 3):
         for _, m in up_to(surfaces_by_rho[rho], 20):
@@ -257,3 +303,18 @@ def test_classify_shares_series_ids(rho, tag):
     assert series is SERIES_IDS[rho, tag]
     assert series == SeriesId(rho, tag)
     assert key.series is series
+
+
+_PARAM = st.integers(-6, 6) | st.integers(-10**6, 10**6)  # small values hit the fixed points
+
+
+@given(st.integers(1, 3).flatmap(lambda rho: st.tuples(st.just(rho), st.tuples(*[_PARAM] * (rho + 1)))))
+def test_parameter_orbit_equals_closure(case):
+    rho, params = case
+    assert parameter_orbit(rho, params) == reference_orbit(rho, params)
+
+
+def test_parameter_orbit_equals_closure_on_normal_forms():
+    for rho in (1, 2, 3):
+        for m in _NORMAL_FORMS[rho]:
+            assert parameter_orbit(rho, m.params()) == reference_orbit(rho, m.params()), m

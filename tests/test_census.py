@@ -10,6 +10,7 @@ from math import lcm
 import pytest
 
 from fiqs import (
+    SERIES_TAGS,
     SeriesId,
     SeriesKey,
     count,
@@ -35,7 +36,9 @@ from fiqs.census import (
     record_to_obj,
 )
 from fiqs.cli import main
-from fiqs.series import _lcm_pairs
+from fiqs.series import _WEIGHTS, _lcm_pairs
+
+from conftest import reference_pair_ok
 
 
 def brute_cd_count(bound: int) -> int:
@@ -71,10 +74,41 @@ def test_ke_cd_count_closed_form():
 
 
 def test_lcm_pairs_match_full_divisor_scan():
-    for n in range(1, 501):
+    for n in range(1, 2001):
         divs = [k for k in range(1, n + 1) if n % k == 0]
         scan = [(p, q) for p in divs for q in divs if lcm(p, q) == n]
         assert _lcm_pairs(n) == scan, n
+
+
+def reference_count_exact(rho: int, iota: int) -> int:
+    """count_exact as a loop over the four tags, each pair tested by the tag ladder."""
+    total = 0
+    for ip, im in _lcm_pairs(iota):
+        for tag in SERIES_TAGS:
+            if not reference_pair_ok(rho, tag, ip, im):
+                continue
+            if rho == 1:
+                total += 1
+                continue
+            wp, wm = _WEIGHTS[rho][tag]
+            s = wp * ip + wm * im
+            total += s // 2 - (s + 3) // 4 if rho == 2 else _cd_count(s)
+    return total
+
+
+@pytest.mark.parametrize("rho", [1, 2, 3])
+def test_count_exact_matches_tag_loop(rho):
+    for iota in range(1, 2001):
+        assert count_exact(rho, iota) == reference_count_exact(rho, iota), iota
+
+
+@pytest.mark.parametrize(
+    "rho, total, ke_total",
+    [(1, 25_067, 2_250), (2, 21_280_019, 0), (3, 66_124_422_141, 3_376_499_500)],
+)
+def test_census_totals_at_3000(rho, total, ke_total):
+    table = count(rho, 3000)
+    assert (table.total, table.ke_total) == (total, ke_total)
 
 
 def test_count_ke_matches_explicit_ranges():

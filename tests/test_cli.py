@@ -1,8 +1,13 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fiqs.census import ClaimResult, VerifyReport
 from fiqs.cli import main
@@ -116,3 +121,86 @@ def test_matrix_with_leading_negative_entry(capsys):
     assert main(["classify", "--rho", "3", "--matrix=-3,-1,0,2,0,2"]) == 0
     out = capsys.readouterr().out
     assert "series=s11" in out and "eta=(3,3,-2,-2)" in out
+
+
+# Largest number a fuzzed argv may carry, per subcommand, so that no case runs
+# long: enumerate writes every record up to its index, verify's oracle
+# suites grow with --iota-max.
+_FUZZ_CAPS = {"enumerate": 12, "invariants": 30, "classify": 30, "count": 30, "verify": 3}
+_FUZZ_OPTIONS = (
+    "--rho", "--iota", "--iota-max", "--series", "--format", "--out", "--eta", "--matrix",
+    "--plot-data", "--help", "-h", "--rho=", "--iota-max=", "--matrix=",
+)
+_FUZZ_WORDS = (
+    "", " ", "-", "--", "x", "3.5", "1e3", "0x1f", "-0", "+2", " 4", "nan", "s11", "S22", "s99",
+    "jsonl", "csv", "parquet", ",", ",,", "1,", "=", ".", "..", "out.txt", "no/such/dir/f",
+    "enumerate", "verify",
+)
+
+
+def _not_a_number(text: str) -> bool:
+    """Free text must not smuggle in an uncapped number (as a token or after '=')."""
+    for part in text.split("="):
+        try:
+            int(part)
+        except ValueError:
+            continue
+        return False
+    return True
+
+
+@st.composite
+def fuzzed_argv(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_FUZZ_CAPS)))
+    cap = _FUZZ_CAPS[command]
+    number = st.integers(-3, cap).map(str)
+    piece = number | st.sampled_from(("s11", "s12", "s21", "s22", "x", ""))
+    token = st.one_of(
+        st.sampled_from(_FUZZ_OPTIONS),
+        st.sampled_from(_FUZZ_WORDS),
+        number,
+        st.lists(piece, max_size=7).map(",".join),  # an eta or a third row
+        st.text(st.characters(blacklist_characters="/"), max_size=8).filter(_not_a_number),
+    )
+    return [command] + draw(st.lists(token, max_size=8))
+
+
+def run_main(argv: list[str]) -> tuple[int, str]:
+    """Exit code of main(argv), in a scratch directory, with its stderr."""
+    err = io.StringIO()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as scratch:
+        os.chdir(scratch)
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        finally:
+            os.chdir(cwd)
+    return code, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzzed_argv())
+def test_cli_argv_fuzz_exits_cleanly(argv):
+    code, err = run_main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["count", "--rho", "3", "--iota-max", "30"], 0),
+        (["count", "--rho", "3", "--iota-max", "x"], 1),
+        (["enumerate", "--rho", "2", "--iota", "3", "--out", "no/such/dir/f"], 1),
+        (["invariants", "--eta", "3,s11,3,3,-2,x"], 1),
+        (["classify", "--rho", "2", "--matrix", ",,"], 1),
+        (["verify", "--help"], 0),
+        (["verify", "--iota-max", "3"], 0),
+    ],
+)
+def test_cli_argv_fixed_cases(argv, code):
+    assert run_main(argv)[0] == code

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from fiqs import (
+    SERIES_TAGS,
     DefiningMatrix,
     SeriesId,
     SeriesKey,
@@ -12,8 +13,16 @@ from fiqs import (
     matrix_from_eta,
     series_membership,
 )
+from fiqs.census import _ke_explicit_ranges
+from fiqs.invariants import (
+    degree_from_eta,
+    local_orders,
+    picard_index_from_eta,
+    resolution_graph,
+)
+from fiqs.series import _WEIGHTS, _pair_ok
 
-from conftest import up_to
+from conftest import reference_pair_ok, up_to
 
 
 def test_enumerate_rho1_iota3():
@@ -140,3 +149,38 @@ def test_key_field_arity_enforced():
         SeriesKey(SeriesId(3, "s11"), 1, 1, c=-1)  # missing d
     with pytest.raises(ValueError):
         SeriesKey(SeriesId(2, "s11"), 0, 1, c=-1)
+
+
+@pytest.mark.parametrize("rho", (1, 2, 3))
+@pytest.mark.parametrize("tag", SERIES_TAGS)
+def test_pair_ok_matches_reference_ladder(rho, tag):
+    for ip in range(1, 151):
+        for im in range(1, 151):
+            assert _pair_ok(rho, tag, ip, im) == reference_pair_ok(rho, tag, ip, im), (ip, im)
+
+
+def test_local_orders_are_weighted_indices(surfaces_by_rho):
+    """The local class group orders of x+/x- are w+ iota+ and w- iota- (matrix side)."""
+    for rho in (1, 2, 3):
+        for key, m in up_to(surfaces_by_rho[rho], 30):
+            wp, wm = _WEIGHTS[rho][key.series.tag]
+            orders = local_orders(m)
+            assert (orders["x+"], orders["x-"]) == (wp * key.iota_plus, wm * key.iota_minus), key
+
+
+def test_rho1_tables_against_tag_ladder():
+    """The rho = 1 matrix and resolution centres read from the weights equal the halving ladder."""
+    for iota in range(1, 61):
+        for key, m in enumerate_all(1, iota):
+            tag, ip, im = key.series.tag, key.iota_plus, key.iota_minus
+            a = ip - 1 if tag in ("s11", "s12") else ip // 2 - 1
+            b = -im - 1 if tag in ("s11", "s21") else -(im // 2) - 1
+            assert m == DefiningMatrix(1, a, b)
+            chains = resolution_graph(key).chains
+            assert chains["x+"] == (-2, -1 - ip if tag in ("s11", "s12") else -1 - ip // 2, -2)
+            assert chains["x-"] == (-2, -1 - im if tag in ("s11", "s21") else -1 - im // 2, -2)
+
+
+def test_oracles_do_not_read_series_tables():
+    for fn in (degree_from_eta, picard_index_from_eta, _ke_explicit_ranges):
+        assert not {"_WEIGHTS", "_CLASS_WEIGHTS"} & set(fn.__code__.co_names), fn.__name__
