@@ -3,7 +3,9 @@
 Counting uses closed forms per (series, iota+, iota-), so the complete
 census up to Gorenstein index 200 (15.5 million surfaces) takes a fraction
 of a second and never materializes a record.  Export streams records in a
-fixed JSONL / CSV schema that round-trips.
+fixed JSONL / CSV schema.  Reading a record back parses only its key and
+rebuilds the record, so a line whose invariants do not belong to its key
+is rejected, with the first wrong field named.
 """
 
 import io
@@ -46,6 +48,14 @@ print("records round-trip exactly:")
 line = sink.getvalue().splitlines()[0]
 rec = record_from_json_line(line)
 print(f"  parsed degree {rec.degree} (exact fraction), key {rec.key.series.tag}{rec.key.eta()}")
+
+print()
+print("a line whose Picard index was edited is rejected:")
+tampered = line.replace(f'"picard_index":{rec.picard_index},', f'"picard_index":{rec.picard_index + 1},')
+try:
+    record_from_json_line(tampered)
+except ValueError as exc:
+    print(f"  ValueError: {exc}")
 
 print()
 print("claim verification at small scale (add --iota-max 200 for the full census):")

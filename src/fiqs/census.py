@@ -19,41 +19,38 @@ directly: :func:`record_to_json_line` equals
 ``json.dumps(record_to_obj(rec), separators=(",", ":"))`` byte for byte,
 with :func:`record_to_obj` the documented dict form, and resolution chains
 are stringified through a bounded memo because the all-(-2) chains recur.
+
+The key (rho, series, iota+, iota-[, c[, d]]) determines every other
+field, so the readers parse only the key, rebuild the record with
+:func:`~fiqs.invariants.surface_record` and accept the input only if it
+is that record's encoding; otherwise they raise ``ValueError`` naming the
+first field that does not parse, differs, is missing or is extra.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import Callable, Iterable, Iterator, TextIO
 
-from .canon import classify, is_valid, raw_from_matrix, canonicalize
+from .canon import raw_from_matrix, canonicalize
 from .invariants import (
     POINT_LABELS,
-    ClassGroup,
-    LocalData,
-    ResolutionGraph,
     SurfaceRecord,
-    _gorenstein_indices,
     chain_determinant,
-    class_group,
     class_group_oracle,
-    degree,
     degree_from_eta,
-    local_gorenstein,
     local_gorenstein_oracle,
-    local_orders,
-    log_canonicity,
-    picard_index,
     picard_index_from_eta,
-    resolution_graph,
+    record_from_matrix,
     surface_record,
 )
-from .kaehler import barycenter_oracle, barycenters, is_ke_family, is_ke_oracle
+from .kaehler import barycenter_oracle, barycenters, is_ke_oracle
 from .series import (
     SERIES_IDS,
     SERIES_TAGS,
@@ -64,7 +61,6 @@ from .series import (
     _series_id,
     enumerate_all,
     enumerate_eta,
-    matrix_from_eta,
 )
 
 __all__ = [
@@ -269,11 +265,6 @@ def _frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def _parse_frac(s: str) -> Fraction:
-    num, den = s.split("/")
-    return Fraction(int(num), int(den))
-
-
 def record_to_obj(rec: SurfaceRecord) -> dict:
     """JSON-ready dict with the fixed field order and exact rational strings."""
     key, m = rec.key, rec.matrix
@@ -327,51 +318,80 @@ def record_to_json_line(rec: SurfaceRecord) -> str:
     )
 
 
-def _key_from_fields(rho: int, tag: str, ip: int, im: int, c, d) -> SeriesKey:
+def _key_int(name: str, value: object) -> int:
+    """A key field as an int, from an int or its text; ValueError naming the field otherwise."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"field {name!r} must be an integer, got {value!r}") from None
+
+
+def _key_from_fields(
+    rho: object, series: object, iota_plus: object, iota_minus: object, c: object, d: object
+) -> SeriesKey:
+    """The key named by the six key fields, each number an int or its text.
+
+    c is read only for rho >= 2 and d only for rho = 3.  A field that does
+    not parse raises ``ValueError`` naming it; the series predicate is left
+    to :func:`~fiqs.invariants.surface_record`.
+    """
+    rho = _key_int("rho", rho)
+    _check_rho(rho)
+    try:
+        series_id = SERIES_IDS[rho, series]
+    except (KeyError, TypeError):
+        raise ValueError(f"field 'series' must be one of {', '.join(SERIES_TAGS)}, got {series!r}") from None
     return SeriesKey(
-        _series_id(rho, tag),
-        ip,
-        im,
-        None if c is None else int(c),
-        None if d is None else int(d),
+        series_id,
+        _key_int("iota_plus", iota_plus),
+        _key_int("iota_minus", iota_minus),
+        _key_int("c", c) if rho >= 2 else None,
+        _key_int("d", d) if rho == 3 else None,
     )
 
 
+# The key fields at the start of a line written by record_to_json_line.
+_JSON_KEY_PREFIX = re.compile(
+    r'\{"rho":([0-9]+),"series":"(s[12][12])","iota_plus":([0-9]+),"iota_minus":([0-9]+),'
+    r'"c":(null|-?[0-9]+),"d":(null|-?[0-9]+),'
+)
+
+
 def record_from_json_line(line: str) -> SurfaceRecord:
-    """Rebuild a record from its JSONL form (round-trip inverse of export).
+    """The record of a JSONL line's key, if the line encodes that record.
 
-    Malformed input raises ``ValueError`` naming the offending field.
+    Only the key fields are parsed; :func:`~fiqs.invariants.surface_record`
+    rebuilds the record.  A line as :func:`record_to_json_line` writes it is
+    accepted by one string comparison, its key read from the line's prefix.
+    Any other JSON object is compared with :func:`record_to_obj` field by
+    field, by JSON text: spacing and key order may differ, but ``1`` is not
+    ``true`` and ``"72"`` is not ``72``.  ``ValueError`` names the first
+    field that does not parse, differs, is missing or is extra.
     """
-    obj = json.loads(line)
+    match = _JSON_KEY_PREFIX.match(line)
+    if match:
+        rec = surface_record(_key_from_fields(*match.groups()))
+        if record_to_json_line(rec) == line:
+            return rec
     try:
-        rho = obj["rho"]
-        key = _key_from_fields(rho, obj["series"], obj["iota_plus"], obj["iota_minus"], obj["c"], obj["d"])
-        m = matrix_from_eta(key)
-        if (m.a, m.b) != (obj["a"], obj["b"]):
-            raise ValueError(f"inconsistent record: matrix {m} vs fields {obj['a']}, {obj['b']}")
-        return SurfaceRecord(
-            key=key,
-            matrix=m,
-            class_group=ClassGroup(obj["cl_rank"], obj["cl_torsion"]),
-            local=LocalData(dict(obj["local_orders"]), _gorenstein_indices(key)),
-            gorenstein_index=obj["gorenstein_index"],
-            degree=_parse_frac(obj["degree"]),
-            log_canonicity=_parse_frac(obj["log_canonicity"]),
-            picard_index=obj["picard_index"],
-            ke=_json_bool(obj["ke"]),
-            resolution=ResolutionGraph({p: tuple(w) for p, w in obj["resolution"].items()}),
-        )
-    except _DECODE_ERRORS as exc:
-        problem = _json_shape_problem(obj)
-        if problem is None and isinstance(exc, ValueError):
-            raise
-        raise ValueError(f"malformed JSON record: {problem or repr(exc)}") from exc
-
-
-def _json_bool(v: object) -> bool:
-    if not isinstance(v, bool):
-        raise ValueError(f"expected a JSON bool, got {v!r}")
-    return v
+        obj = json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"malformed JSON record: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
+    for name in _JSON_FIELDS:
+        if name not in obj:
+            raise ValueError(f"missing field {name!r}")
+    rec = surface_record(_key_from_fields(*(obj[name] for name in _JSON_FIELDS[:6])))
+    want = record_to_obj(rec)
+    if json.dumps(obj, sort_keys=True) != json.dumps(want, sort_keys=True):
+        for name, value in obj.items():
+            if name not in want:
+                raise ValueError(f"extra field {name!r}")
+            got, text = json.dumps(value, sort_keys=True), json.dumps(want[name], sort_keys=True)
+            if got != text:
+                raise ValueError(f"field {name!r} is {got}, expected {text}")
+    return rec
 
 
 def record_to_csv_row(rec: SurfaceRecord) -> list[str]:
@@ -395,138 +415,26 @@ def record_to_csv_row(rec: SurfaceRecord) -> list[str]:
     ]
 
 
-_CSV_BOOLS = {"true": True, "false": False}
-
-
-def _parse_chain(text: str) -> tuple[int, ...]:
-    """The weights of a ';'-joined resolution chain; the empty text is the empty chain."""
-    return tuple(map(int, text.split(";"))) if text else ()
-
-
 def record_from_csv_row(row: list[str]) -> SurfaceRecord:
-    """Rebuild a record from its CSV row; malformed input raises ``ValueError`` naming the column."""
-    vals = dict(zip(CSV_COLUMNS, row))
-    try:
-        if len(row) != len(CSV_COLUMNS):
-            raise ValueError(f"expected {len(CSV_COLUMNS)} columns, got {len(row)}")
-        rho = int(vals["rho"])
-        key = _key_from_fields(
-            rho,
-            vals["series"],
-            int(vals["iota_plus"]),
-            int(vals["iota_minus"]),
-            vals["c"] or None,
-            vals["d"] or None,
-        )
-        m = matrix_from_eta(key)
-        labels = POINT_LABELS[rho]
-        orders = {p: int(vals[f"local_{p}"]) for p in labels}
-        chains = {p: _parse_chain(vals[f"resolution_{p}"]) for p in labels}
-        return SurfaceRecord(
-            key=key,
-            matrix=m,
-            class_group=ClassGroup(int(vals["cl_rank"]), int(vals["cl_torsion"])),
-            local=LocalData(orders, _gorenstein_indices(key)),
-            gorenstein_index=int(vals["gorenstein_index"]),
-            degree=_parse_frac(vals["degree"]),
-            log_canonicity=_parse_frac(vals["log_canonicity"]),
-            picard_index=int(vals["picard_index"]),
-            ke=_CSV_BOOLS[vals["ke"]],
-            resolution=ResolutionGraph(chains),
-        )
-    except _DECODE_ERRORS as exc:
-        problem = _csv_shape_problem(row)
-        if problem is None and isinstance(exc, ValueError):
-            raise
-        raise ValueError(f"malformed CSV row: {problem or repr(exc)}") from exc
+    """The record of a CSV row's key, if the row is that record's row.
 
-
-# What a decoder can raise on malformed input; the shape checks below run
-# only then, to name the field, so well-formed lines pay nothing for them.
-_DECODE_ERRORS = (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError)
-
-
-def _is_int(v: object) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _parses(parse: Callable[[str], object], s: object) -> bool:
-    """Whether the decoder's own parser accepts s."""
-    try:
-        parse(s)
-    except (AttributeError, TypeError, ValueError, ZeroDivisionError):
-        return False
-    return True
-
-
-def _is_frac_text(s: object) -> bool:
-    return _parses(_parse_frac, s)
-
-
-def _is_int_text(s: str) -> bool:
-    return _parses(int, s)
-
-
-_JSON_SHAPES = {
-    "series": lambda v: isinstance(v, str),
-    "c": lambda v: v is None or _is_int(v),
-    "d": lambda v: v is None or _is_int(v),
-    "degree": _is_frac_text,
-    "log_canonicity": _is_frac_text,
-    "ke": lambda v: isinstance(v, bool),
-    "local_orders": lambda v: isinstance(v, dict)
-    and all(isinstance(p, str) and _is_int(n) for p, n in v.items()),
-    "resolution": lambda v: isinstance(v, dict)
-    and all(isinstance(p, str) and isinstance(w, list) and all(map(_is_int, w)) for p, w in v.items()),
-}
-
-
-def _json_shape_problem(obj: object) -> str | None:
-    """The first field of a decoded JSONL record with the wrong shape, described; None if none."""
-    if not isinstance(obj, dict):
-        return f"expected a JSON object, got {type(obj).__name__}"
-    for name in _JSON_FIELDS:
-        if name not in obj:
-            return f"missing field {name!r}"
-        if not _JSON_SHAPES.get(name, _is_int)(obj[name]):
-            return f"field {name!r} has the wrong shape: {obj[name]!r}"
-    return None
-
-
-_CSV_SHAPES = {
-    "series": lambda s: True,
-    "c": lambda s: s == "" or _is_int_text(s),
-    "d": lambda s: s == "" or _is_int_text(s),
-    "degree": _is_frac_text,
-    "log_canonicity": _is_frac_text,
-    "ke": lambda s: s in _CSV_BOOLS,
-}
-
-
-def _csv_shape_problem(row: list[str]) -> str | None:
-    """The first column of a CSV row that is missing, extra or malformed, described; None if none."""
-    if len(row) > len(CSV_COLUMNS):
-        return f"extra column after {CSV_COLUMNS[-1]!r}: {row[len(CSV_COLUMNS)]!r}"
-    vals = dict(zip(CSV_COLUMNS, row))
-    if "rho" not in vals:
-        return "missing column 'rho'"
-    if vals["rho"] not in ("1", "2", "3"):
-        return f"column 'rho' must be 1, 2 or 3, got {vals['rho']!r}"
-    labels = POINT_LABELS[int(vals["rho"])]
-    names = [n for n in CSV_COLUMNS[:15] if n not in ("rho", "a", "b")]
-    for name in names + [f"local_{p}" for p in labels] + [f"resolution_{p}" for p in labels]:
-        if name not in vals:
-            return f"missing column {name!r}"
-        v = vals[name]
-        if name.startswith("resolution_"):
-            ok = v == "" or all(map(_is_int_text, v.split(";")))
-        else:
-            ok = _CSV_SHAPES.get(name, _is_int_text)(v)
-        if not ok:
-            return f"column {name!r} has the wrong shape: {v!r}"
-    if len(row) < len(CSV_COLUMNS):
-        return f"missing column {CSV_COLUMNS[len(row)]!r}"
-    return None
+    Only the key columns are parsed; the record is rebuilt with
+    :func:`~fiqs.invariants.surface_record` and accepted only if
+    :func:`record_to_csv_row` gives the row back.  ``ValueError`` names the
+    first column that does not parse, differs, is missing or is extra.
+    """
+    n = len(CSV_COLUMNS)
+    if len(row) > n:
+        raise ValueError(f"extra column after {CSV_COLUMNS[-1]!r}: {row[n]!r}")
+    if len(row) < n:
+        raise ValueError(f"missing column {CSV_COLUMNS[len(row)]!r}")
+    rec = surface_record(_key_from_fields(*row[:6]))
+    want = record_to_csv_row(rec)
+    if want != row:
+        for name, got, text in zip(CSV_COLUMNS, row, want):
+            if got != text:
+                raise ValueError(f"column {name!r} is {got!r}, expected {text!r}")
+    return rec
 
 
 def _iter_records(
@@ -709,26 +617,20 @@ def verify_claims(iota_max: int) -> VerifyReport:
             enumerated = enumerate_all(rho, iota)
             ke_keys = []
             for key, m in enumerated:
-                if key.iota != iota or not is_valid(m):
-                    mismatch["classify inverts matrix_from_eta"] += 1
-                got = classify(m)
-                if got != key or matrix_from_eta(got) != m:
+                rec = record_from_matrix(m)
+                if key.iota != iota or rec.key != key:
                     mismatch["classify inverts matrix_from_eta"] += 1
                 if iota <= oracle_cap and canonicalize(raw_from_matrix(m)) != m:
                     mismatch["canonicalize fixes canonical raw form"] += 1
 
-                ip, im = local_gorenstein(m)
-                if (ip, im) != (key.iota_plus, key.iota_minus):
-                    mismatch["local gorenstein formula = solve oracle"] += 1
+                ip, im = rec.key.iota_plus, rec.key.iota_minus
                 if lcm(ip, im) != iota:
                     mismatch["gorenstein index = lcm of local indices"] += 1
-                orders = local_orders(m)
+                orders = rec.local.orders
                 if orders["x+"] % ip != 0 or orders["x-"] % im != 0:
                     mismatch["local gorenstein divides local order"] += 1
 
-                deg = degree(m)
-                eps = log_canonicity(m)
-                pic = picard_index(m)
+                deg, eps, pic = rec.degree, rec.log_canonicity, rec.picard_index
                 if deg != degree_from_eta(key):
                     mismatch["degree matrix form = series form"] += 1
                 if pic != picard_index_from_eta(key):
@@ -742,19 +644,17 @@ def verify_claims(iota_max: int) -> VerifyReport:
                 if eps < Fraction(2, iota):
                     combined_eps_flags += 1
 
-                ke = is_ke_family(key)
-                if ke:
+                if rec.ke:
                     ke_keys.append(key)
 
                 if iota <= oracle_cap:
-                    if class_group(m) != class_group_oracle(m):
+                    if rec.class_group != class_group_oracle(m):
                         mismatch["class group formula = smith oracle"] += 1
                     if ip != local_gorenstein_oracle(m, "plus") or im != local_gorenstein_oracle(m, "minus"):
                         mismatch["local gorenstein formula = solve oracle"] += 1
-                    if ke != is_ke_oracle(m):
+                    if rec.ke != is_ke_oracle(m):
                         mismatch["ke family rule = barycenter test"] += 1
-                    graph = resolution_graph(key)
-                    for label, chain in graph.chains.items():
+                    for label, chain in rec.resolution.chains.items():
                         if chain and chain_determinant(chain) != orders[label]:
                             mismatch["chain determinant = local order"] += 1
                         if not chain and orders[label] != 1:

@@ -16,13 +16,15 @@ from contextlib import nullcontext
 
 from .canon import NormalFormError, RawMatrix, canonicalize, classify
 from .census import (
+    _key_from_fields,
+    _key_int,
     count,
     export_records,
     record_to_json_line,
     verify_claims,
 )
 from .invariants import record_from_matrix, surface_record
-from .series import SERIES_IDS, SERIES_TAGS, SeriesKey, _check_rho
+from .series import SERIES_TAGS, SeriesKey, _check_rho
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,18 +46,11 @@ def _parse_eta(text: str) -> SeriesKey:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) < 4:
         raise ValueError("eta needs at least RHO,SERIES,IOTA+,IOTA-")
-    rho = int(parts[0])
+    rho = _key_int("rho", parts[0])
     _check_rho(rho)
-    tag = parts[1].lower()
-    if tag not in SERIES_TAGS:
-        raise ValueError(f"series must be one of {', '.join(SERIES_TAGS)}")
-    expected = {1: 4, 2: 5, 3: 6}[rho]
-    if len(parts) != expected:
-        raise ValueError(f"eta for rho={rho} needs {expected} fields, got {len(parts)}")
-    nums = [int(p) for p in parts[2:]]
-    c = nums[2] if rho >= 2 else None
-    d = nums[3] if rho == 3 else None
-    return SeriesKey(SERIES_IDS[rho, tag], nums[0], nums[1], c, d)
+    if len(parts) != rho + 3:
+        raise ValueError(f"eta for rho={rho} needs {rho + 3} fields, got {len(parts)}")
+    return _key_from_fields(rho, parts[1].lower(), *parts[2:], *[None] * (3 - rho))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,11 +4,13 @@ import csv
 import hashlib
 import io
 import json
+import re
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+import fiqs.invariants
 from fiqs import (
     SERIES_TAGS,
     SeriesId,
@@ -255,15 +257,26 @@ def test_export_golden_digest(rho, iota_max, fmt, digest):
 
 def test_jsonl_round_trip():
     for rho in (1, 2, 3):
-        for iota in (1, 3, 4, 6):
+        for iota in range(1, 16):
             for key, m in enumerate_all(rho, iota):
                 rec = surface_record(key, m)
                 assert record_from_json_line(record_to_json_line(rec)) == rec
 
 
+@pytest.mark.parametrize("rho", [1, 2, 3])
+def test_jsonl_reader_accepts_any_spacing_and_key_order(rho):
+    """Off the byte-equal path, a line is compared as a JSON object."""
+    for iota in range(1, 16):
+        for key, m in enumerate_all(rho, iota):
+            rec = surface_record(key, m)
+            obj = record_to_obj(rec)
+            assert record_from_json_line(json.dumps(obj)) == rec
+            assert record_from_json_line(json.dumps(dict(reversed(obj.items())), indent=1)) == rec
+
+
 def test_csv_round_trip():
     for rho in (1, 2, 3):
-        for iota in (1, 3, 4, 6):
+        for iota in range(1, 16):
             for key, m in enumerate_all(rho, iota):
                 rec = surface_record(key, m)
                 assert record_from_csv_row(record_to_csv_row(rec)) == rec
@@ -292,8 +305,8 @@ def _json_with(**fields):
     return json.dumps(obj)
 
 
-def _csv_with(column, value):
-    row = record_to_csv_row(_GOOD_REC)
+def _csv_with(column, value, rec=_GOOD_REC):
+    row = record_to_csv_row(rec)
     row[CSV_COLUMNS.index(column)] = value
     return row
 
@@ -317,11 +330,98 @@ def _csv_with(column, value):
         (record_from_json_line, _json_with(ke=1), "'ke'"),
         (record_from_csv_row, record_to_csv_row(_GOOD_REC) + ["junk"], "extra column after 'resolution_x2'"),
         (record_from_csv_row, record_to_csv_row(_RHO1_REC)[:-1], "missing column 'resolution_x2'"),
+        (record_from_json_line, _json_with(extra=1), "extra field 'extra'"),
+        (record_from_json_line, _json_with(local_orders={"x+": 3, "x-": 3}), "'local_orders'"),
+        (record_from_json_line, _json_with(picard_index="72"), "'picard_index'"),
+        (record_from_json_line, _json_with(c=-2.0), "'c'"),
+        (record_from_json_line, _json_with(rho=3.5), "'rho'"),
+        (record_from_json_line, _json_with(c=None), "'c'"),
+        (record_from_json_line, _json_with(series=["s11"]), "'series'"),
+        (record_from_json_line, record_to_json_line(_GOOD_REC)[:-1], "malformed JSON record"),
+        (record_from_json_line, json.dumps({**record_to_obj(_RHO1_REC), "c": 0}), "'c'"),
+        (record_from_csv_row, _csv_with("degree", "16/6"), "'degree'"),
+        (record_from_csv_row, _csv_with("rho", "03"), "'rho'"),
+        (record_from_csv_row, _csv_with("d", ""), "'d'"),
+        (record_from_csv_row, _csv_with("c", "0", _RHO1_REC), "'c'"),
+        (record_from_csv_row, _csv_with("local_x1", "1", _RHO1_REC), "'local_x1'"),
     ],
 )
 def test_decoders_name_malformed_field(decode, raw, field):
     with pytest.raises(ValueError, match=field):
         decode(raw)
+
+
+# One tampered value per field of _GOOD_REC.  A key field gets a value that
+# parses to its number, or does not parse, so that the key stays the same.
+_JSON_TAMPERS = {
+    "rho": "3",
+    "series": "S11",
+    "iota_plus": 3.0,
+    "iota_minus": "3",
+    "c": [-2],
+    "d": "-2",
+    "a": 4,
+    "b": 2,
+    "gorenstein_index": 6,
+    "cl_rank": 2,
+    "cl_torsion": 2,
+    "degree": "16/6",
+    "log_canonicity": "1/3",
+    "picard_index": 73,
+    "ke": False,
+    "local_orders": {"x+": 3, "x-": 3, "x0": 2, "x1": 2, "x2": 3},
+    "resolution": {"x+": [-3], "x-": [-3], "x0": [-2], "x1": [-2], "x2": [-2, -2]},
+}
+
+
+@pytest.mark.parametrize("field", list(record_to_obj(_GOOD_REC)))
+def test_json_reader_names_tampered_field(field):
+    with pytest.raises(ValueError, match=re.escape(f"'{field}'")):
+        record_from_json_line(_json_with(**{field: _JSON_TAMPERS[field]}))
+
+
+_CSV_TAMPERS = {
+    "rho": " 3",
+    "series": "S11",
+    "iota_plus": "+3",
+    "iota_minus": "3.0",
+    "c": "-2 ",
+    "d": "-02",
+    "a": "4",
+    "b": "2",
+    "gorenstein_index": "6",
+    "cl_rank": "2",
+    "cl_torsion": "2",
+    "degree": "3/1",
+    "log_canonicity": "4/6",
+    "picard_index": "73",
+    "ke": "false",
+    "local_x+": "4",
+    "local_x-": "6",
+    "local_x0": "1",
+    "local_x1": "3",
+    "local_x2": "4",
+    "resolution_x+": "-4",
+    "resolution_x-": "-2;-2",
+    "resolution_x0": "",
+    "resolution_x1": "-2;-2",
+    "resolution_x2": "-3",
+}
+
+
+@pytest.mark.parametrize("column", CSV_COLUMNS)
+def test_csv_reader_names_tampered_column(column):
+    with pytest.raises(ValueError, match=re.escape(f"'{column}'")):
+        record_from_csv_row(_csv_with(column, _CSV_TAMPERS[column]))
+
+
+def test_cli_eta_errors_name_the_field(capsys):
+    assert main(["invariants", "--eta", "3,s11,3,3,-2,x"]) == 1
+    assert "'d'" in capsys.readouterr().err
+    assert main(["invariants", "--eta", "2,s99,1,1,-1"]) == 1
+    assert "'series'" in capsys.readouterr().err
+    assert main(["invariants", "--eta", "3,s11,3,3"]) == 1
+    assert "eta for rho=3 needs 6 fields, got 4" in capsys.readouterr().err
 
 
 def test_verify_claims_small_range_passes():
@@ -339,6 +439,20 @@ def test_verify_report_text_shape():
     text = report.to_text()
     assert text.strip().endswith("overall: PASS")
     assert all(line.startswith(("PASS", "FAIL", "NOTE", "overall")) for line in text.strip().splitlines())
+
+
+@pytest.mark.parametrize(
+    "name, claim",
+    [("_degree", "degree matrix form = series form"), ("_picard_index", "picard matrix form = series form")],
+)
+def test_verify_catches_a_broken_closed_form(monkeypatch, capsys, name, claim):
+    """A wrong closed form in the record is caught by its oracle, and fiqs verify exits 2."""
+    correct = getattr(fiqs.invariants, name)
+    monkeypatch.setattr(fiqs.invariants, name, lambda *args: correct(*args) + 1)
+    results = {r.claim.split(" (iota")[0]: r for r in verify_claims(4).results}
+    assert not results[claim].passed
+    assert main(["verify", "--iota-max", "4"]) == 2
+    assert f"FAIL {claim}" in capsys.readouterr().out
 
 
 def test_errors_on_nonpositive_bounds():
