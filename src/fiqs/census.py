@@ -19,6 +19,9 @@ directly: :func:`record_to_json_line` equals
 ``json.dumps(record_to_obj(rec), separators=(",", ":"))`` byte for byte,
 with :func:`record_to_obj` the documented dict form, and resolution chains
 are stringified through a bounded memo because the all-(-2) chains recur.
+CSV rows are the fields joined by commas, unquoted: each field is an
+integer, a series tag, "n/d", true / false, a ";"-joined chain, empty or a
+column name, so none needs quoting and ``csv.writer`` writes the same line.
 
 The key (rho, series, iota+, iota-[, c[, d]]) determines every other
 field, so the readers parse only the key, rebuild the record with
@@ -29,14 +32,13 @@ first field that does not parse, differs, is missing or is extra.
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, TextIO
 
 from .canon import raw_from_matrix, canonicalize
 from .invariants import (
@@ -261,13 +263,9 @@ CSV_COLUMNS = _JSON_FIELDS[:15] + tuple(
 ) + tuple(f"resolution_{p}" for p in POINT_LABELS[3])
 
 
-def _frac_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 def record_to_obj(rec: SurfaceRecord) -> dict:
     """JSON-ready dict with the fixed field order and exact rational strings."""
-    key, m = rec.key, rec.matrix
+    key, m, deg, eps = rec.key, rec.matrix, rec.degree, rec.log_canonicity
     return {
         "rho": key.rho,
         "series": key.series.tag,
@@ -280,8 +278,8 @@ def record_to_obj(rec: SurfaceRecord) -> dict:
         "gorenstein_index": rec.gorenstein_index,
         "cl_rank": rec.class_group.free_rank,
         "cl_torsion": rec.class_group.torsion_order,
-        "degree": _frac_str(rec.degree),
-        "log_canonicity": _frac_str(rec.log_canonicity),
+        "degree": f"{deg.numerator}/{deg.denominator}",
+        "log_canonicity": f"{eps.numerator}/{eps.denominator}",
         "picard_index": rec.picard_index,
         "ke": rec.ke,
         "local_orders": {p: rec.local.orders[p] for p in POINT_LABELS[key.rho]},
@@ -295,26 +293,25 @@ def _chain_text(chain: tuple[int, ...], sep: str) -> str:
     return sep.join(map(str, chain))
 
 
-def _null(v: int | None, null: str) -> str:
-    return null if v is None else str(v)
+# Per rho, each point label with its JSON member prefix '"label":'.
+_JSON_POINTS = {rho: tuple((p, f'"{p}":') for p in labels) for rho, labels in POINT_LABELS.items()}
 
 
 def record_to_json_line(rec: SurfaceRecord) -> str:
     """``json.dumps(record_to_obj(rec), separators=(",", ":"))``, built directly."""
-    key, m = rec.key, rec.matrix
-    labels = POINT_LABELS[key.rho]
+    key, m, cl, deg, eps = rec.key, rec.matrix, rec.class_group, rec.degree, rec.log_canonicity
+    points = _JSON_POINTS[key.series.rho]
     orders, chains = rec.local.orders, rec.resolution.chains
+    local = ",".join([f"{q}{orders[p]}" for p, q in points])
+    resolution = ",".join([f"{q}[{_chain_text(chains[p], ',')}]" for p, q in points])
     return (
-        f'{{"rho":{key.rho},"series":"{key.series.tag}","iota_plus":{key.iota_plus},'
-        f'"iota_minus":{key.iota_minus},"c":{_null(key.c, "null")},"d":{_null(key.d, "null")},'
-        f'"a":{m.a},"b":{m.b},"gorenstein_index":{rec.gorenstein_index},'
-        f'"cl_rank":{rec.class_group.free_rank},"cl_torsion":{rec.class_group.torsion_order},'
-        f'"degree":"{_frac_str(rec.degree)}","log_canonicity":"{_frac_str(rec.log_canonicity)}",'
-        f'"picard_index":{rec.picard_index},"ke":{"true" if rec.ke else "false"},"local_orders":{{'
-        + ",".join(f'"{p}":{orders[p]}' for p in labels)
-        + '},"resolution":{'
-        + ",".join(f'"{p}":[{_chain_text(chains[p], ",")}]' for p in labels)
-        + "}}"
+        f'{{"rho":{key.series.rho},"series":"{key.series.tag}","iota_plus":{key.iota_plus},'
+        f'"iota_minus":{key.iota_minus},"c":{"null" if key.c is None else key.c},'
+        f'"d":{"null" if key.d is None else key.d},"a":{m.a},"b":{m.b},'
+        f'"gorenstein_index":{rec.gorenstein_index},"cl_rank":{cl.free_rank},"cl_torsion":{cl.torsion_order},'
+        f'"degree":"{deg.numerator}/{deg.denominator}","log_canonicity":"{eps.numerator}/{eps.denominator}",'
+        f'"picard_index":{rec.picard_index},"ke":{"true" if rec.ke else "false"},'
+        f'"local_orders":{{{local}}},"resolution":{{{resolution}}}}}'
     )
 
 
@@ -357,6 +354,15 @@ _JSON_KEY_PREFIX = re.compile(
 )
 
 
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's members as a dict; ValueError naming a field given twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        names = [name for name, _ in pairs]
+        raise ValueError(f"duplicate field {next(n for n in names if names.count(n) > 1)!r}")
+    return obj
+
+
 def record_from_json_line(line: str) -> SurfaceRecord:
     """The record of a JSONL line's key, if the line encodes that record.
 
@@ -366,7 +372,8 @@ def record_from_json_line(line: str) -> SurfaceRecord:
     Any other JSON object is compared with :func:`record_to_obj` field by
     field, by JSON text: spacing and key order may differ, but ``1`` is not
     ``true`` and ``"72"`` is not ``72``.  ``ValueError`` names the first
-    field that does not parse, differs, is missing or is extra.
+    field that does not parse, differs, is missing, is extra or is given
+    twice (in a nested object too).
     """
     match = _JSON_KEY_PREFIX.match(line)
     if match:
@@ -374,7 +381,7 @@ def record_from_json_line(line: str) -> SurfaceRecord:
         if record_to_json_line(rec) == line:
             return rec
     try:
-        obj = json.loads(line)
+        obj = json.loads(line, object_pairs_hook=_unique_fields)
     except ValueError as exc:
         raise ValueError(f"malformed JSON record: {exc}") from None
     if not isinstance(obj, dict):
@@ -396,22 +403,19 @@ def record_from_json_line(line: str) -> SurfaceRecord:
 
 def record_to_csv_row(rec: SurfaceRecord) -> list[str]:
     """The CSV_COLUMNS fields of a record; points the rho lacks are empty."""
-    key, m, cl = rec.key, rec.matrix, rec.class_group
-    labels = POINT_LABELS[key.rho]
+    key, m, cl, deg, eps = rec.key, rec.matrix, rec.class_group, rec.degree, rec.log_canonicity
+    rho = key.series.rho
+    labels = POINT_LABELS[rho]
     absent = [""] * (len(POINT_LABELS[3]) - len(labels))
+    orders, chains = rec.local.orders, rec.resolution.chains
     return [
-        *map(str, (key.rho, key.series.tag, key.iota_plus, key.iota_minus)),
-        _null(key.c, ""),
-        _null(key.d, ""),
+        str(rho), key.series.tag, str(key.iota_plus), str(key.iota_minus),
+        "" if key.c is None else str(key.c), "" if key.d is None else str(key.d),
         *map(str, (m.a, m.b, rec.gorenstein_index, cl.free_rank, cl.torsion_order)),
-        _frac_str(rec.degree),
-        _frac_str(rec.log_canonicity),
-        str(rec.picard_index),
-        "true" if rec.ke else "false",
-        *(str(rec.local.orders[p]) for p in labels),
-        *absent,
-        *(_chain_text(rec.resolution.chains[p], ";") for p in labels),
-        *absent,
+        f"{deg.numerator}/{deg.denominator}", f"{eps.numerator}/{eps.denominator}",
+        str(rec.picard_index), "true" if rec.ke else "false",
+        *[str(orders[p]) for p in labels], *absent,
+        *[_chain_text(chains[p], ";") for p in labels], *absent,
     ]
 
 
@@ -437,16 +441,6 @@ def record_from_csv_row(row: list[str]) -> SurfaceRecord:
     return rec
 
 
-def _iter_records(
-    rho: int, iotas: Iterable[int], series: str | None = None
-) -> Iterator[SurfaceRecord]:
-    tags = SERIES_TAGS if series is None else (series,)
-    for iota in iotas:
-        for tag in tags:
-            for key in enumerate_eta(_series_id(rho, tag), iota):
-                yield surface_record(key)
-
-
 def export_records(
     rho: int,
     iota_max: int,
@@ -459,22 +453,25 @@ def export_records(
     """Stream one record per surface to the sink; returns the record count.
 
     ``iota`` exports a single Gorenstein index, otherwise everything up to
-    ``iota_max``.  CSV output starts with a header row.
+    ``iota_max``.  CSV output starts with a header row.  Bad arguments raise
+    ``ValueError`` before anything is written.
     """
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"format must be 'jsonl' or 'csv', got {fmt!r}")
-    iotas = [iota] if iota is not None else range(1, iota_max + 1)
+    series_ids = [_series_id(rho, tag) for tag in (SERIES_TAGS if series is None else (series,))]
+    name, bound = ("iota_max", iota_max) if iota is None else ("iota", iota)
+    if bound < 1:
+        raise ValueError(f"{name} must be positive, got {bound}")
+    as_csv = fmt == "csv"
+    if as_csv:
+        sink.write(",".join(CSV_COLUMNS) + "\n")
     n = 0
-    if fmt == "csv":
-        writer = csv.writer(sink, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for rec in _iter_records(rho, iotas, series):
-            writer.writerow(record_to_csv_row(rec))
-            n += 1
-    else:
-        for rec in _iter_records(rho, iotas, series):
-            sink.write(record_to_json_line(rec) + "\n")
-            n += 1
+    for i in [iota] if iota is not None else range(1, iota_max + 1):
+        for series_id in series_ids:
+            for key in enumerate_eta(series_id, i):
+                rec = surface_record(key)
+                sink.write((",".join(record_to_csv_row(rec)) if as_csv else record_to_json_line(rec)) + "\n")
+                n += 1
     return n
 
 

@@ -11,13 +11,13 @@ fails.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from contextlib import nullcontext
 
 from .canon import NormalFormError, RawMatrix, canonicalize, classify
 from .census import (
     _key_from_fields,
-    _key_int,
     count,
     export_records,
     record_to_json_line,
@@ -42,11 +42,18 @@ def _parse_third_row(text: str, rho: int) -> RawMatrix:
     return RawMatrix(rho, entries)
 
 
+# A plain decimal integer: no sign but '-', no '_' separators, ASCII digits only.
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def _parse_eta(text: str) -> SeriesKey:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) < 4:
         raise ValueError("eta needs at least RHO,SERIES,IOTA+,IOTA-")
-    rho = _key_int("rho", parts[0])
+    for name, part in zip(("rho", "series", "iota_plus", "iota_minus", "c", "d"), parts):
+        if name != "series" and not _DECIMAL.fullmatch(part):
+            raise ValueError(f"field {name!r} must be a decimal integer, got {part!r}")
+    rho = int(parts[0])
     _check_rho(rho)
     if len(parts) != rho + 3:
         raise ValueError(f"eta for rho={rho} needs {rho + 3} fields, got {len(parts)}")

@@ -11,7 +11,9 @@ paired with an independent oracle where the derivation allows it:
   forms in the local Gorenstein indices,
 * resolution graphs: tabulated chains, checked downstream by the
   determinant law (the negated intersection matrix of each chain has
-  determinant equal to the local class group order).
+  determinant equal to the local class group order).  The chains are read
+  from the local class group orders: those of x+/x- are w+ iota+ and
+  w- iota-, so the chain centres need no series table.
 
 Input is checked once, at the boundary.  Each public closed form checks its
 matrix (:func:`fiqs.canon.validate`) or its key (the series predicate),
@@ -30,7 +32,7 @@ from math import gcd, lcm, prod
 from .canon import _checked, classify
 from .core import IntMatrix, smith_normal_form, solve3
 from .kaehler import _ke_rule
-from .series import _WEIGHTS, DefiningMatrix, SeriesKey, matrix_from_eta
+from .series import DefiningMatrix, SeriesKey, matrix_from_eta
 
 __all__ = [
     "POINT_LABELS",
@@ -151,27 +153,20 @@ def _picard_index(o: tuple[int, ...], torsion: int) -> int:
     return num // torsion
 
 
-def _gorenstein_indices(key: SeriesKey) -> dict[str, int]:
-    """Local Gorenstein index per fixed point: eta at x+/x-, one at the interior points."""
-    gor = dict.fromkeys(POINT_LABELS[key.rho], 1)
-    gor["x+"] = key.iota_plus
-    gor["x-"] = key.iota_minus
-    return gor
-
-
 def _local_data(key: SeriesKey, o: tuple[int, ...]) -> LocalData:
-    return LocalData(dict(zip(POINT_LABELS[key.rho], o)), _gorenstein_indices(key))
+    """Orders and local Gorenstein indices: iota+/iota- at x+/x-, one at the interior points."""
+    labels = POINT_LABELS[key.series.rho]
+    return LocalData(dict(zip(labels, o)), dict(zip(labels, (key.iota_plus, key.iota_minus, 1, 1, 1))))
 
 
-def _resolution(key: SeriesKey, o: tuple[int, ...]) -> ResolutionGraph:
-    rho = key.series.rho
-    wp, wm = _WEIGHTS[rho][key.series.tag]
-    op, om = wp * key.iota_plus, wm * key.iota_minus
+def _resolution(rho: int, o: tuple[int, ...]) -> ResolutionGraph:
+    """Chains read from the orders: o[0], o[1] are w+ iota+, w- iota- (x+, x-)."""
+    op, om = o[0], o[1]
     if rho == 1:
         chains = {"x+": (-2, -1 - op // 4, -2), "x-": (-2, -1 - om // 4, -2)}
     else:
         plus, minus = ((-2, -(1 + op) // 2), (-2, -(1 + om) // 2)) if rho == 2 else ((-op,), (-om,))
-        chains = {"x+": () if o[0] == 1 else plus, "x-": () if o[1] == 1 else minus}
+        chains = {"x+": () if op == 1 else plus, "x-": () if om == 1 else minus}
     for label, order in zip(POINT_LABELS[rho][2:], o[2:]):
         chains[label] = (-2,) * (order - 1)
     return ResolutionGraph(chains)
@@ -181,17 +176,18 @@ def _record(key: SeriesKey, m: DefiningMatrix) -> SurfaceRecord:
     o = _orders(m)
     rho = m.rho
     torsion = _torsion(rho, o)
+    # Positional in field order: matching ten keywords costs about a microsecond per record.
     return SurfaceRecord(
-        key=key,
-        matrix=m,
-        class_group=ClassGroup(rho, torsion),
-        local=_local_data(key, o),
-        gorenstein_index=key.iota,
-        degree=_degree(rho, o),
-        log_canonicity=_log_canonicity(rho, o),
-        picard_index=_picard_index(o, torsion),
-        ke=_ke_rule(key),
-        resolution=_resolution(key, o),
+        key,
+        m,
+        ClassGroup(rho, torsion),
+        _local_data(key, o),
+        key.iota,
+        _degree(rho, o),
+        _log_canonicity(rho, o),
+        _picard_index(o, torsion),
+        _ke_rule(key),
+        _resolution(rho, o),
     )
 
 
@@ -322,7 +318,7 @@ def resolution_graph(key: SeriesKey) -> ResolutionGraph:
     chain of length one less than its local class group order.  Points of
     local class group order one are smooth: empty chain.
     """
-    return _resolution(key, _orders(_checked(matrix_from_eta(key))))
+    return _resolution(key.rho, _orders(_checked(matrix_from_eta(key))))
 
 
 def chain_determinant(chain: tuple[int, ...]) -> int:

@@ -204,6 +204,39 @@ def test_export_rejects_unknown_format():
         export_records(1, 1, "parquet", io.StringIO())
 
 
+@pytest.mark.parametrize(
+    "rho, iota_max, fmt, kwargs, message",
+    [
+        (3, 0, "jsonl", {}, "iota_max must be positive, got 0"),
+        (3, -5, "csv", {}, "iota_max must be positive, got -5"),
+        (4, 0, "csv", {}, "rho must be 1, 2 or 3, got 4"),
+        (0, 5, "jsonl", {}, "rho must be 1, 2 or 3, got 0"),
+        (1, 5, "csv", {"iota": 0}, "iota must be positive, got 0"),
+        (1, 5, "csv", {"series": "s99"}, "unknown series tag 's99'"),
+    ],
+)
+def test_export_rejects_bad_arguments_before_writing(rho, iota_max, fmt, kwargs, message):
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match=message):
+        export_records(rho, iota_max, fmt, sink, **kwargs)
+    assert sink.getvalue() == ""
+
+
+@pytest.mark.parametrize("rho", [1, 2, 3])
+def test_csv_export_equals_csv_writer(rho):
+    """The comma-joined rows are what csv.writer writes: no field needs quoting."""
+    sink, ref = io.StringIO(), io.StringIO()
+    export_records(rho, 15, "csv", sink)
+    writer = csv.writer(ref, lineterminator="\n")
+    rows = [list(CSV_COLUMNS)]
+    for iota in range(1, 16):
+        rows += [record_to_csv_row(surface_record(key, m)) for key, m in enumerate_all(rho, iota)]
+    for row in rows:
+        assert not any(ch in field for field in row for ch in ',"\r\n'), row
+        writer.writerow(row)
+    assert sink.getvalue() == ref.getvalue()
+
+
 def test_export_full_picard_one_census():
     sink = io.StringIO()
     assert export_records(1, 200, "jsonl", sink) == 883
@@ -344,6 +377,9 @@ def _csv_with(column, value, rec=_GOOD_REC):
         (record_from_csv_row, _csv_with("d", ""), "'d'"),
         (record_from_csv_row, _csv_with("c", "0", _RHO1_REC), "'c'"),
         (record_from_csv_row, _csv_with("local_x1", "1", _RHO1_REC), "'local_x1'"),
+        # a repeated field is rejected, not judged by its last (here correct) copy
+        (record_from_json_line, _json_with(picard_index=73)[:-1] + ', "picard_index": 72}', "duplicate field 'picard_index'"),
+        (record_from_json_line, record_to_json_line(_GOOD_REC).replace('"x0":2', '"x0":3,"x0":2', 1), "duplicate field 'x0'"),
     ],
 )
 def test_decoders_name_malformed_field(decode, raw, field):

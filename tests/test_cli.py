@@ -116,6 +116,24 @@ def test_invariants_rejects_eta_rho_out_of_range(capsys):
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "eta, field",
+    [
+        ("1,s11,1_1,1_1", "iota_plus"),
+        ("1,s11,+11,11", "iota_plus"),
+        ("1,s11,\u0661\u0661,11", "iota_plus"),  # Arabic-Indic digits
+        ("\u0661,s11,11,11", "rho"),
+        ("3,s11,3,3,-2,-\u0662", "d"),
+    ],
+)
+def test_invariants_rejects_non_decimal_eta(capsys, eta, field):
+    """Only plain decimals name a key: each of these once printed the record of its int() value."""
+    assert main(["invariants", "--eta", eta]) == 1
+    captured = capsys.readouterr()
+    assert f"fiqs: error: field '{field}' must be a decimal integer" in captured.err
+    assert captured.out == ""
+
+
 def test_matrix_with_leading_negative_entry(capsys):
     # argparse needs the --matrix=... form when the value starts with '-'
     assert main(["classify", "--rho", "3", "--matrix=-3,-1,0,2,0,2"]) == 0

@@ -9,6 +9,8 @@ import fiqs.invariants
 from fiqs import (
     ClassGroup,
     DefiningMatrix,
+    LocalData,
+    ResolutionGraph,
     classify,
     SeriesId,
     SeriesKey,
@@ -25,12 +27,15 @@ from fiqs import (
     local_gorenstein_oracle,
     local_orders,
     log_canonicity,
+    matrix_from_eta,
     picard_index,
     picard_index_from_eta,
     record_from_matrix,
     resolution_graph,
     surface_record,
 )
+from fiqs.invariants import POINT_LABELS
+from fiqs.series import _WEIGHTS
 
 from conftest import up_to
 
@@ -149,6 +154,30 @@ class TestPicardIndex:
                 assert picard_index(m) % key.iota == 0
 
 
+def reference_resolution(key: SeriesKey) -> ResolutionGraph:
+    """The chains built from the series weights: x+/x- centres from w+ iota+, w- iota-."""
+    rho = key.rho
+    wp, wm = _WEIGHTS[rho][key.series.tag]
+    op, om = wp * key.iota_plus, wm * key.iota_minus
+    orders = local_orders(matrix_from_eta(key))
+    if rho == 1:
+        chains = {"x+": (-2, -1 - op // 4, -2), "x-": (-2, -1 - om // 4, -2)}
+    else:
+        plus, minus = ((-2, -(1 + op) // 2), (-2, -(1 + om) // 2)) if rho == 2 else ((-op,), (-om,))
+        chains = {"x+": () if orders["x+"] == 1 else plus, "x-": () if orders["x-"] == 1 else minus}
+    for label in POINT_LABELS[rho][2:]:
+        chains[label] = (-2,) * (orders[label] - 1)
+    return ResolutionGraph(chains)
+
+
+def reference_local_data(key: SeriesKey, m: DefiningMatrix) -> LocalData:
+    """Orders by the determinant formulas; Gorenstein index one everywhere, then eta at x+/x-."""
+    gor = dict.fromkeys(POINT_LABELS[key.rho], 1)
+    gor["x+"] = key.iota_plus
+    gor["x-"] = key.iota_minus
+    return LocalData(local_orders(m), gor)
+
+
 class TestResolutionGraphs:
     def test_rho1_chains(self):
         graph = resolution_graph(SeriesKey(SeriesId(1, "s11"), 1, 3))
@@ -184,6 +213,14 @@ class TestResolutionGraphs:
         assert chain_determinant((-2, -2, -2)) == 4
         # [-2, -(1+iota+), -2] has determinant 4 iota+ = 4a+4
         assert chain_determinant((-2, -4, -2)) == 12
+
+    def test_chains_and_local_data_match_reference(self, surfaces_by_rho):
+        """Chains read from the orders equal those built from the series weights."""
+        for rho in (1, 2, 3):
+            for key, m in up_to(surfaces_by_rho[rho], 30):
+                rec = surface_record(key)
+                assert rec.resolution == reference_resolution(key) == resolution_graph(key)
+                assert rec.local == reference_local_data(key, m) == local_data(m)
 
     def test_determinant_law_small(self, surfaces_by_rho):
         for rho in (1, 2, 3):
