@@ -14,14 +14,17 @@ canonical values, list the orbit of the reduced parameter tuple under the
 finite symmetry group of the arm swaps and the negation (one closed-form
 image per group element), and select the single orbit element passing the
 normal-form inequalities.  The orbit is checked on the parameter tuples
-themselves, with the kernel behind :func:`validate`; only the one passing
-tuple becomes a :class:`~fiqs.series.DefiningMatrix`.  Zero or several passing elements
-indicate corrupted input and raise :class:`NormalFormError`.
+themselves, by the truth of the inequalities behind :func:`validate` (their
+names are built only when :func:`validate` reports a failure); only the one
+passing tuple becomes a :class:`~fiqs.series.DefiningMatrix`.  Zero or
+several passing elements indicate corrupted input and raise
+:class:`NormalFormError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .series import FIRST_TWO_ROWS, SERIES_IDS, DefiningMatrix, SeriesKey
 
@@ -111,53 +114,38 @@ def raw_from_matrix(m: DefiningMatrix) -> RawMatrix:
     return RawMatrix(m.rho, m.third_row())
 
 
+# The normal-form inequalities of the parameters (a, b[, c[, d]]) per rho,
+# each written once, as the Python expression it is reported under.
+_INEQUALITIES = {
+    1: ("b <= -2", "0 <= a", "a <= -b-2"),
+    2: ("b < a", "c < 0", "a >= 0", "b+c <= -1", "a-b <= -c", "a <= -b-c-1"),
+    3: ("a > b", "0 > c", "0 > d", "a-b >= -c", "-c >= -d", "b+c+d < 0", "0 < a", "a <= -b-c-d"),
+}
+
+
+def _predicate(expression: str) -> Callable[..., bool]:
+    """``lambda a, b, c=None, d=None: expression``, compiled from its text."""
+    return eval(f"lambda a, b, c=None, d=None: {expression}", {})
+
+
+# Per rho: whether all inequalities hold, as one short-circuit test (the
+# passing path of validate and the orbit filter of canonicalize), and each
+# inequality with its own test, run only to name the failures.
+_HOLDS = {rho: _predicate(" and ".join(texts)) for rho, texts in _INEQUALITIES.items()}
+_CHECKS = {rho: tuple((text, _predicate(text)) for text in texts) for rho, texts in _INEQUALITIES.items()}
+
+
 def _violations(
     rho: int, a: int, b: int, c: int | None = None, d: int | None = None
 ) -> tuple[str, ...]:
     """The normal-form inequalities that the parameters (a, b[, c[, d]]) violate."""
-    bad: list[str] = []
-    if rho == 1:
-        if not b <= -2:
-            bad.append("b <= -2")
-        if not 0 <= a:
-            bad.append("0 <= a")
-        if not a <= -b - 2:
-            bad.append("a <= -b-2")
-    elif rho == 2:
-        if not b < a:
-            bad.append("b < a")
-        if not c < 0:
-            bad.append("c < 0")
-        if not a >= 0:
-            bad.append("a >= 0")
-        if not b + c <= -1:
-            bad.append("b+c <= -1")
-        if not a - b <= -c:
-            bad.append("a-b <= -c")
-        if not a <= -b - c - 1:
-            bad.append("a <= -b-c-1")
-    else:
-        if not a > b:
-            bad.append("a > b")
-        if not c < 0:
-            bad.append("0 > c")
-        if not d < 0:
-            bad.append("0 > d")
-        if not a - b >= -c:
-            bad.append("a-b >= -c")
-        if not -c >= -d:
-            bad.append("-c >= -d")
-        if not b + c + d < 0:
-            bad.append("b+c+d < 0")
-        if not a > 0:
-            bad.append("0 < a")
-        if not a <= -b - c - d:
-            bad.append("a <= -b-c-d")
-    return tuple(bad)
+    return tuple(text for text, holds in _CHECKS[rho] if not holds(a, b, c, d))
 
 
 def validate(m: DefiningMatrix) -> tuple[str, ...]:
     """Normal-form inequality check; returns the violated inequalities (empty = ok)."""
+    if _HOLDS[m.rho](m.a, m.b, m.c, m.d):
+        return ()
     return _violations(m.rho, m.a, m.b, m.c, m.d)
 
 
@@ -287,13 +275,14 @@ def parameter_orbit(rho: int, params: tuple[int, ...]) -> frozenset[tuple[int, .
 def canonicalize(m: RawMatrix) -> DefiningMatrix:
     """The unique normal form in the isomorphy class of a raw matrix."""
     params = reduce_raw(m)
-    passing = [p for p in parameter_orbit(m.rho, params) if not _violations(m.rho, *p)]
+    holds = _HOLDS[m.rho]
+    passing = {p for p in _ORBITS[m.rho](params) if holds(*p)}
     if len(passing) != 1:
         raise NormalFormError(
             f"expected exactly one normal form in the orbit, found {len(passing)} "
             f"(rho={m.rho}, reduced={params})"
         )
-    return DefiningMatrix(m.rho, *passing[0])
+    return DefiningMatrix(m.rho, *passing.pop())
 
 
 def classify(m: DefiningMatrix) -> SeriesKey:

@@ -40,7 +40,7 @@ from functools import lru_cache
 from math import lcm
 from typing import Callable, TextIO
 
-from .canon import raw_from_matrix, canonicalize
+from .canon import NormalFormError, canonicalize, raw_from_matrix
 from .invariants import (
     POINT_LABELS,
     SurfaceRecord,
@@ -52,14 +52,14 @@ from .invariants import (
     record_from_matrix,
     surface_record,
 )
-from .kaehler import barycenter_oracle, barycenters, is_ke_oracle
+from .kaehler import _ke_criterion, barycenter_oracle, barycenters
 from .series import (
     SERIES_IDS,
     SERIES_TAGS,
     SeriesKey,
     _CLASS_WEIGHTS,
     _check_rho,
-    _lcm_pairs,
+    _lcm_pairs_unordered,
     _series_id,
     enumerate_all,
     enumerate_eta,
@@ -154,7 +154,7 @@ def count_exact(rho: int, iota: int) -> int:
         raise ValueError(f"iota must be positive, got {iota}")
     table = _CLASS_WEIGHTS[rho]
     total = 0
-    for ip, im in _lcm_pairs(iota):
+    for ip, im in _lcm_pairs_unordered(iota):
         for wp, wm in table[ip % 12][im % 12]:
             op, om = wp * ip, wm * im
             if op > om:
@@ -354,12 +354,28 @@ _JSON_KEY_PREFIX = re.compile(
 )
 
 
+class _Repeated(dict):
+    """A parsed JSON object that gives the field ``name`` more than once."""
+
+    __slots__ = ("name",)
+
+
 def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object's members as a dict; ValueError naming a field given twice."""
+    """A JSON object's members as a dict, for ``json.loads(object_pairs_hook=...)``.
+
+    A member whose value repeats a field raises ``ValueError`` naming both,
+    as in ``duplicate field 'x0' in 'local_orders'``.  An object that repeats
+    a field itself comes back as :class:`_Repeated`, because only the object
+    around it knows its name.
+    """
+    for name, value in pairs:
+        if type(value) is _Repeated:
+            raise ValueError(f"duplicate field {value.name!r} in {name!r}")
     obj = dict(pairs)
     if len(obj) < len(pairs):
         names = [name for name, _ in pairs]
-        raise ValueError(f"duplicate field {next(n for n in names if names.count(n) > 1)!r}")
+        obj = _Repeated(obj)
+        obj.name = next(n for n in names if names.count(n) > 1)
     return obj
 
 
@@ -384,6 +400,8 @@ def record_from_json_line(line: str) -> SurfaceRecord:
         obj = json.loads(line, object_pairs_hook=_unique_fields)
     except ValueError as exc:
         raise ValueError(f"malformed JSON record: {exc}") from None
+    if type(obj) is _Repeated:
+        raise ValueError(f"malformed JSON record: duplicate field {obj.name!r}")
     if not isinstance(obj, dict):
         raise ValueError(f"expected a JSON object, got {type(obj).__name__}")
     for name in _JSON_FIELDS:
@@ -530,17 +548,29 @@ _UPPER_BOUNDS: dict[int, Callable[[int], tuple[Fraction, int, Fraction | int]]] 
 }
 
 
-def _bounds_violations(
-    rho: int, key: SeriesKey, deg: Fraction, eps: Fraction, pic: int
-) -> list[str]:
-    """Per-rho bound checks on a surface's degree, log canonicity and Picard index."""
-    iota = key.iota
-    bad = []
+def _index_bounds(rho: int, iota: int) -> tuple:
+    """The bounds of Gorenstein index iota for one rho, built once per index.
+
+    (iota, degree lower, degree upper, log canonicity lower, k^2, Picard upper):
+    the lower bounds are (rho+1)/iota on the degree, 1/iota on the log
+    canonicity and iota on the Picard index.
+    """
     deg_hi, k2, pic_hi = _UPPER_BOUNDS[rho](iota)
-    if not Fraction(rho + 1, iota) <= deg <= deg_hi:
+    return iota, Fraction(rho + 1, iota), deg_hi, Fraction(1, iota), k2, pic_hi
+
+
+def _bounds_violations(bounds: tuple, key: SeriesKey, deg: Fraction, eps: Fraction, pic: int) -> list[str]:
+    """Bound checks on a surface's degree, log canonicity and Picard index.
+
+    ``bounds`` is :func:`_index_bounds` of the surface's rho and index.
+    """
+    iota, deg_lo, deg_hi, eps_lo, k2, pic_hi = bounds
+    bad = []
+    if not deg_lo <= deg <= deg_hi:
         bad.append(f"degree bound at {key}")
-    # upper bound eps <= k/sqrt(iota) tested by squaring: eps^2 * iota <= k^2
-    if not (Fraction(1, iota) <= eps and eps * eps * iota <= k2):
+    # upper bound eps <= k/sqrt(iota) tested by squaring, on the reduced
+    # numerator and denominator of eps: num^2 * iota <= k^2 * den^2
+    if not (eps_lo <= eps and eps.numerator**2 * iota <= k2 * eps.denominator**2):
         bad.append(f"log canonicity bound at {key}")
     if not iota <= pic <= pic_hi:
         bad.append(f"picard bound at {key}")
@@ -579,7 +609,10 @@ def verify_claims(iota_max: int) -> VerifyReport:
     comparison of the closed-form barycenters with the polygon oracle up to
     min(iota_max, 20), bound and round-trip suites up to min(iota_max, 50);
     the full-scale census totals are checked whenever iota_max >= 200
-    (computed at 200).
+    (computed at 200).  The bounds are built once per (rho, iota), and each
+    surface's closed-form barycenters are evaluated once, for both the KE
+    criterion and the polygon comparison.  A ``canonicalize`` that raises on
+    a normal form counts as a mismatch of its claim.
     """
     if iota_max < 1:
         raise ValueError(f"iota_max must be positive, got {iota_max}")
@@ -612,13 +645,20 @@ def verify_claims(iota_max: int) -> VerifyReport:
     for rho in (1, 2, 3):
         for iota in range(1, bound_cap + 1):
             enumerated = enumerate_all(rho, iota)
+            bounds = _index_bounds(rho, iota)
+            eps_note = Fraction(2, iota)
             ke_keys = []
             for key, m in enumerated:
                 rec = record_from_matrix(m)
                 if key.iota != iota or rec.key != key:
                     mismatch["classify inverts matrix_from_eta"] += 1
-                if iota <= oracle_cap and canonicalize(raw_from_matrix(m)) != m:
-                    mismatch["canonicalize fixes canonical raw form"] += 1
+                if iota <= oracle_cap:
+                    try:
+                        fixed = canonicalize(raw_from_matrix(m)) == m
+                    except NormalFormError:
+                        fixed = False
+                    if not fixed:
+                        mismatch["canonicalize fixes canonical raw form"] += 1
 
                 ip, im = rec.key.iota_plus, rec.key.iota_minus
                 if lcm(ip, im) != iota:
@@ -636,9 +676,9 @@ def verify_claims(iota_max: int) -> VerifyReport:
                     mismatch["gorenstein index divides picard index"] += 1
                 if not (deg > 0 and 0 < eps <= 1):
                     mismatch["positivity: degree > 0, 0 < eps <= 1"] += 1
-                if _bounds_violations(rho, key, deg, eps, pic):
+                if _bounds_violations(bounds, key, deg, eps, pic):
                     mismatch["degree, log canonicity, picard bounds"] += 1
-                if eps < Fraction(2, iota):
+                if eps < eps_note:
                     combined_eps_flags += 1
 
                 if rec.ke:
@@ -649,17 +689,18 @@ def verify_claims(iota_max: int) -> VerifyReport:
                         mismatch["class group formula = smith oracle"] += 1
                     if ip != local_gorenstein_oracle(m, "plus") or im != local_gorenstein_oracle(m, "minus"):
                         mismatch["local gorenstein formula = solve oracle"] += 1
-                    if rec.ke != is_ke_oracle(m):
+                    bcs = barycenters(m)
+                    if rec.ke != _ke_criterion(bcs):
                         mismatch["ke family rule = barycenter test"] += 1
+                    if iota <= polygon_cap:
+                        for bc in bcs:
+                            if (bc.x, bc.y) != barycenter_oracle(m, bc.kappa):
+                                mismatch["barycenters = polygon dual centroids"] += 1
                     for label, chain in rec.resolution.chains.items():
                         if chain and chain_determinant(chain) != orders[label]:
                             mismatch["chain determinant = local order"] += 1
                         if not chain and orders[label] != 1:
                             mismatch["chain determinant = local order"] += 1
-                if iota <= polygon_cap:
-                    for bc in barycenters(m):
-                        if (bc.x, bc.y) != barycenter_oracle(m, bc.kappa):
-                            mismatch["barycenters = polygon dual centroids"] += 1
 
             if rho in (1, 3) and iota <= oracle_cap:
                 explicit = sorted(_ke_explicit_ranges(rho, iota))

@@ -34,16 +34,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _parse_third_row(text: str, rho: int) -> RawMatrix:
-    try:
-        entries = tuple(int(x) for x in text.replace(" ", "").split(","))
-    except ValueError:
-        raise ValueError(f"matrix must be a comma-separated integer list, got {text!r}")
-    return RawMatrix(rho, entries)
-
-
 # A plain decimal integer: no sign but '-', no '_' separators, ASCII digits only.
 _DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _parse_third_row(text: str, rho: int) -> RawMatrix:
+    parts = [p.strip() for p in text.split(",")]
+    for i, part in enumerate(parts, 1):
+        if not _DECIMAL.fullmatch(part):
+            raise ValueError(f"matrix entry {i} must be a decimal integer, got {part!r}")
+    return RawMatrix(rho, tuple(map(int, parts)))
 
 
 def _parse_eta(text: str) -> SeriesKey:

@@ -3,8 +3,8 @@
 Closed forms are authoritative and cheap (census-grade); each one is
 paired with an independent oracle where the derivation allows it:
 
-* divisor class group: gcd formula vs Smith normal form of the expanded
-  matrix transpose,
+* divisor class group: gcd formula vs Smith normal form of the defining
+  matrix, built from its rows,
 * local Gorenstein indices: parity / divisibility case split vs an exact
   linear solve on the rays of the elliptic fixed point cones,
 * degree and Picard index: matrix-parameter expressions vs the tabulated
@@ -32,7 +32,7 @@ from math import gcd, lcm, prod
 from .canon import _checked, classify
 from .core import IntMatrix, smith_normal_form, solve3
 from .kaehler import _ke_rule
-from .series import DefiningMatrix, SeriesKey, matrix_from_eta
+from .series import FIRST_TWO_ROWS, DefiningMatrix, SeriesKey, matrix_from_eta
 
 __all__ = [
     "POINT_LABELS",
@@ -199,8 +199,10 @@ def class_group(m: DefiningMatrix) -> ClassGroup:
 def class_group_oracle(m: DefiningMatrix) -> ClassGroup:
     """Divisor class group as the cokernel Z^(rho+3) / im(P^T), via Smith form."""
     _checked(m)
-    snf = smith_normal_form(m.expand().transpose())
+    # P itself: it has the invariant factors of its transpose
+    r1, r2 = FIRST_TWO_ROWS[m.rho]
     n = m.rho + 3
+    snf = smith_normal_form(IntMatrix(3, n, (*r1, *r2, *m.third_row())))
     return ClassGroup(n - snf.rank, snf.torsion_order)
 
 
@@ -225,8 +227,11 @@ def local_gorenstein_oracle(m: DefiningMatrix, which: str) -> int:
     _checked(m)
     if which not in ("plus", "minus"):
         raise ValueError(f"which must be 'plus' or 'minus', got {which!r}")
-    cols = [m.column(j) for j in SIGMA_RAY_COLUMNS[m.rho][which]]
-    u = solve3(IntMatrix.from_columns(cols), (0, 1, 1))
+    i, j, k = SIGMA_RAY_COLUMNS[m.rho][which]
+    r1, r2 = FIRST_TWO_ROWS[m.rho]
+    t = m.third_row()
+    rays = IntMatrix(3, 3, (r1[i], r1[j], r1[k], r2[i], r2[j], r2[k], t[i], t[j], t[k]))
+    u = solve3(rays, (0, 1, 1))
     return lcm(u[0].denominator, u[1].denominator, u[2].denominator)
 
 

@@ -11,7 +11,10 @@ degeneration's Fano polygon, whose integral vertices are written down in
 :func:`degeneration_polygon`.  :func:`barycenters` evaluates the closed
 forms obtained by carrying out the dual-centroid computation symbolically;
 :func:`barycenter_oracle` redoes it from the polygon in integer homogeneous
-coordinates, exact, so the two paths check each other.
+coordinates, exact, so the two paths check each other.  The criterion
+itself is one helper, applied to a list of closed-form barycenters, so
+``verify_claims`` evaluates them once per surface for both the criterion and
+the comparison with the polygons; the oracle never reads the closed forms.
 
 At the family level the criterion collapses to a finite description:
 no rho=2 surface is Kaehler-Einstein (its single barycenter lies on the
@@ -24,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import Iterable
 
 from .canon import _checked
 from .series import DefiningMatrix, SeriesKey, series_membership
@@ -73,26 +77,25 @@ def degeneration_polygon(m: DefiningMatrix, kappa: int) -> tuple[tuple[int, int]
     return ((a, 1), (b + c, 1), (d, -1), (0, -1))
 
 
+def _half_hull(points: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """One chain of the monotone-chain hull: the points kept by left turns only."""
+    chain: list[tuple[int, int]] = []
+    for x, y in points:
+        while len(chain) >= 2:
+            (ox, oy), (px, py) = chain[-2], chain[-1]
+            if (px - ox) * (y - oy) - (py - oy) * (x - ox) > 0:
+                break
+            chain.pop()
+        chain.append((x, y))
+    return chain
+
+
 def _hull_ccw(points: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
     """Counterclockwise convex hull (monotone chain) of distinct lattice points."""
     pts = sorted(set(points))
     if len(pts) < 3:
         raise ValueError("polygon needs at least 3 distinct vertices")
-
-    def cross(o, p, q):
-        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
-
-    lower: list[tuple[int, int]] = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list[tuple[int, int]] = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+    return _half_hull(pts)[:-1] + _half_hull(reversed(pts))[:-1]
 
 
 def _dual_homogeneous(vertices: tuple[tuple[int, int], ...]) -> list[tuple[int, int, int]]:
@@ -181,14 +184,20 @@ def barycenters(m: DefiningMatrix) -> list[Barycenter]:
     return [Barycenter(0, x, y0), Barycenter(1, x, y1), Barycenter(2, x, y2)]
 
 
+def _ke_criterion(bcs: list[Barycenter]) -> bool:
+    """The barycenter criterion: x = 0 and y > 0 for every special kappa."""
+    return all(bc.x == 0 and bc.y > 0 for bc in bcs)
+
+
 def is_ke_oracle(m: DefiningMatrix) -> bool:
     """Kaehler-Einstein criterion applied to the closed-form :func:`barycenters`.
 
     True when x = 0 and y > 0 for every special kappa.  The closed forms are
     tied to the geometry by comparing them with :func:`barycenter_oracle`
-    (``verify_claims`` does so for iota <= 20).
+    (``verify_claims`` does so for iota <= 20, on the same evaluation of
+    :func:`barycenters` that it tests with the criterion).
     """
-    return all(bc.x == 0 and bc.y > 0 for bc in barycenters(m))
+    return _ke_criterion(barycenters(m))
 
 
 def is_ke_family(key: SeriesKey) -> bool:

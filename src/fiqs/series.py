@@ -144,13 +144,9 @@ class DefiningMatrix:
         r1, r2 = FIRST_TWO_ROWS[self.rho]
         return IntMatrix.from_rows([r1, r2, self.third_row()])
 
-    def column(self, j: int) -> tuple[int, int, int]:
-        r1, r2 = FIRST_TWO_ROWS[self.rho]
-        return (r1[j], r2[j], self.third_row()[j])
 
-
-def _lcm_pairs(iota: int) -> list[tuple[int, int]]:
-    """All (p, q) with p, q dividing iota and lcm(p, q) = iota, lexicographic.
+def _lcm_pairs_unordered(iota: int) -> list[tuple[int, int]]:
+    """All (p, q) with p, q dividing iota and lcm(p, q) = iota, in no set order.
 
     At each prime power r^e of iota one side takes r^e and the other any r^k
     with k <= e, so there are prod(2e + 1) pairs, read off the factorisation.
@@ -169,8 +165,12 @@ def _lcm_pairs(iota: int) -> list[tuple[int, int]]:
             sides = [(full, x) for x in powers] + [(x, full) for x in powers[:-1]]
             pairs = [(p * u, q * v) for p, q in pairs for u, v in sides]
         r += 1
-    pairs.sort()
     return pairs
+
+
+def _lcm_pairs(iota: int) -> list[tuple[int, int]]:
+    """The pairs of :func:`_lcm_pairs_unordered`, lexicographic."""
+    return sorted(_lcm_pairs_unordered(iota))
 
 
 # Series weights (w+, w-): the local class group order of the elliptic fixed

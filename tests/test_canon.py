@@ -22,7 +22,7 @@ from fiqs import (
     raw_from_matrix,
     validate,
 )
-from fiqs.canon import ARM_COLUMNS, SWAPPABLE_ARM_PAIRS, parameter_orbit, reduce_raw
+from fiqs.canon import _HOLDS, ARM_COLUMNS, SWAPPABLE_ARM_PAIRS, _violations, parameter_orbit, reduce_raw
 from fiqs.series import SERIES_IDS
 
 from conftest import up_to
@@ -318,3 +318,66 @@ def test_parameter_orbit_equals_closure_on_normal_forms():
     for rho in (1, 2, 3):
         for m in _NORMAL_FORMS[rho]:
             assert parameter_orbit(rho, m.params()) == reference_orbit(rho, m.params()), m
+
+
+def reference_violations(rho, a, b, c=None, d=None):
+    """The normal-form inequalities as a per-rho ladder that lists each failure as it tests it."""
+    bad = []
+    if rho == 1:
+        if not b <= -2:
+            bad.append("b <= -2")
+        if not 0 <= a:
+            bad.append("0 <= a")
+        if not a <= -b - 2:
+            bad.append("a <= -b-2")
+    elif rho == 2:
+        if not b < a:
+            bad.append("b < a")
+        if not c < 0:
+            bad.append("c < 0")
+        if not a >= 0:
+            bad.append("a >= 0")
+        if not b + c <= -1:
+            bad.append("b+c <= -1")
+        if not a - b <= -c:
+            bad.append("a-b <= -c")
+        if not a <= -b - c - 1:
+            bad.append("a <= -b-c-1")
+    else:
+        if not a > b:
+            bad.append("a > b")
+        if not c < 0:
+            bad.append("0 > c")
+        if not d < 0:
+            bad.append("0 > d")
+        if not a - b >= -c:
+            bad.append("a-b >= -c")
+        if not -c >= -d:
+            bad.append("-c >= -d")
+        if not b + c + d < 0:
+            bad.append("b+c+d < 0")
+        if not a > 0:
+            bad.append("0 < a")
+        if not a <= -b - c - d:
+            bad.append("a <= -b-c-d")
+    return tuple(bad)
+
+
+def assert_checks_match_reference(rho, params):
+    want = reference_violations(rho, *params)
+    assert _violations(rho, *params) == want, (rho, params)
+    assert _HOLDS[rho](*params) is (not want), (rho, params)  # the orbit filter of canonicalize
+    assert validate(DefiningMatrix(rho, *params)) == want, (rho, params)
+
+
+@given(st.integers(1, 3).flatmap(lambda rho: st.tuples(st.just(rho), st.tuples(*[_PARAM] * (rho + 1)))))
+def test_checks_match_reference_ladder(case):
+    assert_checks_match_reference(*case)
+
+
+def test_checks_match_reference_ladder_on_orbits():
+    """Every orbit image of every normal form with iota <= 12: one passes, the others fail."""
+    for rho in (1, 2, 3):
+        for m in _NORMAL_FORMS[rho]:
+            for p in parameter_orbit(rho, m.params()):
+                assert_checks_match_reference(rho, p)

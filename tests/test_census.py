@@ -7,10 +7,14 @@ import json
 import re
 from fractions import Fraction
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 
+import fiqs.canon
+import fiqs.census
 import fiqs.invariants
+import fiqs.kaehler
 from fiqs import (
     SERIES_TAGS,
     SeriesId,
@@ -33,6 +37,7 @@ from fiqs.census import (
     CSV_COLUMNS,
     _bounds_violations,
     _cd_count,
+    _index_bounds,
     _ke_cd_count,
     _ke_explicit_ranges,
     record_to_obj,
@@ -380,6 +385,17 @@ def _csv_with(column, value, rec=_GOOD_REC):
         # a repeated field is rejected, not judged by its last (here correct) copy
         (record_from_json_line, _json_with(picard_index=73)[:-1] + ', "picard_index": 72}', "duplicate field 'picard_index'"),
         (record_from_json_line, record_to_json_line(_GOOD_REC).replace('"x0":2', '"x0":3,"x0":2', 1), "duplicate field 'x0'"),
+        # a field repeated inside a nested object is named with the object around it
+        (
+            record_from_json_line,
+            record_to_json_line(_GOOD_REC).replace('"x0":2', '"x0":3,"x0":2', 1),
+            "duplicate field 'x0' in 'local_orders'",
+        ),
+        (
+            record_from_json_line,
+            record_to_json_line(_GOOD_REC).replace('"x0":[-2]', '"x0":[-2],"x0":[-2]', 1),
+            "duplicate field 'x0' in 'resolution'",
+        ),
     ],
 )
 def test_decoders_name_malformed_field(decode, raw, field):
@@ -491,6 +507,63 @@ def test_verify_catches_a_broken_closed_form(monkeypatch, capsys, name, claim):
     assert f"FAIL {claim}" in capsys.readouterr().out
 
 
+# sha256 of verify_claims(12).to_text(): speeding up the verify loop must not change its report.
+VERIFY_12_SHA256 = "d65ce9fd3b5c52965e091f919054b3563a5671c3cdf654276a477c7aadb9ad81"
+
+
+def test_verify_report_is_pinned():
+    assert hashlib.sha256(verify_claims(12).to_text().encode()).hexdigest() == VERIFY_12_SHA256
+
+
+def _off_torsion(snf):
+    return SimpleNamespace(rank=snf.rank, torsion_order=snf.torsion_order + 1)
+
+
+# Each oracle kernel made off by one: (where it is looked up, its name there,
+# the wrong version of a correct function, the claim whose oracle it is).
+_ORACLE_MUTANTS = {
+    "smith torsion": (
+        fiqs.invariants, "smith_normal_form",
+        lambda f: lambda m: _off_torsion(f(m)),
+        "class group formula = smith oracle",
+    ),
+    "solve3": (
+        fiqs.invariants, "solve3",
+        lambda f: lambda m, rhs: tuple(Fraction(u.numerator, u.denominator + 1) for u in f(m, rhs)),
+        "local gorenstein formula = solve oracle",
+    ),
+    "centroid": (
+        fiqs.kaehler, "_centroid_homogeneous",
+        lambda f: lambda vertices: (f(vertices)[0] + 1, f(vertices)[1]),
+        "barycenters = polygon dual centroids",
+    ),
+    "orbit images": (
+        fiqs.canon._ORBITS, 3,
+        lambda f: lambda p: tuple((q[0] + 1, *q[1:]) for q in f(p)),
+        "canonicalize fixes canonical raw form",
+    ),
+    "upper bound": (
+        fiqs.census._UPPER_BOUNDS, 1,
+        lambda f: lambda iota: (*f(iota)[:2], f(iota)[2] - 1),
+        "degree, log canonicity, picard bounds",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutant", sorted(_ORACLE_MUTANTS))
+def test_verify_catches_a_broken_oracle(monkeypatch, capsys, mutant):
+    """An oracle kernel off by one fails its own claim and no other, and fiqs verify exits 2."""
+    where, name, wrong, claim = _ORACLE_MUTANTS[mutant]
+    if isinstance(where, dict):
+        monkeypatch.setitem(where, name, wrong(where[name]))
+    else:
+        monkeypatch.setattr(where, name, wrong(getattr(where, name)))
+    failed = {r.claim.split(" (iota")[0] for r in verify_claims(4).results if not r.passed}
+    assert failed == {claim}
+    assert main(["verify", "--iota-max", "4"]) == 2
+    assert f"FAIL {claim}" in capsys.readouterr().out
+
+
 def test_errors_on_nonpositive_bounds():
     with pytest.raises(ValueError):
         count(1, 0)
@@ -540,7 +613,7 @@ def test_bounds_violations_match_reference():
                         (Fraction(rho + 1, iota), 3 * eps, 0),
                     ]
                 for args in cases:
-                    got = _bounds_violations(rho, key, *args)
+                    got = _bounds_violations(_index_bounds(rho, iota), key, *args)
                     assert got == reference_bounds_violations(rho, key, *args), (key, args)
                     flagged.update((rho, msg.split(" at ")[0]) for msg in got)
     # the pushed values cross every bound of every rho

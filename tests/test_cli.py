@@ -134,6 +134,30 @@ def test_invariants_rejects_non_decimal_eta(capsys, eta, field):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "command, matrix, entry",
+    [
+        ("classify", "1_0,-3,1,1", 1),
+        ("classify", "+10,-3,1,1", 1),
+        ("classify", "\u0661\u0660,-3,1,1", 1),  # Arabic-Indic digits
+        ("classify", "1 0,-3,1,1", 1),
+        ("classify", "10,-3,1,1_1", 4),
+        ("invariants", "1_0,-3,1,1", 1),
+    ],
+)
+def test_matrix_rejects_non_decimal_entries(capsys, command, matrix, entry):
+    """Only plain decimals make a third row: each of these was once read as its int() value."""
+    assert main([command, "--rho", "1", f"--matrix={matrix}"]) == 1
+    captured = capsys.readouterr()
+    assert f"fiqs: error: matrix entry {entry} must be a decimal integer" in captured.err
+    assert captured.out == ""
+
+
+def test_matrix_entries_may_be_spaced(capsys):
+    assert main(["classify", "--rho", "1", "--matrix", "0, -2, 1, 1"]) == 0
+    assert "matrix=0,-2,1,1" in capsys.readouterr().out
+
+
 def test_matrix_with_leading_negative_entry(capsys):
     # argparse needs the --matrix=... form when the value starts with '-'
     assert main(["classify", "--rho", "3", "--matrix=-3,-1,0,2,0,2"]) == 0

@@ -63,6 +63,35 @@ def outcome(dual, centroid, vertices):
         return "ValueError"
 
 
+def reference_hull_ccw(points):
+    """Reference: the monotone chain with a cross-product closure and one loop per chain."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        raise ValueError("polygon needs at least 3 distinct vertices")
+
+    def cross(o, p, q):
+        return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
+
+    lower = []
+    for p in pts:
+        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def hull_outcome(hull, points):
+    try:
+        return hull(points)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
 _coord = st.integers(-12, 12)
 _point = st.tuples(_coord, _coord)
 
@@ -145,6 +174,11 @@ class TestPolygons:
         assert outcome(dual_polygon, polygon_centroid, vertices) == outcome(
             fraction_dual_polygon, fraction_polygon_centroid, vertices
         )
+
+    @given(st.lists(_point, max_size=8))
+    def test_hull_matches_reference(self, points):
+        vertices = tuple(points)
+        assert hull_outcome(_hull_ccw, vertices) == hull_outcome(reference_hull_ccw, vertices)
 
     @pytest.mark.parametrize(
         "vertices",
