@@ -12,7 +12,7 @@ degree, log canonicity, Picard index, resolution graphs) and decides
 Kaehler-Einstein existence, at census scale.
 """
 
-from .core import IntMatrix, SmithForm, det3, gcd_list, smith_normal_form, solve3
+from .core import IntMatrix, SmithForm, smith_normal_form, solve3
 from .series import (
     SERIES_TAGS,
     DefiningMatrix,

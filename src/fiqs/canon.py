@@ -18,7 +18,8 @@ themselves, by the truth of the inequalities behind :func:`validate` (their
 names are built only when :func:`validate` reports a failure); only the one
 passing tuple becomes a :class:`~fiqs.series.DefiningMatrix`.  Zero or
 several passing elements indicate corrupted input and raise
-:class:`NormalFormError`.
+:class:`NormalFormError`.  :func:`classify` reads the series back from the
+local orders of x+ and x- (``fiqs.series._orders`` and ``_digit``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .series import FIRST_TWO_ROWS, SERIES_IDS, DefiningMatrix, SeriesKey
+from .series import FIRST_TWO_ROWS, SERIES_IDS, DefiningMatrix, SeriesKey, _check_rho, _digit, _orders
 
 __all__ = [
     "NormalFormError",
@@ -99,10 +100,12 @@ class RawMatrix:
     third_row: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.rho not in (1, 2, 3):
-            raise ValueError(f"rho must be 1, 2 or 3, got {self.rho}")
+        _check_rho(self.rho)
         if len(self.third_row) != self.rho + 3:
             raise ValueError(f"third row must have {self.rho + 3} entries")
+        if not all(map(int.__instancecheck__, self.third_row)):
+            i, x = next((i, x) for i, x in enumerate(self.third_row, 1) if not isinstance(x, int))
+            raise ValueError(f"third-row entry {i} must be an int, got {x!r}")
         # primitivity of the columns with an even leading entry
         if self.rho == 1 and (self.third_row[2] % 2 == 0 or self.third_row[3] % 2 == 0):
             raise ValueError("columns 3 and 4 need odd third-row entries to be primitive")
@@ -287,16 +290,7 @@ def canonicalize(m: RawMatrix) -> DefiningMatrix:
 
 def classify(m: DefiningMatrix) -> SeriesKey:
     """The unique (series, eta) whose table matrix equals the given normal form."""
-    _checked(m)
-    if m.rho == 1:
-        i, ip = ("1", m.a + 1) if m.a % 2 == 0 else ("2", 2 * m.a + 2)
-        j, im = ("1", -m.b - 1) if m.b % 2 == 0 else ("2", -2 * m.b - 2)
-        return SeriesKey(SERIES_IDS[1, f"s{i}{j}"], ip, im)
-    # the orders of x+/x- are w * iota+/w * iota- with series weight w in {1, p}
-    if m.rho == 2:
-        p, np_, nm = 3, 2 * m.a + 1, -(2 * m.b + 2 * m.c + 1)
-    else:
-        p, np_, nm = 2, m.a, -(m.b + m.c + m.d)
-    i, ip = ("2", np_ // p) if np_ % p == 0 else ("1", np_)
-    j, im = ("2", nm // p) if nm % p == 0 else ("1", nm)
+    o = _orders(_checked(m))
+    i, ip = _digit(m.rho, o[0])
+    j, im = _digit(m.rho, o[1])
     return SeriesKey(SERIES_IDS[m.rho, f"s{i}{j}"], ip, im, m.c, m.d)

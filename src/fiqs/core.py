@@ -13,28 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 __all__ = [
-    "gcd_list",
     "IntMatrix",
     "SmithForm",
-    "det3",
     "solve3",
     "smith_normal_form",
 ]
-
-
-def gcd_list(values: Iterable[int]) -> int:
-    """Nonnegative gcd of a non-empty list; gcd of an all-zero list is 0."""
-    values = list(values)
-    if not values:
-        raise ValueError("gcd_list requires a non-empty list")
-    g = 0
-    for v in values:
-        g = gcd(g, v)
-    return g
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,36 +45,14 @@ class IntMatrix:
         ncols = len(rows[0]) if nrows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        return cls(nrows, ncols, tuple(int(x) for r in rows for x in r))
-
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence[int]]) -> IntMatrix:
-        ncols = len(columns)
-        nrows = len(columns[0]) if ncols else 0
-        if any(len(c) != nrows for c in columns):
-            raise ValueError("ragged columns")
-        return cls(
-            nrows, ncols, tuple(int(columns[j][i]) for i in range(nrows) for j in range(ncols))
-        )
-
-    def __getitem__(self, idx: tuple[int, int]) -> int:
-        i, j = idx
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(idx)
-        return self.entries[i * self.cols + j]
+        entries = tuple(x for r in rows for x in r)
+        if not all(map(int.__instancecheck__, entries)):
+            k, x = next((k, x) for k, x in enumerate(entries) if not isinstance(x, int))
+            raise ValueError(f"entry {k % ncols + 1} of row {k // ncols + 1} must be an int, got {x!r}")
+        return cls(nrows, ncols, entries)
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def transpose(self) -> IntMatrix:
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def to_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -119,18 +83,6 @@ class SmithForm:
             if f > 1:
                 t *= f
         return t
-
-
-def det3(m: IntMatrix) -> int:
-    """Exact determinant of a 3x3 integer matrix (cofactor expansion)."""
-    if m.rows != 3 or m.cols != 3:
-        raise ValueError(f"det3 requires a 3x3 matrix, got {m.rows}x{m.cols}")
-    e = m.entries
-    return (
-        e[0] * (e[4] * e[8] - e[5] * e[7])
-        - e[1] * (e[3] * e[8] - e[5] * e[6])
-        + e[2] * (e[3] * e[7] - e[4] * e[6])
-    )
 
 
 def solve3(m: IntMatrix, rhs: Sequence[int]) -> tuple[Fraction, Fraction, Fraction]:

@@ -32,7 +32,7 @@ from math import gcd, lcm, prod
 from .canon import _checked, classify
 from .core import IntMatrix, smith_normal_form, solve3
 from .kaehler import _ke_rule
-from .series import FIRST_TWO_ROWS, DefiningMatrix, SeriesKey, matrix_from_eta
+from .series import FIRST_TWO_ROWS, DefiningMatrix, SeriesKey, _orders, matrix_from_eta
 
 __all__ = [
     "POINT_LABELS",
@@ -123,16 +123,6 @@ class SurfaceRecord:
     resolution: ResolutionGraph
 
 
-def _orders(m: DefiningMatrix) -> tuple[int, ...]:
-    """Local class group orders in POINT_LABELS order (determinant formulas)."""
-    a, b = m.a, m.b
-    if m.rho == 1:
-        return (4 * a + 4, -4 * b - 4, a - b)
-    if m.rho == 2:
-        return (1 + 2 * a, -1 - 2 * b - 2 * m.c, a - b, -m.c)
-    return (a, -b - m.c - m.d, a - b, -m.c, -m.d)
-
-
 def _torsion(rho: int, o: tuple[int, ...]) -> int:
     return gcd(o[0], _ORDER_FORMS[rho][3] * o[2], *o[3:])
 
@@ -212,7 +202,7 @@ def local_orders(m: DefiningMatrix) -> dict[str, int]:
 
 
 def local_gorenstein(m: DefiningMatrix) -> tuple[int, int]:
-    """Local Gorenstein indices (iota+, iota-): the divisibility case split of :func:`classify`."""
+    """Local Gorenstein indices (iota+, iota-), read back from the local orders by :func:`classify`."""
     key = classify(m)
     return key.iota_plus, key.iota_minus
 

@@ -18,8 +18,9 @@ the comparison with the polygons; the oracle never reads the closed forms.
 
 At the family level the criterion collapses to a finite description:
 no rho=2 surface is Kaehler-Einstein (its single barycenter lies on the
-line y = x/2, so y > 0 forces x != 0), and for rho=1, 3 exactly the s11
-and s22 members with iota+ = iota- and, for rho=3, a positive b survive.
+line y = x/2, so y > 0 forces x != 0), and for rho=1, 3 exactly the members
+with equal local orders w+ iota+ = w- iota- (s11 and s22 with iota+ = iota-;
+weights from :mod:`fiqs.series`) and, for rho=3, a positive b survive.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from math import lcm
 from typing import Iterable
 
 from .canon import _checked
-from .series import DefiningMatrix, SeriesKey, series_membership
+from .series import _WEIGHTS, DefiningMatrix, SeriesKey, series_membership
 
 __all__ = [
     "SPECIAL_KAPPAS",
@@ -213,19 +214,13 @@ def is_ke_family(key: SeriesKey) -> bool:
 
 
 def _ke_rule(key: SeriesKey) -> bool:
-    """The rule of :func:`is_ke_family` for a key that satisfies its series predicate."""
-    rho, tag = key.series.rho, key.series.tag
-    if rho == 2 or tag not in ("s11", "s22"):
-        return False
-    if key.iota_plus != key.iota_minus:
-        return False
-    if rho == 1:
-        return True
-    t = key.iota_plus
-    c, d = key.c, key.d
-    w = 1 if tag == "s11" else 2
-    return (
-        -2 * w * t <= 2 * c + d
-        and c <= d <= -1
-        and c + d <= -w * t - 1
-    )
+    """The rule of :func:`is_ke_family` for a key that satisfies its series predicate.
+
+    In the local orders o+ = w+ iota+ and o- = w- iota- of x+ and x-: o+ = o-
+    holds exactly for s11/s22 with iota+ = iota- (the index classes rule it out
+    for s12/s21), and the series predicate then gives c <= d <= -1 and 2c + d >= -2o+.
+    """
+    rho = key.series.rho
+    wp, wm = _WEIGHTS[rho][key.series.tag]
+    op = wp * key.iota_plus
+    return rho != 2 and op == wm * key.iota_minus and (rho == 1 or key.c + key.d < -op)

@@ -16,8 +16,9 @@ whose third-row parameters satisfy per-rho normal-form inequalities (see
 :func:`fiqs.canon.validate`).  The two digits of a series tag record a
 divisibility case at each of the two elliptic fixed points: the local
 Gorenstein index there lies in an index class (a set of residues mod 12),
-and the local class group order is w * iota with a series weight w.  The
-exact predicates are in :func:`series_membership`.
+and the local class group order is w * iota with a series weight w.  This
+module is the one home of that fact (``_DIGITS``, read back from the orders
+by ``_digit``); the exact predicates are in :func:`series_membership`.
 """
 
 from __future__ import annotations
@@ -173,40 +174,43 @@ def _lcm_pairs(iota: int) -> list[tuple[int, int]]:
     return sorted(_lcm_pairs_unordered(iota))
 
 
-# Series weights (w+, w-): the local class group order of the elliptic fixed
-# point x+ (x-) is w+ * iota+ (w- * iota-), for every rho.
-_WEIGHTS = {
-    1: {"s11": (4, 4), "s12": (4, 2), "s21": (2, 4), "s22": (2, 2)},
-    2: {"s11": (1, 1), "s12": (1, 3), "s21": (3, 1), "s22": (3, 3)},
-    3: {"s11": (1, 1), "s12": (1, 2), "s21": (2, 1), "s22": (2, 2)},
+# Per rho, the weight w and the index class (residues mod 12) of the tag digits
+# 1 and 2: at an elliptic fixed point with digit k, the local Gorenstein index
+# lies in class k and the local class group order is w_k times it.  rho=1: odd
+# / 0 mod 4; rho=2: odd and prime to 3 / odd; rho=3: odd / any.
+_ODD = frozenset(range(1, 12, 2))
+_DIGITS = {
+    1: ((4, _ODD), (2, frozenset({0, 4, 8}))),
+    2: ((1, frozenset({1, 5, 7, 11})), (3, _ODD)),
+    3: ((1, _ODD), (2, frozenset(range(12)))),
 }
 
-# Index classes of the tag digits 1 and 2 as residues mod 12: the local
-# Gorenstein index of a point whose digit is 1 (2) lies in the first
-# (second) set.  rho=1: odd / 0 mod 4; rho=2: odd and prime to 3 / odd;
-# rho=3: odd / any.
-_ODD = frozenset(range(1, 12, 2))
-_INDEX_CLASSES = {
-    1: (_ODD, frozenset({0, 4, 8})),
-    2: (frozenset({1, 5, 7, 11}), _ODD),
-    3: (_ODD, frozenset(range(12))),
+# Series weights (w+, w-) per tag: the local class group order of x+ (x-) is
+# w+ * iota+ (w- * iota-).  The digit pairs run in SERIES_TAGS order 11, 12, 21, 22.
+_WEIGHTS = {
+    rho: dict(zip(SERIES_TAGS, [(wp, wm) for wp, _ in digits for wm, _ in digits]))
+    for rho, digits in _DIGITS.items()
 }
 
 # _CLASS_WEIGHTS[rho][iota+ % 12][iota- % 12]: the weights (w+, w-) of the
 # series whose index classes admit the pair, in SERIES_TAGS order.
 _CLASS_WEIGHTS = {
     rho: tuple(
-        tuple(
-            tuple(
-                _WEIGHTS[rho][tag]
-                for tag in SERIES_TAGS
-                if rp in classes[int(tag[1]) - 1] and rm in classes[int(tag[2]) - 1]
-            )
-            for rm in range(12)
-        )
+        tuple(tuple((wp, wm) for wp, cp in digits if rp in cp for wm, cm in digits if rm in cm) for rm in range(12))
         for rp in range(12)
     )
-    for rho, classes in _INDEX_CLASSES.items()
+    for rho, digits in _DIGITS.items()
+}
+
+# _DIGIT_OF[rho][o % 144]: the tag digit and weight w of an elliptic fixed point
+# of local class group order o, if the class of that digit admits o // w.  144 is
+# 12 times a multiple of every weight, so the residue fixes o % w and (o // w) % 12.
+_DIGIT_OF = {
+    rho: tuple(
+        next(((str(k), w) for k, (w, cls) in enumerate(digits, 1) if r % w == 0 and r // w % 12 in cls), None)
+        for r in range(144)
+    )
+    for rho, digits in _DIGITS.items()
 }
 
 
@@ -275,6 +279,22 @@ def matrix_from_eta(key: SeriesKey) -> DefiningMatrix:
     if rho == 2:
         return DefiningMatrix(2, (op - 1) // 2, -(om + 1) // 2 - key.c, key.c)
     return DefiningMatrix(3, op, -om - key.c - key.d, key.c, key.d)
+
+
+def _orders(m: DefiningMatrix) -> tuple[int, ...]:
+    """Local class group orders in POINT_LABELS order (determinant formulas)."""
+    a, b = m.a, m.b
+    if m.rho == 1:
+        return (4 * a + 4, -4 * b - 4, a - b)
+    if m.rho == 2:
+        return (1 + 2 * a, -1 - 2 * b - 2 * m.c, a - b, -m.c)
+    return (a, -b - m.c - m.d, a - b, -m.c, -m.d)
+
+
+def _digit(rho: int, order: int) -> tuple[str, int]:
+    """Tag digit and local Gorenstein index of x+ or x- of a normal form, from its order w * iota."""
+    digit, w = _DIGIT_OF[rho][order % 144]
+    return digit, order // w
 
 
 def enumerate_all(rho: int, iota: int) -> list[tuple[SeriesKey, DefiningMatrix]]:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -123,6 +124,20 @@ class TestApplyOp:
             RawMatrix(1, (0, -2, 2, 1))
         with pytest.raises(ValueError):
             RawMatrix(2, (1, 0, 0, -2, 2))
+
+    @pytest.mark.parametrize(
+        "rho, row, message",
+        [
+            (2, (1.5, 0, 0, -2, 1), "third-row entry 1 must be an int, got 1.5"),
+            (1, (0, "3", 1, 1), "third-row entry 2 must be an int, got '3'"),
+            (1, (0, -2, 1.0, 1), "third-row entry 3 must be an int, got 1.0"),
+            (3, (3, 1, 0, -2, 0, Fraction(-2)), "third-row entry 6 must be an int, got Fraction(-2, 1)"),
+        ],
+    )
+    def test_non_int_entries_rejected(self, rho, row, message):
+        with pytest.raises(ValueError) as info:
+            canonicalize(RawMatrix(rho, row))
+        assert str(info.value) == message
 
 
 class TestCanonicalize:

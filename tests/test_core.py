@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 from hypothesis import given, strategies as st
 
-from fiqs import IntMatrix, SmithForm, det3, gcd_list, smith_normal_form, solve3
+from fiqs import IntMatrix, SmithForm, smith_normal_form, solve3
 
 
 def det_by_permutation_expansion(m: IntMatrix) -> int:
@@ -23,7 +23,7 @@ def det_by_permutation_expansion(m: IntMatrix) -> int:
                     sign = -sign
         prod = 1
         for i in range(n):
-            prod *= m[i, perm[i]]
+            prod *= m.entries[i * m.cols + perm[i]]
         total += sign * prod
     return total
 
@@ -33,55 +33,29 @@ def minors_gcd(m: IntMatrix, k: int) -> int:
     g = 0
     for rows in itertools.combinations(range(m.rows), k):
         for cols in itertools.combinations(range(m.cols), k):
-            sub = IntMatrix.from_rows([[m[i, j] for j in cols] for i in rows])
+            sub = IntMatrix.from_rows([[m.entries[i * m.cols + j] for j in cols] for i in rows])
             g = gcd(g, det_by_permutation_expansion(sub))
     return g
 
 
-class TestGcdLcm:
-    def test_gcd_pair(self):
-        assert gcd_list([2, 2]) == 2
+class TestFromRows:
+    def test_keeps_int_entries(self):
+        m = IntMatrix.from_rows([[1, -2, 0], [3, 4, 5]])
+        assert (m.rows, m.cols, m.entries) == (2, 3, (1, -2, 0, 3, 4, 5))
 
-    def test_gcd_all_zero(self):
-        assert gcd_list([0, 0]) == 0
-
-    def test_gcd_formula_values(self):
-        # gcd(2a+1, a-b, -c) at (a, b, c) = (1, 0, -2)
-        assert gcd_list([3, 1, -2]) == 1
-
-    def test_gcd_empty_rejected(self):
-        with pytest.raises(ValueError):
-            gcd_list([])
-
-
-class TestDet3:
-    def test_identity(self):
-        assert det3(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 1
-
-    def test_sigma_plus_cone(self):
-        # columns v1, v3, v4 at rho=1, a=0: determinant 4 = 4a+4
-        m = IntMatrix.from_columns([(-1, -1, 0), (2, 0, 1), (0, 2, 1)])
-        assert det3(m) == 4
-        assert det_by_permutation_expansion(m) == 4
-
-    def test_sigma_minus_cone(self):
-        # columns v2, v3, v4 at rho=1, b=-2: determinant 4b+4 = -4, the
-        # local class group order is its absolute value 4 = -4b-4
-        m = IntMatrix.from_columns([(-1, -1, -2), (2, 0, 1), (0, 2, 1)])
-        assert det3(m) == -4
-        assert det_by_permutation_expansion(m) == -4
-
-    def test_wrong_shape_rejected(self):
-        with pytest.raises(ValueError):
-            det3(IntMatrix.from_rows([[1, 0], [0, 1]]))
-
-    def test_against_permutation_expansion(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            m = IntMatrix.from_rows(
-                [[rng.randint(-9, 9) for _ in range(3)] for _ in range(3)]
-            )
-            assert det3(m) == det_by_permutation_expansion(m)
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[1.5, 0], [0, "3"]], "entry 1 of row 1 must be an int, got 1.5"),
+            ([[1, 0], [0, "3"]], "entry 2 of row 2 must be an int, got '3'"),
+            ([[2.9, 0], [0, 4]], "entry 1 of row 1 must be an int, got 2.9"),
+            ([[1, 0, Fraction(1, 2)]], "entry 3 of row 1 must be an int, got Fraction(1, 2)"),
+        ],
+    )
+    def test_non_int_entries_rejected(self, rows, message):
+        with pytest.raises(ValueError) as info:
+            smith_normal_form(IntMatrix.from_rows(rows))
+        assert str(info.value) == message
 
 
 class TestSmith:
@@ -96,8 +70,8 @@ class TestSmith:
 
     def test_class_group_presentation(self):
         # P^T for rho=1, (a, b) = (0, -2): cokernel Z^4/im(P^T) = Z x Z/4
-        p = IntMatrix.from_rows([[-1, -1, 2, 0], [-1, -1, 0, 2], [0, -2, 1, 1]])
-        snf = smith_normal_form(p.transpose())
+        p_t = IntMatrix.from_rows([[-1, -1, 0], [-1, -1, -2], [2, 0, 1], [0, 2, 1]])
+        snf = smith_normal_form(p_t)
         assert snf.invariant_factors == (1, 1, 4)
         assert snf.rank == 3
 
@@ -145,16 +119,16 @@ class TestSolve3:
 
     def test_cartier_form_at_x_plus(self):
         # rho=1, a=0: the anticanonical form on sigma+ is already integral
-        m = IntMatrix.from_columns([(-1, -1, 0), (2, 0, 1), (0, 2, 1)])
+        m = IntMatrix.from_rows([[-1, 2, 0], [-1, 0, 2], [0, 1, 1]])
         assert solve3(m, (0, 1, 1)) == (0, 0, 1)
 
     def test_cartier_form_at_x_minus(self):
         # rho=1, b=-2: integral solution, so the local index is 1
-        m = IntMatrix.from_columns([(-1, -1, -2), (2, 0, 1), (0, 2, 1)])
+        m = IntMatrix.from_rows([[-1, 2, 0], [-1, 0, 2], [-2, 1, 1]])
         u = solve3(m, (0, 1, 1))
         assert all(f.denominator == 1 for f in u)
         for j in range(3):
-            col = m.column(j)
+            col = [m.entries[i * m.cols + j] for i in range(m.rows)]
             assert sum(ui * vi for ui, vi in zip(u, col)) == (0, 1, 1)[j]
 
     def test_singular_rejected(self):
@@ -167,11 +141,11 @@ class TestSolve3:
     )
     def test_substitution_recovers_rhs(self, entries, rhs):
         m = IntMatrix(3, 3, tuple(entries))
-        if det3(m) == 0:
+        if det_by_permutation_expansion(m) == 0:
             return
         u = solve3(m, rhs)
         for j in range(3):
-            col = m.column(j)
+            col = [m.entries[i * m.cols + j] for i in range(m.rows)]
             assert sum(ui * vi for ui, vi in zip(u, col)) == rhs[j]
 
     @given(
@@ -181,7 +155,7 @@ class TestSolve3:
     def test_against_sympy(self, entries, rhs):
         sympy = pytest.importorskip("sympy")
         m = IntMatrix(3, 3, tuple(entries))
-        if det3(m) == 0:
+        if det_by_permutation_expansion(m) == 0:
             with pytest.raises(ValueError, match="singular"):
                 solve3(m, rhs)
             return

@@ -14,8 +14,11 @@ from fiqs import (
     series_membership,
 )
 from fiqs.census import _ke_explicit_ranges
+from fiqs.kaehler import barycenter_oracle
 from fiqs.invariants import (
+    class_group_oracle,
     degree_from_eta,
+    local_gorenstein_oracle,
     local_orders,
     picard_index_from_eta,
     resolution_graph,
@@ -182,5 +185,13 @@ def test_rho1_tables_against_tag_ladder():
 
 
 def test_oracles_do_not_read_series_tables():
-    for fn in (degree_from_eta, picard_index_from_eta, _ke_explicit_ranges):
-        assert not {"_WEIGHTS", "_CLASS_WEIGHTS"} & set(fn.__code__.co_names), fn.__name__
+    series_tables = {"_WEIGHTS", "_CLASS_WEIGHTS", "_DIGITS", "_digit", "_orders"}
+    for fn in (
+        degree_from_eta,
+        picard_index_from_eta,
+        _ke_explicit_ranges,
+        barycenter_oracle,
+        class_group_oracle,
+        local_gorenstein_oracle,
+    ):
+        assert not series_tables & set(fn.__code__.co_names), fn.__name__
