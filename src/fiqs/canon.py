@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .series import FIRST_TWO_ROWS, SERIES_IDS, DefiningMatrix, SeriesKey, _check_rho, _digit, _orders
+from .series import FIRST_TWO_ROWS, SERIES_IDS, DefiningMatrix, SeriesKey, _check_rho, _digit, _non_int, _orders
 
 __all__ = [
     "NormalFormError",
@@ -290,7 +290,13 @@ def canonicalize(m: RawMatrix) -> DefiningMatrix:
 
 def classify(m: DefiningMatrix) -> SeriesKey:
     """The unique (series, eta) whose table matrix equals the given normal form."""
-    o = _orders(_checked(m))
-    i, ip = _digit(m.rho, o[0])
-    j, im = _digit(m.rho, o[1])
+    try:
+        o = _orders(_checked(m))
+        i, ip = _digit(m.rho, o[0])
+        j, im = _digit(m.rho, o[1])
+    except TypeError:  # a field that is not an int: the inequalities and the residue table take only ints
+        error = _non_int(m)
+        if error is None:
+            raise
+        raise error from None
     return SeriesKey(SERIES_IDS[m.rho, f"s{i}{j}"], ip, im, m.c, m.d)

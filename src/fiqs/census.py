@@ -13,15 +13,18 @@ agree with brute enumeration (tested for small indices), and
 classification plus the internal oracle suites.
 
 Record export uses a fixed JSONL / CSV schema; exact rationals travel as
-"numerator/denominator" strings.  Each exported key is checked once, in
-:func:`~fiqs.invariants.surface_record`, and each record is encoded
-directly: :func:`record_to_json_line` equals
-``json.dumps(record_to_obj(rec), separators=(",", ":"))`` byte for byte,
-with :func:`record_to_obj` the documented dict form, and resolution chains
-are stringified through a bounded memo because the all-(-2) chains recur.
-CSV rows are the fields joined by commas, unquoted: each field is an
-integer, a series tag, "n/d", true / false, a ";"-joined chain, empty or a
-column name, so none needs quoting and ``csv.writer`` writes the same line.
+"numerator/denominator" strings.  The key determines every field, so export
+builds no record: the field kernel ``fiqs.invariants._fields`` checks each key
+as :func:`~fiqs.invariants.surface_record` does and gives its values, and one
+text kernel per format (``_json_text``, ``_csv_row``) writes them, with the
+chains from a memo by local order, since the all-(-2) chains recur.  The
+record encoders pass a record's fields to the same kernels:
+:func:`record_to_json_line` equals ``json.dumps(record_to_obj(rec),
+separators=(",", ":"))`` byte for byte, :func:`record_to_obj` being the
+documented dict form.  CSV rows are the fields joined by commas, unquoted:
+each field is an integer, a series tag, "n/d", true / false, a ";"-joined
+chain, empty or a column name, so none needs quoting and ``csv.writer`` writes
+the same line.
 
 The key (rho, series, iota+, iota-[, c[, d]]) determines every other
 field, so the readers parse only the key, rebuild the record with
@@ -37,13 +40,17 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 from math import lcm
 from typing import Callable, TextIO
 
 from .canon import NormalFormError, canonicalize, raw_from_matrix
 from .invariants import (
+    _ELLIPTIC,
     POINT_LABELS,
     SurfaceRecord,
+    _chain,
+    _fields,
     chain_determinant,
     class_group_oracle,
     degree_from_eta,
@@ -66,24 +73,10 @@ from .series import (
 )
 
 __all__ = [
-    "CountRow",
-    "CountTable",
-    "ClaimResult",
-    "VerifyReport",
-    "count_exact",
-    "count_ke",
-    "count",
-    "verify_claims",
-    "export_records",
-    "emit_plot_data",
-    "record_to_obj",
-    "record_to_json_line",
-    "record_from_json_line",
-    "CSV_COLUMNS",
-    "record_to_csv_row",
-    "record_from_csv_row",
-    "CENSUS_IOTA_MAX",
-    "CENSUS_CLAIMS",
+    "CountRow", "CountTable", "ClaimResult", "VerifyReport", "count_exact", "count_ke", "count",
+    "verify_claims", "export_records", "emit_plot_data", "record_to_obj", "record_to_json_line",
+    "record_from_json_line", "CSV_COLUMNS", "record_to_csv_row", "record_from_csv_row",
+    "CENSUS_IOTA_MAX", "CENSUS_CLAIMS",
 ]
 
 # Census totals at Gorenstein index <= 200: (count, ke_count) per rho.
@@ -239,23 +232,8 @@ def count(rho: int, iota_max: int) -> CountTable:
 # ---------------------------------------------------------------------------
 
 _JSON_FIELDS = (
-    "rho",
-    "series",
-    "iota_plus",
-    "iota_minus",
-    "c",
-    "d",
-    "a",
-    "b",
-    "gorenstein_index",
-    "cl_rank",
-    "cl_torsion",
-    "degree",
-    "log_canonicity",
-    "picard_index",
-    "ke",
-    "local_orders",
-    "resolution",
+    "rho", "series", "iota_plus", "iota_minus", "c", "d", "a", "b", "gorenstein_index", "cl_rank",
+    "cl_torsion", "degree", "log_canonicity", "picard_index", "ke", "local_orders", "resolution",
 )
 
 CSV_COLUMNS = _JSON_FIELDS[:15] + tuple(
@@ -288,31 +266,60 @@ def record_to_obj(rec: SurfaceRecord) -> dict:
 
 
 @lru_cache(maxsize=1024)
-def _chain_text(chain: tuple[int, ...], sep: str) -> str:
-    """Weights of a resolution chain joined by sep; the all-(-2) chains recur."""
-    return sep.join(map(str, chain))
+def _chain_text(rho: int, order: int, elliptic: bool, sep: str) -> str:
+    """A point's resolution chain joined by sep, memoised by its order: the all-(-2) chains recur."""
+    return sep.join(map(str, _chain(rho, order, elliptic)))
 
 
-# Per rho, each point label with its JSON member prefix '"label":'.
-_JSON_POINTS = {rho: tuple((p, f'"{p}":') for p in labels) for rho, labels in POINT_LABELS.items()}
+# Per rho, the local_orders and resolution members of a JSON line, with a %s per point.
+_JSON_POINTS = {
+    rho: (",".join(f'"{p}":%s' for p in labels), ",".join(f'"{p}":[%s]' for p in labels))
+    for rho, labels in POINT_LABELS.items()
+}
+
+
+def _json_text(key: SeriesKey, a: int, b: int, o: tuple[int, ...], values: tuple) -> str:
+    """The JSONL text kernel: a key's line from its a, b, local orders o and the values of ``_fields``."""
+    rho = key.series.rho
+    iota, torsion, deg, eps, pic, ke = values
+    local, resolution = _JSON_POINTS[rho]
+    chains = tuple(map(_chain_text, repeat(rho), o, _ELLIPTIC, repeat(",")))
+    c, d = key.c, key.d
+    return (
+        f'{{"rho":{rho},"series":"{key.series.tag}","iota_plus":{key.iota_plus},'
+        f'"iota_minus":{key.iota_minus},"c":{"null" if c is None else c},'
+        f'"d":{"null" if d is None else d},"a":{a},"b":{b},'
+        f'"gorenstein_index":{iota},"cl_rank":{rho},"cl_torsion":{torsion},'
+        f'"degree":"{deg.numerator}/{deg.denominator}","log_canonicity":"{eps.numerator}/{eps.denominator}",'
+        f'"picard_index":{pic},"ke":{"true" if ke else "false"},'
+        f'"local_orders":{{{local % o}}},"resolution":{{{resolution % chains}}}}}'
+    )
+
+
+def _csv_row(key: SeriesKey, a: int, b: int, o: tuple[int, ...], values: tuple) -> list[str]:
+    """The CSV text kernel: a key's row from what :func:`_json_text` takes; points the rho lacks are empty."""
+    rho = key.series.rho
+    iota, torsion, deg, eps, pic, ke = values
+    c, d = key.c, key.d
+    absent = [""] * (len(POINT_LABELS[3]) - len(o))
+    return [
+        str(rho), key.series.tag, str(key.iota_plus), str(key.iota_minus),
+        "" if c is None else str(c), "" if d is None else str(d), str(a), str(b), str(iota), str(rho), str(torsion),
+        f"{deg.numerator}/{deg.denominator}", f"{eps.numerator}/{eps.denominator}", str(pic), "true" if ke else "false",
+        *map(str, o), *absent, *map(_chain_text, repeat(rho), o, _ELLIPTIC, repeat(";")), *absent,
+    ]
+
+
+def _record_fields(rec: SurfaceRecord) -> tuple:
+    """A record's a, b, local orders and field values, as the text kernels take them."""
+    m = rec.matrix
+    values = (rec.gorenstein_index, rec.class_group.torsion_order, rec.degree, rec.log_canonicity, rec.picard_index, rec.ke)
+    return m.a, m.b, tuple(rec.local.orders.values()), values
 
 
 def record_to_json_line(rec: SurfaceRecord) -> str:
-    """``json.dumps(record_to_obj(rec), separators=(",", ":"))``, built directly."""
-    key, m, cl, deg, eps = rec.key, rec.matrix, rec.class_group, rec.degree, rec.log_canonicity
-    points = _JSON_POINTS[key.series.rho]
-    orders, chains = rec.local.orders, rec.resolution.chains
-    local = ",".join([f"{q}{orders[p]}" for p, q in points])
-    resolution = ",".join([f"{q}[{_chain_text(chains[p], ',')}]" for p, q in points])
-    return (
-        f'{{"rho":{key.series.rho},"series":"{key.series.tag}","iota_plus":{key.iota_plus},'
-        f'"iota_minus":{key.iota_minus},"c":{"null" if key.c is None else key.c},'
-        f'"d":{"null" if key.d is None else key.d},"a":{m.a},"b":{m.b},'
-        f'"gorenstein_index":{rec.gorenstein_index},"cl_rank":{cl.free_rank},"cl_torsion":{cl.torsion_order},'
-        f'"degree":"{deg.numerator}/{deg.denominator}","log_canonicity":"{eps.numerator}/{eps.denominator}",'
-        f'"picard_index":{rec.picard_index},"ke":{"true" if rec.ke else "false"},'
-        f'"local_orders":{{{local}}},"resolution":{{{resolution}}}}}'
-    )
+    """``json.dumps(record_to_obj(rec), separators=(",", ":"))``; the chains are written from the local orders."""
+    return _json_text(rec.key, *_record_fields(rec))
 
 
 def _key_int(name: str, value: object) -> int:
@@ -420,21 +427,8 @@ def record_from_json_line(line: str) -> SurfaceRecord:
 
 
 def record_to_csv_row(rec: SurfaceRecord) -> list[str]:
-    """The CSV_COLUMNS fields of a record; points the rho lacks are empty."""
-    key, m, cl, deg, eps = rec.key, rec.matrix, rec.class_group, rec.degree, rec.log_canonicity
-    rho = key.series.rho
-    labels = POINT_LABELS[rho]
-    absent = [""] * (len(POINT_LABELS[3]) - len(labels))
-    orders, chains = rec.local.orders, rec.resolution.chains
-    return [
-        str(rho), key.series.tag, str(key.iota_plus), str(key.iota_minus),
-        "" if key.c is None else str(key.c), "" if key.d is None else str(key.d),
-        *map(str, (m.a, m.b, rec.gorenstein_index, cl.free_rank, cl.torsion_order)),
-        f"{deg.numerator}/{deg.denominator}", f"{eps.numerator}/{eps.denominator}",
-        str(rec.picard_index), "true" if rec.ke else "false",
-        *[str(orders[p]) for p in labels], *absent,
-        *[_chain_text(chains[p], ";") for p in labels], *absent,
-    ]
+    """The CSV_COLUMNS fields of a record, by the text kernel; points the rho lacks are empty."""
+    return _csv_row(rec.key, *_record_fields(rec))
 
 
 def record_from_csv_row(row: list[str]) -> SurfaceRecord:
@@ -487,8 +481,8 @@ def export_records(
     for i in [iota] if iota is not None else range(1, iota_max + 1):
         for series_id in series_ids:
             for key in enumerate_eta(series_id, i):
-                rec = surface_record(key)
-                sink.write((",".join(record_to_csv_row(rec)) if as_csv else record_to_json_line(rec)) + "\n")
+                fields = _fields(key)
+                sink.write((",".join(_csv_row(key, *fields)) if as_csv else _json_text(key, *fields)) + "\n")
                 n += 1
     return n
 

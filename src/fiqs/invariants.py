@@ -18,9 +18,10 @@ paired with an independent oracle where the derivation allows it:
 Input is checked once, at the boundary.  Each public closed form checks its
 matrix (:func:`fiqs.canon.validate`) or its key (the series predicate),
 raising ``ValueError`` on failure, and then calls an unchecked kernel.
-:func:`surface_record` checks once per record and assembles the bundle
-from the same kernels; the matrix-parameter forms are written in the local
-class group orders, which it computes once.
+The matrix-parameter forms are written in the local class group orders, one
+kernel per field.  :func:`surface_record` checks once per record and
+assembles the bundle from those kernels; ``_fields`` checks a key the same
+way and gives the field values without one, for the encoders of :mod:`fiqs.census`.
 """
 
 from __future__ import annotations
@@ -35,28 +36,11 @@ from .kaehler import _ke_rule
 from .series import FIRST_TWO_ROWS, DefiningMatrix, SeriesKey, _orders, matrix_from_eta
 
 __all__ = [
-    "POINT_LABELS",
-    "SIGMA_RAY_COLUMNS",
-    "ClassGroup",
-    "LocalData",
-    "ResolutionGraph",
-    "SurfaceRecord",
-    "class_group",
-    "class_group_oracle",
-    "local_orders",
-    "local_gorenstein",
-    "local_gorenstein_oracle",
-    "local_data",
-    "gorenstein_index",
-    "degree",
-    "degree_from_eta",
-    "log_canonicity",
-    "picard_index",
-    "picard_index_from_eta",
-    "resolution_graph",
-    "chain_determinant",
-    "surface_record",
-    "record_from_matrix",
+    "POINT_LABELS", "SIGMA_RAY_COLUMNS", "ClassGroup", "LocalData", "ResolutionGraph",
+    "SurfaceRecord", "class_group", "class_group_oracle", "local_orders", "local_gorenstein",
+    "local_gorenstein_oracle", "local_data", "gorenstein_index", "degree", "degree_from_eta",
+    "log_canonicity", "picard_index", "picard_index_from_eta", "resolution_graph",
+    "chain_determinant", "surface_record", "record_from_matrix",
 ]
 
 # Fixed-point labels per Picard number: the elliptic points x+ and x-, then
@@ -143,6 +127,31 @@ def _picard_index(o: tuple[int, ...], torsion: int) -> int:
     return num // torsion
 
 
+# Per point in POINT_LABELS order: whether it is elliptic (x+, x-) or interior.
+_ELLIPTIC = (True, True, False, False, False)
+
+
+def _chain(rho: int, order: int, elliptic: bool) -> tuple[int, ...]:
+    """The resolution chain of a point from its local order: w iota at x+/x-, n at an A_(n-1) point."""
+    if not elliptic:
+        return (-2,) * (order - 1)
+    if rho == 1:
+        return (-2, -1 - order // 4, -2)
+    return () if order == 1 else (-2, -(1 + order) // 2) if rho == 2 else (-order,)
+
+
+def _fields(key: SeriesKey) -> tuple:
+    """The field kernel: (a, b, local orders, values) of a key, checked as :func:`surface_record` checks one.
+
+    The values are the Gorenstein index, torsion, degree, log canonicity, Picard index and KE.
+    """
+    m = _checked(matrix_from_eta(key))
+    rho, o = m.rho, _orders(m)
+    torsion = _torsion(rho, o)
+    values = key.iota, torsion, _degree(rho, o), _log_canonicity(rho, o), _picard_index(o, torsion), _ke_rule(key)
+    return m.a, m.b, o, values
+
+
 def _local_data(key: SeriesKey, o: tuple[int, ...]) -> LocalData:
     """Orders and local Gorenstein indices: iota+/iota- at x+/x-, one at the interior points."""
     labels = POINT_LABELS[key.series.rho]
@@ -150,15 +159,9 @@ def _local_data(key: SeriesKey, o: tuple[int, ...]) -> LocalData:
 
 
 def _resolution(rho: int, o: tuple[int, ...]) -> ResolutionGraph:
-    """Chains read from the orders: o[0], o[1] are w+ iota+, w- iota- (x+, x-)."""
-    op, om = o[0], o[1]
-    if rho == 1:
-        chains = {"x+": (-2, -1 - op // 4, -2), "x-": (-2, -1 - om // 4, -2)}
-    else:
-        plus, minus = ((-2, -(1 + op) // 2), (-2, -(1 + om) // 2)) if rho == 2 else ((-op,), (-om,))
-        chains = {"x+": () if op == 1 else plus, "x-": () if om == 1 else minus}
+    chains = {"x+": _chain(rho, o[0], True), "x-": _chain(rho, o[1], True)}
     for label, order in zip(POINT_LABELS[rho][2:], o[2:]):
-        chains[label] = (-2,) * (order - 1)
+        chains[label] = _chain(rho, order, False)
     return ResolutionGraph(chains)
 
 
@@ -166,7 +169,6 @@ def _record(key: SeriesKey, m: DefiningMatrix) -> SurfaceRecord:
     o = _orders(m)
     rho = m.rho
     torsion = _torsion(rho, o)
-    # Positional in field order: matching ten keywords costs about a microsecond per record.
     return SurfaceRecord(
         key,
         m,

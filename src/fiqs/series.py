@@ -113,6 +113,21 @@ class SeriesKey:
         return tuple(v for v in (self.iota_plus, self.iota_minus, self.c, self.d) if v is not None)
 
 
+_INT_OR_NONE = (int, type(None))
+
+
+def _non_int(obj: SeriesKey | DefiningMatrix) -> ValueError | None:
+    """The error naming the first field of a key or matrix that is not an int (c, d may be None), if any.
+
+    The test is RawMatrix's.  The constructors, which run several times per record, do not apply it.
+    """
+    for name in obj.__slots__:
+        value = getattr(obj, name)
+        if name != "series" and not isinstance(value, _INT_OR_NONE if name in ("c", "d") else int):
+            return ValueError(f"{type(obj).__name__} field {name!r} must be an int, got {value!r}")
+    return None
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class DefiningMatrix:
     """Normal-form defining matrix, stored by its free third-row parameters."""
@@ -268,7 +283,10 @@ def enumerate_eta(series: SeriesId, iota: int) -> list[SeriesKey]:
 
 
 def matrix_from_eta(key: SeriesKey) -> DefiningMatrix:
-    """The defining matrix P_eta of a series member."""
+    """The defining matrix P_eta of a series member; ValueError naming a field that is not an int."""
+    ip, im, c, d = key.iota_plus, key.iota_minus, key.c, key.d
+    if not (isinstance(ip, int) and isinstance(im, int) and isinstance(c, _INT_OR_NONE) and isinstance(d, _INT_OR_NONE)):
+        raise _non_int(key)
     if not series_membership(key):
         raise ValueError(f"key does not satisfy its series predicate: {key}")
     rho = key.series.rho

@@ -10,6 +10,7 @@ from math import lcm
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import fiqs.canon
 import fiqs.census
@@ -37,13 +38,17 @@ from fiqs.census import (
     CSV_COLUMNS,
     _bounds_violations,
     _cd_count,
+    _chain_text,
+    _csv_row,
     _index_bounds,
     _ke_cd_count,
     _ke_explicit_ranges,
+    _json_text,
     record_to_obj,
 )
 from fiqs.cli import main
-from fiqs.series import _WEIGHTS, _lcm_pairs
+from fiqs.invariants import _fields
+from fiqs.series import _DIGITS, _WEIGHTS, SERIES_IDS, _lcm_pairs, enumerate_eta, series_membership
 
 from conftest import reference_pair_ok
 
@@ -291,6 +296,97 @@ def test_export_golden_digest(rho, iota_max, fmt, digest):
     sink = io.StringIO()
     export_records(rho, iota_max, fmt, sink)
     assert hashlib.sha256(sink.getvalue().encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "rho, iota_max, fmt, digest, records",
+    [
+        (1, 60, "csv", "fa1b05789673eae6fba599bdd84c217deb60a9b12f6d20bd3379aa56fe969fd7", 190),
+        (2, 20, "jsonl", "7afcf9e1538ab8d96c01a67f7994fc0f57032d75c6c7fe9bbd57e57b36f8d739", 501),
+        (3, 8, "csv", "a9f7476d4637e060bb9b0f0cc688a2dcf75ee8bdf24a29257148c3267b11a659", 727),
+        (1, 200, "jsonl", "9e4c394e3e5de8fe2432916a4e0152e4a0abfd065449f0a1916719d1debc8f6c", 883),
+    ],
+)
+def test_export_golden_digest_every_rho_and_format(rho, iota_max, fmt, digest, records):
+    """The pins above and these cover each rho in each format: CSV pads the points a rho lacks."""
+    sink = io.StringIO()
+    assert export_records(rho, iota_max, fmt, sink) == records
+    assert hashlib.sha256(sink.getvalue().encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("rho", [1, 2, 3])
+def test_export_equals_dict_form_of_each_key(rho):
+    """Each exported line and row is the dict form of surface_record(key), encoded field by field."""
+    keys = [key for iota in range(1, 16) for tag in SERIES_TAGS for key in enumerate_eta(SERIES_IDS[rho, tag], iota)]
+    objs = [record_to_obj(surface_record(key)) for key in keys]
+    jsonl, table = io.StringIO(), io.StringIO()
+    assert export_records(rho, 15, "jsonl", jsonl) == export_records(rho, 15, "csv", table) == len(keys)
+    assert jsonl.getvalue().splitlines() == [json.dumps(obj, separators=(",", ":")) for obj in objs]
+    rows = list(csv.reader(io.StringIO(table.getvalue())))
+    assert rows == [list(CSV_COLUMNS)] + [csv_row_from_obj(obj) for obj in objs]
+
+
+@st.composite
+def member_keys(draw, bound=10**6):
+    """Keys that satisfy their series predicate, with iota+ and iota- up to bound.
+
+    Each local index is drawn from the index class of its tag digit (a residue
+    mod 12), and c, d from the ranges the predicate allows.
+    """
+    rho = draw(st.sampled_from((1, 2, 3)))
+    tag = draw(st.sampled_from(SERIES_TAGS))
+    indices = []
+    for digit in tag[1:]:
+        residue = draw(st.sampled_from(sorted(_DIGITS[rho][int(digit) - 1][1])))
+        indices.append(12 * draw(st.integers(1 if residue == 0 else 0, (bound - residue) // 12)) + residue)
+    ip, im = indices
+    wp, wm = _WEIGHTS[rho][tag]
+    assume(wp * ip <= wm * im)
+    s, c, d = wp * ip + wm * im, None, None
+    if rho == 2:
+        assume(1 - s // 2 <= -s // 4)
+        c = draw(st.integers(1 - s // 2, -s // 4))
+    elif rho == 3:
+        assume(s >= 3)
+        c = draw(st.integers(-((s - 1) // 2), -1))
+        d = draw(st.integers(max(c, -s - 2 * c), -1))
+    key = SeriesKey(SERIES_IDS[rho, tag], ip, im, c, d)
+    assume(series_membership(key))
+    return key
+
+
+@settings(max_examples=10, deadline=None)  # a chain near 10**6 weights takes about 0.3 s to encode both ways
+@given(member_keys())
+def test_text_kernels_equal_dict_form_at_large_orders(key):
+    """The text kernels equal the dict form at local orders up to about 10**6, far past the export tests."""
+    obj = record_to_obj(surface_record(key))
+    fields = _fields(key)
+    try:
+        assert _json_text(key, *fields) == json.dumps(obj, separators=(",", ":"))
+        assert _csv_row(key, *fields) == csv_row_from_obj(obj)
+    finally:
+        _chain_text.cache_clear()
+
+
+def test_field_kernel_keeps_the_checks(monkeypatch):
+    """The field kernel behind export checks a key as surface_record does, with the same error."""
+    outside = SeriesKey(SeriesId(1, "s12"), 1, 3)  # s12 needs 4 | iota-
+    with pytest.raises(ValueError) as want:
+        surface_record(outside)
+    with pytest.raises(ValueError) as got:
+        _fields(outside)
+    assert str(got.value) == str(want.value) == f"key does not satisfy its series predicate: {outside}"
+
+    # Every member key expands to a normal form, so make one inequality fail for all of rho 3.
+    texts = (*fiqs.canon._INEQUALITIES[3], "a < 0")
+    monkeypatch.setitem(fiqs.canon._HOLDS, 3, fiqs.canon._predicate(" and ".join(texts)))
+    monkeypatch.setitem(fiqs.canon._CHECKS, 3, tuple((t, fiqs.canon._predicate(t)) for t in texts))
+    key = SeriesKey(SeriesId(3, "s11"), 3, 3, -2, -2)
+    with pytest.raises(ValueError) as want:
+        surface_record(key)
+    with pytest.raises(ValueError) as got:
+        _fields(key)
+    assert str(got.value) == str(want.value) == "matrix is not in normal form, violated: a < 0"
 
 
 def test_jsonl_round_trip():

@@ -1,13 +1,18 @@
 """Module hygiene of the fiqs package, read with the stdlib ast module.
 
-Every name a module lists in ``__all__`` exists, and no module other than
-the package ``__init__`` imports a name it never uses.
+Every name a module lists in ``__all__`` exists, no module other than the
+package ``__init__`` imports a name it never uses, and no module reaches
+into private stdlib API, which may differ between the Python versions that
+``pyproject.toml`` accepts (``Fraction(..., _normalize=False)`` exists on
+3.11 but not on 3.12).
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +21,7 @@ import fiqs
 
 PACKAGE = Path(fiqs.__file__).parent
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+ALL_MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -52,3 +58,66 @@ def test_no_unused_imports(name):
 def test_unused_import_is_caught():
     source = "from math import gcd, lcm\nimport json\nimport os.path\nprint(lcm(2, os.sep))\n"
     assert unused_imports(source) == {"gcd": 1, "json": 2}
+
+
+def _private(name: str) -> bool:
+    """A leading underscore, but not a dunder: dunders are public protocol."""
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_stdlib_uses(source: str) -> list[tuple[int, str]]:
+    """Each keyword argument named with a leading underscore and each private name of a stdlib object, with its line.
+
+    A stdlib object is a builtin or a name bound by importing a stdlib
+    module or a name from one; its private names are attributes read from it
+    and names imported from the module.
+    """
+    tree = ast.parse(source)
+    stdlib = set(dir(builtins))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            stdlib.update(
+                alias.asname or alias.name.split(".")[0]
+                for alias in node.names
+                if alias.name.split(".")[0] in sys.stdlib_module_names
+            )
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.split(".")[0] in sys.stdlib_module_names:
+            for alias in node.names:
+                if _private(alias.name):
+                    found.append((node.lineno, f"from {node.module} import {alias.name}"))
+                stdlib.add(alias.asname or alias.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg is not None and _private(node.arg):
+            found.append((node.lineno, f"{node.arg}="))
+        elif isinstance(node, ast.Attribute) and _private(node.attr):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in stdlib:
+                found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ALL_MODULES)
+def test_no_private_stdlib_api(name):
+    found = private_stdlib_uses((PACKAGE / f"{name}.py").read_text())
+    assert not found, f"fiqs.{name} uses private stdlib API (line, use): {found}"
+
+
+def test_private_stdlib_use_is_caught():
+    source = (
+        "from fractions import Fraction\n"
+        "import fractions as fr\n"
+        "from os.path import _get_sep\n"
+        "x = Fraction(1, 2, _normalize=False)\n"
+        "y = Fraction._from_coprime_ints(1, 2) + fr.Fraction._normalize\n"
+        "z = int.__instancecheck__(1) and mine._private and f(_own=1)\n"
+    )
+    assert private_stdlib_uses(source) == [
+        (3, "from os.path import _get_sep"),
+        (4, "_normalize="),
+        (5, "Fraction._from_coprime_ints"),
+        (5, "fr.Fraction._normalize"),
+        (6, "_own="),
+    ]

@@ -14,6 +14,7 @@ import importlib
 import os
 import pickle
 import pkgutil
+import re
 import shutil
 import subprocess
 from pathlib import Path
@@ -151,3 +152,32 @@ def test_record_path_under_python310():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["3.10", "3"]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fiqs.classify(DefiningMatrix(2, 1.0, -1, -2)), "DefiningMatrix field 'a' must be an int, got 1.0"),
+        (lambda: fiqs.classify(DefiningMatrix(2, "1", -1, -2)), "DefiningMatrix field 'a' must be an int, got '1'"),
+        (
+            lambda: fiqs.record_from_matrix(DefiningMatrix(3, 3, 1, -2, -2.0)),
+            "DefiningMatrix field 'd' must be an int, got -2.0",
+        ),
+        (
+            lambda: surface_record(SeriesKey(SeriesId(3, "s11"), 3.0, 3, -2, -2)),
+            "SeriesKey field 'iota_plus' must be an int, got 3.0",
+        ),
+        (
+            lambda: fiqs.matrix_from_eta(SeriesKey(SeriesId(3, "s11"), 3, 3, -2.0, -2)),
+            "SeriesKey field 'c' must be an int, got -2.0",
+        ),
+        (lambda: fiqs.resolution_graph(SeriesKey(SeriesId(2, "s22"), 1, 1, "-2")), "SeriesKey field 'c' must be an int"),
+    ],
+)
+def test_non_int_fields_are_named(call, message):
+    """Going from a key to its matrix or back names a field that is not an int, as RawMatrix does.
+
+    No float record comes out, and no bare TypeError from the residue tables.
+    """
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
