@@ -39,9 +39,10 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import repeat
 from math import lcm
+from operator import not_
 from typing import Callable, TextIO
 
 from .canon import NormalFormError, canonicalize, raw_from_matrix
@@ -59,10 +60,11 @@ from .invariants import (
     record_from_matrix,
     surface_record,
 )
-from .kaehler import _ke_criterion, barycenter_oracle, barycenters
+from .kaehler import Barycenter, _ke_criterion, barycenter_oracle, barycenters
 from .series import (
     SERIES_IDS,
     SERIES_TAGS,
+    DefiningMatrix,
     SeriesKey,
     _CLASS_WEIGHTS,
     _check_rho,
@@ -583,161 +585,119 @@ def _ke_explicit_ranges(rho: int, iota: int) -> list[SeriesKey]:
             out.append(SeriesKey(SERIES_IDS[1, "s11"], iota, iota))
         if iota % 4 == 0:
             out.append(SeriesKey(SERIES_IDS[1, "s22"], iota, iota))
-        return out
-    if rho != 3:
-        return out
-    if iota % 2 == 1:
-        for c in range(-iota + 1, -1):
-            for d in range(max(c, -2 * iota - 2 * c), -iota - c):
-                out.append(SeriesKey(SERIES_IDS[3, "s11"], iota, iota, c, d))
-    for c in range(-2 * iota + 1, -1):
-        for d in range(max(c, -4 * iota - 2 * c), -2 * iota - c):
-            out.append(SeriesKey(SERIES_IDS[3, "s22"], iota, iota, c, d))
+    elif rho == 3:
+        if iota % 2 == 1:
+            for c in range(-iota + 1, -1):
+                for d in range(max(c, -2 * iota - 2 * c), -iota - c):
+                    out.append(SeriesKey(SERIES_IDS[3, "s11"], iota, iota, c, d))
+        for c in range(-2 * iota + 1, -1):
+            for d in range(max(c, -4 * iota - 2 * c), -2 * iota - c):
+                out.append(SeriesKey(SERIES_IDS[3, "s22"], iota, iota, c, d))
     return out
 
 
-def verify_claims(iota_max: int) -> VerifyReport:
-    """Re-check the internal consistency suites and, at full scale, the census.
+class _Index:
+    """One (rho, iota) of the scan: its surfaces, its bounds and, listed on first use, its explicit KE keys."""
 
-    Oracle suites run over Gorenstein index up to min(iota_max, 30), the
-    comparison of the closed-form barycenters with the polygon oracle up to
-    min(iota_max, 20), bound and round-trip suites up to min(iota_max, 50);
-    the full-scale census totals are checked whenever iota_max >= 200
-    (computed at 200).  The bounds are built once per (rho, iota), and each
-    surface's closed-form barycenters are evaluated once, for both the KE
-    criterion and the polygon comparison.  A ``canonicalize`` that raises on
-    a normal form counts as a mismatch of its claim.
+    def __init__(self, rho: int, iota: int) -> None:
+        self.rho, self.iota, self.bounds, self.pairs = rho, iota, _index_bounds(rho, iota), enumerate_all(rho, iota)
+
+    @cached_property
+    def ke_keys(self) -> set[SeriesKey] | None:
+        """The keys the explicit ranges name; None if they name one twice or name one that is no surface here."""
+        named = _ke_explicit_ranges(self.rho, self.iota)
+        keys = set(named)
+        return keys if len(keys) == len(named) and keys <= {key for key, _ in self.pairs} else None
+
+
+class _Surface:
+    """One surface of the scan, classified once; its closed-form barycenters are evaluated on first use."""
+
+    __slots__ = ("index", "key", "m", "rec", "_bcs")
+
+    def __init__(self, index: _Index, key: SeriesKey, m: DefiningMatrix) -> None:
+        self.index, self.key, self.m, self.rec, self._bcs = index, key, m, record_from_matrix(m), None
+
+    @property
+    def bcs(self) -> list[Barycenter]:
+        if self._bcs is None:
+            self._bcs = barycenters(self.m)
+        return self._bcs
+
+
+def _canonical_form_fixed(s: _Surface) -> bool:
+    try:
+        return canonicalize(raw_from_matrix(s.m)) == s.m
+    except NormalFormError:
+        return False
+
+
+# The claims checked surface by surface, in report order: the claim, the largest
+# Gorenstein index it is checked to, and its test on one surface (true when the
+# surface satisfies the claim).  The tests look their oracles up when called.
+_SURFACE_CLAIMS: tuple[tuple[str, int, Callable[[_Surface], bool]], ...] = (
+    ("class group formula = smith oracle", 30, lambda s: s.rec.class_group == class_group_oracle(s.m)),
+    ("local gorenstein formula = solve oracle", 30,
+     lambda s: s.rec.key.iota_plus == local_gorenstein_oracle(s.m, "plus")
+     and s.rec.key.iota_minus == local_gorenstein_oracle(s.m, "minus")),
+    ("local gorenstein divides local order", 50, lambda s: s.rec.local.orders["x+"] % s.rec.key.iota_plus == 0
+     and s.rec.local.orders["x-"] % s.rec.key.iota_minus == 0),
+    ("gorenstein index = lcm of local indices", 50,
+     lambda s: lcm(s.rec.key.iota_plus, s.rec.key.iota_minus) == s.index.iota),
+    ("degree matrix form = series form", 50, lambda s: s.rec.degree == degree_from_eta(s.key)),
+    ("picard matrix form = series form", 50, lambda s: s.rec.picard_index == picard_index_from_eta(s.key)),
+    ("ke family rule = barycenter test", 30, lambda s: s.rec.ke == _ke_criterion(s.bcs)),
+    ("barycenters = polygon dual centroids", 20,
+     lambda s: all((bc.x, bc.y) == barycenter_oracle(s.m, bc.kappa) for bc in s.bcs)),
+    ("chain determinant = local order", 30,
+     lambda s: all(chain_determinant(ch) == s.rec.local.orders[p] for p, ch in s.rec.resolution.chains.items())),
+    ("degree, log canonicity, picard bounds", 50,
+     lambda s: not _bounds_violations(s.index.bounds, s.key, s.rec.degree, s.rec.log_canonicity, s.rec.picard_index)),
+    ("gorenstein index divides picard index", 50, lambda s: s.rec.picard_index % s.index.iota == 0),
+    ("positivity: degree > 0, 0 < eps <= 1", 50, lambda s: s.rec.degree > 0 and 0 < s.rec.log_canonicity <= 1),
+    ("classify inverts matrix_from_eta", 50, lambda s: s.key.iota == s.index.iota and s.rec.key == s.key),
+    ("canonicalize fixes canonical raw form", 30, _canonical_form_fixed),
+    ("ke explicit ranges = ke inequality predicate", 30,
+     lambda s: s.index.ke_keys is not None and s.rec.ke == (s.key in s.index.ke_keys)),
+)
+
+# Surfaces are checked a batch at a time, one claim over the whole batch: about a fifth
+# faster than every claim on one surface in turn, and only a batch's records are held.
+_BATCH = 256
+
+
+def verify_claims(iota_max: int) -> VerifyReport:
+    """Re-check the claims of the classification, its oracle suites and, at full scale, the census.
+
+    Each claim of ``_SURFACE_CLAIMS`` runs on every surface up to its own Gorenstein index cap, and
+    its report line names min(iota_max, cap): the oracles (Smith form, exact solve, barycenter test,
+    chain determinants, canonicalize, explicit KE ranges) to 30, the polygon oracle to 20, the rest
+    to 50.  A claim counts the surfaces that fail it.  The census totals are checked whenever
+    iota_max >= 200 (computed at 200).
     """
     if iota_max < 1:
         raise ValueError(f"iota_max must be positive, got {iota_max}")
-    results: list[ClaimResult] = []
-    notes: list[str] = []
-
-    oracle_cap = min(iota_max, 30)
-    bound_cap = min(iota_max, 50)
-    polygon_cap = min(iota_max, 20)
-
-    mismatch = {
-        "class group formula = smith oracle": 0,
-        "local gorenstein formula = solve oracle": 0,
-        "local gorenstein divides local order": 0,
-        "gorenstein index = lcm of local indices": 0,
-        "degree matrix form = series form": 0,
-        "picard matrix form = series form": 0,
-        "ke family rule = barycenter test": 0,
-        "barycenters = polygon dual centroids": 0,
-        "chain determinant = local order": 0,
-        "degree, log canonicity, picard bounds": 0,
-        "gorenstein index divides picard index": 0,
-        "positivity: degree > 0, 0 < eps <= 1": 0,
-        "classify inverts matrix_from_eta": 0,
-        "canonicalize fixes canonical raw form": 0,
-        "ke explicit ranges = ke inequality predicate": 0,
-    }
-    combined_eps_flags = 0
-
+    failures = [0] * len(_SURFACE_CLAIMS)
+    low_eps = 0
     for rho in (1, 2, 3):
-        for iota in range(1, bound_cap + 1):
-            enumerated = enumerate_all(rho, iota)
-            bounds = _index_bounds(rho, iota)
-            eps_note = Fraction(2, iota)
-            ke_keys = []
-            for key, m in enumerated:
-                rec = record_from_matrix(m)
-                if key.iota != iota or rec.key != key:
-                    mismatch["classify inverts matrix_from_eta"] += 1
-                if iota <= oracle_cap:
-                    try:
-                        fixed = canonicalize(raw_from_matrix(m)) == m
-                    except NormalFormError:
-                        fixed = False
-                    if not fixed:
-                        mismatch["canonicalize fixes canonical raw form"] += 1
+        for iota in range(1, min(iota_max, max(cap for _, cap, _ in _SURFACE_CLAIMS)) + 1):
+            index, eps_note = _Index(rho, iota), Fraction(2, iota)
+            tests = [(n, test) for n, (_, cap, test) in enumerate(_SURFACE_CLAIMS) if iota <= cap]
+            for start in range(0, len(index.pairs), _BATCH):
+                surfaces = [_Surface(index, key, m) for key, m in index.pairs[start : start + _BATCH]]
+                for n, test in tests:
+                    failures[n] += sum(map(not_, map(test, surfaces)))
+                low_eps += sum(s.rec.log_canonicity < eps_note for s in surfaces)
 
-                ip, im = rec.key.iota_plus, rec.key.iota_minus
-                if lcm(ip, im) != iota:
-                    mismatch["gorenstein index = lcm of local indices"] += 1
-                orders = rec.local.orders
-                if orders["x+"] % ip != 0 or orders["x-"] % im != 0:
-                    mismatch["local gorenstein divides local order"] += 1
-
-                deg, eps, pic = rec.degree, rec.log_canonicity, rec.picard_index
-                if deg != degree_from_eta(key):
-                    mismatch["degree matrix form = series form"] += 1
-                if pic != picard_index_from_eta(key):
-                    mismatch["picard matrix form = series form"] += 1
-                if pic % iota != 0:
-                    mismatch["gorenstein index divides picard index"] += 1
-                if not (deg > 0 and 0 < eps <= 1):
-                    mismatch["positivity: degree > 0, 0 < eps <= 1"] += 1
-                if _bounds_violations(bounds, key, deg, eps, pic):
-                    mismatch["degree, log canonicity, picard bounds"] += 1
-                if eps < eps_note:
-                    combined_eps_flags += 1
-
-                if rec.ke:
-                    ke_keys.append(key)
-
-                if iota <= oracle_cap:
-                    if rec.class_group != class_group_oracle(m):
-                        mismatch["class group formula = smith oracle"] += 1
-                    if ip != local_gorenstein_oracle(m, "plus") or im != local_gorenstein_oracle(m, "minus"):
-                        mismatch["local gorenstein formula = solve oracle"] += 1
-                    bcs = barycenters(m)
-                    if rec.ke != _ke_criterion(bcs):
-                        mismatch["ke family rule = barycenter test"] += 1
-                    if iota <= polygon_cap:
-                        for bc in bcs:
-                            if (bc.x, bc.y) != barycenter_oracle(m, bc.kappa):
-                                mismatch["barycenters = polygon dual centroids"] += 1
-                    for label, chain in rec.resolution.chains.items():
-                        if chain and chain_determinant(chain) != orders[label]:
-                            mismatch["chain determinant = local order"] += 1
-                        if not chain and orders[label] != 1:
-                            mismatch["chain determinant = local order"] += 1
-
-            if rho in (1, 3) and iota <= oracle_cap:
-                explicit = sorted(_ke_explicit_ranges(rho, iota))
-                if explicit != sorted(ke_keys):
-                    mismatch["ke explicit ranges = ke inequality predicate"] += 1
-
-    for claim, n in mismatch.items():
-        results.append(ClaimResult(f"{claim} (iota <= {bound_cap})", 0, n, n == 0))
-    if combined_eps_flags:
-        notes.append(
-            f"{combined_eps_flags} surfaces with eps < 2/iota "
-            "(the cross-rho combined lower bound; the per-rho bound 1/iota holds)"
-        )
-
-    results.append(
-        ClaimResult(
-            "census claim arithmetic 883 + 71198 + 15466258",
-            CENSUS_TOTAL,
-            sum(c for c, _ in CENSUS_CLAIMS.values()),
-            sum(c for c, _ in CENSUS_CLAIMS.values()) == CENSUS_TOTAL,
-        )
-    )
-
+    checks = [(f"{name} (iota <= {min(iota_max, cap)})", 0, n) for (name, cap, _), n in zip(_SURFACE_CLAIMS, failures)]
+    claimed = [n for n, _ in CENSUS_CLAIMS.values()]
+    checks.append((f"census claim arithmetic {' + '.join(map(str, claimed))}", CENSUS_TOTAL, sum(claimed)))
     if iota_max >= CENSUS_IOTA_MAX:
-        grand = 0
-        for rho, (expect_n, expect_ke) in CENSUS_CLAIMS.items():
-            table = count(rho, CENSUS_IOTA_MAX)
-            grand += table.total
-            results.append(
-                ClaimResult(
-                    f"rho={rho} count at iota <= 200", expect_n, table.total, table.total == expect_n
-                )
-            )
-            results.append(
-                ClaimResult(
-                    f"rho={rho} KE count at iota <= 200",
-                    expect_ke,
-                    table.ke_total,
-                    table.ke_total == expect_ke,
-                )
-            )
-        results.append(
-            ClaimResult("total count at iota <= 200", CENSUS_TOTAL, grand, grand == CENSUS_TOTAL)
-        )
-
-    return VerifyReport(tuple(results), tuple(notes))
+        at, tables = f"at iota <= {CENSUS_IOTA_MAX}", {rho: count(rho, CENSUS_IOTA_MAX) for rho in CENSUS_CLAIMS}
+        for rho, (n, ke) in CENSUS_CLAIMS.items():
+            checks.append((f"rho={rho} count {at}", n, tables[rho].total))
+            checks.append((f"rho={rho} KE count {at}", ke, tables[rho].ke_total))
+        checks.append((f"total count {at}", CENSUS_TOTAL, sum(t.total for t in tables.values())))
+    results = tuple(ClaimResult(name, expected, got, got == expected) for name, expected, got in checks)
+    note = f"{low_eps} surfaces with eps < 2/iota (the cross-rho combined lower bound; the per-rho bound 1/iota holds)"
+    return VerifyReport(results, (note,) if low_eps else ())

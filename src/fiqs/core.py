@@ -35,9 +35,10 @@ class IntMatrix:
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+            raise ValueError(f"expected {self.rows * self.cols} entries, got {len(self.entries)}")
+        if not all(map(int.__instancecheck__, self.entries)):
+            k, x = next((k, x) for k, x in enumerate(self.entries) if not isinstance(x, int))
+            raise ValueError(f"entry {k % self.cols + 1} of row {k // self.cols + 1} must be an int, got {x!r}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> IntMatrix:
@@ -45,11 +46,7 @@ class IntMatrix:
         ncols = len(rows[0]) if nrows else 0
         if any(len(r) != ncols for r in rows):
             raise ValueError("ragged rows")
-        entries = tuple(x for r in rows for x in r)
-        if not all(map(int.__instancecheck__, entries)):
-            k, x = next((k, x) for k, x in enumerate(entries) if not isinstance(x, int))
-            raise ValueError(f"entry {k % ncols + 1} of row {k // ncols + 1} must be an int, got {x!r}")
-        return cls(nrows, ncols, entries)
+        return cls(nrows, ncols, tuple(x for r in rows for x in r))
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols : (i + 1) * self.cols]

@@ -195,8 +195,8 @@ def is_ke_oracle(m: DefiningMatrix) -> bool:
 
     True when x = 0 and y > 0 for every special kappa.  The closed forms are
     tied to the geometry by comparing them with :func:`barycenter_oracle`
-    (``verify_claims`` does so for iota <= 20, on the same evaluation of
-    :func:`barycenters` that it tests with the criterion).
+    (``verify_claims`` does so up to its polygon claim's index cap, on the
+    same evaluation of :func:`barycenters` that it tests with the criterion).
     """
     return _ke_criterion(barycenters(m))
 

@@ -643,6 +643,41 @@ _ORACLE_MUTANTS = {
         lambda f: lambda iota: (*f(iota)[:2], f(iota)[2] - 1),
         "degree, log canonicity, picard bounds",
     ),
+    "degree series form": (
+        fiqs.census, "degree_from_eta",
+        lambda f: lambda key: f(key) + 1,
+        "degree matrix form = series form",
+    ),
+    "picard series form": (
+        fiqs.census, "picard_index_from_eta",
+        lambda f: lambda key: f(key) + 1,
+        "picard matrix form = series form",
+    ),
+    "ke criterion": (
+        fiqs.census, "_ke_criterion",
+        lambda f: lambda bcs: not f(bcs),
+        "ke family rule = barycenter test",
+    ),
+    "chain determinant": (
+        fiqs.census, "chain_determinant",
+        lambda f: lambda chain: f(chain) + 1,
+        "chain determinant = local order",
+    ),
+    "explicit ke ranges": (
+        fiqs.census, "_ke_explicit_ranges",
+        lambda f: lambda rho, iota: f(rho, iota)[:-1],
+        "ke explicit ranges = ke inequality predicate",
+    ),
+    "explicit ke ranges twice": (
+        fiqs.census, "_ke_explicit_ranges",
+        lambda f: lambda rho, iota: f(rho, iota) * 2,
+        "ke explicit ranges = ke inequality predicate",
+    ),
+    "explicit ke ranges off the series": (
+        fiqs.census, "_ke_explicit_ranges",
+        lambda f: lambda rho, iota: [*f(rho, iota), SeriesKey(SERIES_IDS[3, "s11"], iota, iota, 1, 1)],
+        "ke explicit ranges = ke inequality predicate",
+    ),
 }
 
 
@@ -658,6 +693,48 @@ def test_verify_catches_a_broken_oracle(monkeypatch, capsys, mutant):
     assert failed == {claim}
     assert main(["verify", "--iota-max", "4"]) == 2
     assert f"FAIL {claim}" in capsys.readouterr().out
+
+
+# Each claim whose oracle sees the surface's matrix or index, with that oracle in
+# fiqs.census and the Gorenstein index it is applied to.
+_SCOPED_ORACLES = {
+    "class group formula = smith oracle": ("class_group_oracle", lambda out, m: fiqs.invariants.gorenstein_index(m)),
+    "local gorenstein formula = solve oracle": (
+        "local_gorenstein_oracle", lambda out, m, which: fiqs.invariants.gorenstein_index(m),
+    ),
+    "barycenters = polygon dual centroids": (
+        "barycenter_oracle", lambda out, m, kappa: fiqs.invariants.gorenstein_index(m),
+    ),
+    "canonicalize fixes canonical raw form": ("canonicalize", lambda out, raw: fiqs.invariants.gorenstein_index(out)),
+    "ke explicit ranges = ke inequality predicate": ("_ke_explicit_ranges", lambda out, rho, iota: iota),
+}
+
+
+def test_verify_labels_name_the_scope_checked(monkeypatch):
+    """Each oracle claim's label gives the largest Gorenstein index its oracle was applied to."""
+    seen = {claim: 0 for claim in _SCOPED_ORACLES}
+
+    def recording(claim, name, iota_of):
+        oracle = getattr(fiqs.census, name)
+
+        def wrapped(*args):
+            out = oracle(*args)
+            seen[claim] = max(seen[claim], iota_of(out, *args))
+            return out
+
+        return wrapped
+
+    for claim, (name, iota_of) in _SCOPED_ORACLES.items():
+        monkeypatch.setattr(fiqs.census, name, recording(claim, name, iota_of))
+    report = verify_claims(21)
+    assert report.ok, report.to_text()
+    caps = {}
+    for r in report.results:
+        name, _, cap = r.claim.partition(" (iota <= ")
+        if cap:
+            caps[name] = int(cap.removesuffix(")"))
+    assert {claim: caps[claim] for claim in seen} == seen
+    assert seen["barycenters = polygon dual centroids"] == 20
 
 
 def test_errors_on_nonpositive_bounds():

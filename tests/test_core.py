@@ -58,6 +58,21 @@ class TestFromRows:
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "shape, entries, message",
+    [
+        ((2, 2), (2.9, 0, 0, 4), "entry 1 of row 1 must be an int, got 2.9"),
+        ((2, 2), (1, 0, 0, "3"), "entry 2 of row 2 must be an int, got '3'"),
+        ((3, 3), (1, 0, 0, 0, 1.0, 0, 0, 0, 1), "entry 2 of row 2 must be an int, got 1.0"),
+    ],
+)
+def test_direct_construction_rejects_non_int_entries(shape, entries, message):
+    """The entry check sits in the constructor, so the oracles' direct builds get it too."""
+    with pytest.raises(ValueError) as info:
+        IntMatrix(*shape, entries)
+    assert str(info.value) == message
+
+
 class TestSmith:
     def test_zero_matrix(self):
         snf = smith_normal_form(IntMatrix.from_rows([[0, 0], [0, 0]]))

@@ -1,7 +1,8 @@
 """Module hygiene of the fiqs package, read with the stdlib ast module.
 
 Every name a module lists in ``__all__`` exists, no module other than the
-package ``__init__`` imports a name it never uses, and no module reaches
+package ``__init__`` imports a name it never uses, every module-level
+private name is used somewhere in the package, and no module reaches
 into private stdlib API, which may differ between the Python versions that
 ``pyproject.toml`` accepts (``Fraction(..., _normalize=False)`` exists on
 3.11 but not on 3.12).
@@ -121,3 +122,58 @@ def test_private_stdlib_use_is_caught():
         (5, "fr.Fraction._normalize"),
         (6, "_own="),
     ]
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """Each module-level private name that no code in ``sources`` names outside its own definition.
+
+    ``sources`` maps module names to their source.  A private name has one
+    leading underscore (dunders are exempt).  It is defined by a top-level
+    def, class or assignment; any other statement of any module that reads
+    it, imports it or reads it as an attribute refers to it.
+    """
+    defined = []
+    refs: dict[str, set[tuple[str, int]]] = {}
+    for module, source in sources.items():
+        for index, stmt in enumerate(ast.parse(source).body):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                bound = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                targets = [n.id for t in bound for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                targets = []
+            defined += [(module, index, name) for name in targets if _private(name)]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    names = []
+                for name in names:
+                    refs.setdefault(name, set()).add((module, index))
+    return sorted(
+        (module, name) for module, index, name in defined if not refs.get(name, set()) - {(module, index)}
+    )
+
+
+def test_no_unreferenced_private_names():
+    sources = {name: (PACKAGE / f"{name}.py").read_text() for name in ALL_MODULES}
+    unreferenced = unreferenced_private_names(sources)
+    assert not unreferenced, f"private module-level names nothing in fiqs refers to (module, name): {unreferenced}"
+
+
+def test_unreferenced_private_name_is_caught():
+    sources = {
+        "a": (
+            "_used = 1\n_unused = 2\n_pair, _other = 3, 4\n__dunder__ = 5\n_exported: int = 6\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "class _Node:\n    def f(self) -> _Node:\n        return self._used_attr\n"
+            "def public():\n    return _used + _pair + _lone_attr\n"
+        ),
+        "b": "from a import _exported\nimport a\nx = a._Node\n",
+    }
+    assert unreferenced_private_names(sources) == [("a", "_other"), ("a", "_recursive"), ("a", "_unused")]
