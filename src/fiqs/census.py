@@ -17,7 +17,7 @@ Record export uses a fixed JSONL / CSV schema; exact rationals travel as
 builds no record: the field kernel ``fiqs.invariants._fields`` checks each key
 as :func:`~fiqs.invariants.surface_record` does and gives its values, and one
 text kernel per format (``_json_text``, ``_csv_row``) writes them, with the
-chains from a memo by local order, since the all-(-2) chains recur.  The
+chains of small local order from a memo, since those recur.  The
 record encoders pass a record's fields to the same kernels:
 :func:`record_to_json_line` equals ``json.dumps(record_to_obj(rec),
 separators=(",", ":"))`` byte for byte, :func:`record_to_obj` being the
@@ -48,6 +48,7 @@ from typing import Callable, TextIO
 from .canon import NormalFormError, canonicalize, raw_from_matrix
 from .invariants import (
     _ELLIPTIC,
+    _SHARED_ORDER_MAX,
     POINT_LABELS,
     SurfaceRecord,
     _chain,
@@ -238,9 +239,7 @@ _JSON_FIELDS = (
     "cl_torsion", "degree", "log_canonicity", "picard_index", "ke", "local_orders", "resolution",
 )
 
-CSV_COLUMNS = _JSON_FIELDS[:15] + tuple(
-    f"local_{p}" for p in POINT_LABELS[3]
-) + tuple(f"resolution_{p}" for p in POINT_LABELS[3])
+CSV_COLUMNS = _JSON_FIELDS[:15] + tuple(f"{f}_{p}" for f in ("local", "resolution") for p in POINT_LABELS[3])
 
 
 def record_to_obj(rec: SurfaceRecord) -> dict:
@@ -270,7 +269,17 @@ def record_to_obj(rec: SurfaceRecord) -> dict:
 @lru_cache(maxsize=1024)
 def _chain_text(rho: int, order: int, elliptic: bool, sep: str) -> str:
     """A point's resolution chain joined by sep, memoised by its order: the all-(-2) chains recur."""
-    return sep.join(map(str, _chain(rho, order, elliptic)))
+    chain = _chain(rho, order, elliptic)
+    if len(set(chain)) == 1:  # one weight, as in every long chain: its text once, repeated
+        return sep.join(repeat(str(chain[0]), len(chain)))
+    return sep.join(map(str, chain))
+
+
+def _chain_texts(rho: int, o: tuple[int, ...], sep: str) -> list[str]:
+    """Each point's chain text; only orders up to _SHARED_ORDER_MAX go to the memo, so no long text stays alive."""
+    return [
+        (_chain_text if n <= _SHARED_ORDER_MAX else _chain_text.__wrapped__)(rho, n, e, sep) for n, e in zip(o, _ELLIPTIC)
+    ]
 
 
 # Per rho, the local_orders and resolution members of a JSON line, with a %s per point.
@@ -285,7 +294,7 @@ def _json_text(key: SeriesKey, a: int, b: int, o: tuple[int, ...], values: tuple
     rho = key.series.rho
     iota, torsion, deg, eps, pic, ke = values
     local, resolution = _JSON_POINTS[rho]
-    chains = tuple(map(_chain_text, repeat(rho), o, _ELLIPTIC, repeat(",")))
+    chains = tuple(_chain_texts(rho, o, ","))
     c, d = key.c, key.d
     return (
         f'{{"rho":{rho},"series":"{key.series.tag}","iota_plus":{key.iota_plus},'
@@ -308,7 +317,7 @@ def _csv_row(key: SeriesKey, a: int, b: int, o: tuple[int, ...], values: tuple) 
         str(rho), key.series.tag, str(key.iota_plus), str(key.iota_minus),
         "" if c is None else str(c), "" if d is None else str(d), str(a), str(b), str(iota), str(rho), str(torsion),
         f"{deg.numerator}/{deg.denominator}", f"{eps.numerator}/{eps.denominator}", str(pic), "true" if ke else "false",
-        *map(str, o), *absent, *map(_chain_text, repeat(rho), o, _ELLIPTIC, repeat(";")), *absent,
+        *map(str, o), *absent, *_chain_texts(rho, o, ";"), *absent,
     ]
 
 

@@ -15,6 +15,12 @@ paired with an independent oracle where the derivation allows it:
   from the local class group orders: those of x+/x- are w+ iota+ and
   w- iota-, so the chain centres need no series table.
 
+Records share their values: the degree, log canonicity and x+/x- chains
+come from bounded memos keyed by the local orders they read (typed, so a
+float order still fails), the class group from one keyed by (rho, torsion),
+and interior chains of small order from a table.  All are immutable, so
+sharing changes no comparison, pickle or copy of a record.
+
 Input is checked once, at the boundary.  Each public closed form checks its
 matrix (:func:`fiqs.canon.validate`) or its key (the series predicate),
 raising ``ValueError`` on failure, and then calls an unchecked kernel.
@@ -28,6 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import repeat
 from math import gcd, lcm, prod
 
 from .canon import _checked, classify
@@ -63,6 +71,7 @@ SIGMA_RAY_COLUMNS: dict[int, dict[str, tuple[int, int, int]]] = {
 # p/q * (1/o[x+] + 1/o[x-]), log canonicity e/o[x-], class group torsion
 # gcd(o[x+], t*o[x0], o[x1], ...), Picard index prod(o) / torsion.
 _ORDER_FORMS = {1: (4, 1, 4, 2), 2: (9, 2, 3, 1), 3: (4, 1, 2, 1)}
+_MEMO_SIZE = 4096  # entries per memo of a shared record value
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,13 +120,18 @@ def _torsion(rho: int, o: tuple[int, ...]) -> int:
     return gcd(o[0], _ORDER_FORMS[rho][3] * o[2], *o[3:])
 
 
-def _degree(rho: int, o: tuple[int, ...]) -> Fraction:
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _degree(rho: int, op: int, om: int) -> Fraction:
     p, q = _ORDER_FORMS[rho][:2]
-    return Fraction(p * (o[0] + o[1]), q * o[0] * o[1])
+    return Fraction(p * (op + om), q * op * om)
 
 
-def _log_canonicity(rho: int, o: tuple[int, ...]) -> Fraction:
-    return Fraction(_ORDER_FORMS[rho][2], o[1])
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _log_canonicity(rho: int, om: int) -> Fraction:
+    return Fraction(_ORDER_FORMS[rho][2], om)
+
+
+_class_group = lru_cache(maxsize=_MEMO_SIZE, typed=True)(ClassGroup)
 
 
 def _picard_index(o: tuple[int, ...], torsion: int) -> int:
@@ -130,14 +144,24 @@ def _picard_index(o: tuple[int, ...], torsion: int) -> int:
 # Per point in POINT_LABELS order: whether it is elliptic (x+, x-) or interior.
 _ELLIPTIC = (True, True, False, False, False)
 
+# Chains are shared up to this local order: _A_CHAINS[n] is the interior chain
+# (-2,)*(n-1), and fiqs.census memoises chain texts up to the same order only.
+_SHARED_ORDER_MAX = 256
+_A_CHAINS = tuple((-2,) * (n - 1) for n in range(_SHARED_ORDER_MAX + 1))
 
-def _chain(rho: int, order: int, elliptic: bool) -> tuple[int, ...]:
-    """The resolution chain of a point from its local order: w iota at x+/x-, n at an A_(n-1) point."""
-    if not elliptic:
-        return (-2,) * (order - 1)
+
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _end_chain(rho: int, order: int) -> tuple[int, ...]:
     if rho == 1:
         return (-2, -1 - order // 4, -2)
     return () if order == 1 else (-2, -(1 + order) // 2) if rho == 2 else (-order,)
+
+
+def _chain(rho: int, order: int, elliptic: bool) -> tuple[int, ...]:
+    """The resolution chain of a point from its local order: w iota at x+/x-, n at an A_(n-1) point."""
+    if elliptic:
+        return _end_chain(rho, order)
+    return _A_CHAINS[order] if order <= _SHARED_ORDER_MAX else (-2,) * (order - 1)
 
 
 def _fields(key: SeriesKey) -> tuple:
@@ -148,7 +172,7 @@ def _fields(key: SeriesKey) -> tuple:
     m = _checked(matrix_from_eta(key))
     rho, o = m.rho, _orders(m)
     torsion = _torsion(rho, o)
-    values = key.iota, torsion, _degree(rho, o), _log_canonicity(rho, o), _picard_index(o, torsion), _ke_rule(key)
+    values = key.iota, torsion, _degree(rho, *o[:2]), _log_canonicity(rho, o[1]), _picard_index(o, torsion), _ke_rule(key)
     return m.a, m.b, o, values
 
 
@@ -159,10 +183,7 @@ def _local_data(key: SeriesKey, o: tuple[int, ...]) -> LocalData:
 
 
 def _resolution(rho: int, o: tuple[int, ...]) -> ResolutionGraph:
-    chains = {"x+": _chain(rho, o[0], True), "x-": _chain(rho, o[1], True)}
-    for label, order in zip(POINT_LABELS[rho][2:], o[2:]):
-        chains[label] = _chain(rho, order, False)
-    return ResolutionGraph(chains)
+    return ResolutionGraph(dict(zip(POINT_LABELS[rho], map(_chain, repeat(rho), o, _ELLIPTIC))))
 
 
 def _record(key: SeriesKey, m: DefiningMatrix) -> SurfaceRecord:
@@ -172,11 +193,11 @@ def _record(key: SeriesKey, m: DefiningMatrix) -> SurfaceRecord:
     return SurfaceRecord(
         key,
         m,
-        ClassGroup(rho, torsion),
+        _class_group(rho, torsion),
         _local_data(key, o),
         key.iota,
-        _degree(rho, o),
-        _log_canonicity(rho, o),
+        _degree(rho, o[0], o[1]),
+        _log_canonicity(rho, o[1]),
         _picard_index(o, torsion),
         _ke_rule(key),
         _resolution(rho, o),
@@ -185,7 +206,7 @@ def _record(key: SeriesKey, m: DefiningMatrix) -> SurfaceRecord:
 
 def class_group(m: DefiningMatrix) -> ClassGroup:
     """Divisor class group: free of rank rho, torsion by the gcd formula."""
-    return ClassGroup(m.rho, _torsion(m.rho, _orders(_checked(m))))
+    return _class_group(m.rho, _torsion(m.rho, _orders(_checked(m))))
 
 
 def class_group_oracle(m: DefiningMatrix) -> ClassGroup:
@@ -241,7 +262,7 @@ def gorenstein_index(m: DefiningMatrix) -> int:
 
 def degree(m: DefiningMatrix) -> Fraction:
     """Anticanonical self-intersection from the matrix parameters."""
-    return _degree(m.rho, _orders(_checked(m)))
+    return _degree(m.rho, *_orders(_checked(m))[:2])
 
 
 # Per-series numerators of the degree summands n+/iota+ + n-/iota- (for
@@ -264,7 +285,7 @@ def degree_from_eta(key: SeriesKey) -> Fraction:
 
 def log_canonicity(m: DefiningMatrix) -> Fraction:
     """One plus the minimal discrepancy; attained on the sink side by slope ordering."""
-    return _log_canonicity(m.rho, _orders(_checked(m)))
+    return _log_canonicity(m.rho, _orders(_checked(m))[1])
 
 
 def picard_index(m: DefiningMatrix) -> int:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import csv
+import gc
 import hashlib
 import io
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
@@ -191,6 +193,18 @@ def test_export_jsonl_single_surface():
     assert obj["degree"] == "2/1"
     assert obj["local_orders"] == {"x+": 4, "x-": 4, "x0": 2}
     assert obj["c"] is None and obj["d"] is None
+
+
+def test_export_keeps_no_long_chain_alive():
+    """Chains of large local order are written, not memoised: five records near iota 10**5 leave almost nothing behind."""
+    tracemalloc.start()
+    try:
+        assert export_records(1, 1, "jsonl", io.StringIO(), iota=100_001) == 5
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 250_000, f"{kept} bytes still allocated after export"
 
 
 def test_export_csv_header_and_rows():

@@ -2,10 +2,11 @@
 
 Every name a module lists in ``__all__`` exists, no module other than the
 package ``__init__`` imports a name it never uses, every module-level
-private name is used somewhere in the package, and no module reaches
+private name is used somewhere in the package, no module reaches
 into private stdlib API, which may differ between the Python versions that
 ``pyproject.toml`` accepts (``Fraction(..., _normalize=False)`` exists on
-3.11 but not on 3.12).
+3.11 but not on 3.12), and every functools cache has a finite size, so that
+no memo grows with the input.
 """
 
 from __future__ import annotations
@@ -177,3 +178,83 @@ def test_unreferenced_private_name_is_caught():
         "b": "from a import _exported\nimport a\nx = a._Node\n",
     }
     assert unreferenced_private_names(sources) == [("a", "_other"), ("a", "_recursive"), ("a", "_unused")]
+
+
+def unbounded_caches(source: str) -> list[tuple[int, str]]:
+    """Each functools cache that can grow without bound, with its line.
+
+    An ``lru_cache`` must be called with its maxsize (first argument or
+    keyword), written as an int or as a module-level name bound to one;
+    ``lru_cache`` used bare or given a function, ``maxsize=None`` and
+    ``cache`` are unbounded.  ``functools`` may be imported under any name.
+    """
+    tree = ast.parse(source)
+    sizes = {
+        target.id
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Constant) and type(stmt.value.value) is int
+        for target in stmt.targets
+        if isinstance(target, ast.Name)
+    }
+    modules, names = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.asname or alias.name for alias in node.names if alias.name == "functools")
+        elif isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update((alias.asname or alias.name, alias.name) for alias in node.names)
+
+    def kind(node: ast.AST) -> str | None:
+        if isinstance(node, ast.Name):
+            return names.get(node.id)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            return node.attr
+        return None
+
+    called = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    found = []
+    for node in ast.walk(tree):
+        if kind(node) == "cache":
+            found.append((node.lineno, ast.unparse(node)))
+        elif kind(node) == "lru_cache":
+            call = called.get(id(node))
+            size = None
+            if call is not None:
+                size = call.args[0] if call.args else next((k.value for k in call.keywords if k.arg == "maxsize"), None)
+            finite = (isinstance(size, ast.Constant) and type(size.value) is int) or (
+                isinstance(size, ast.Name) and size.id in sizes
+            )
+            if not finite:
+                found.append((node.lineno, ast.unparse(call or node)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ALL_MODULES)
+def test_every_cache_is_bounded(name):
+    found = unbounded_caches((PACKAGE / f"{name}.py").read_text())
+    assert not found, f"fiqs.{name} has caches without a finite maxsize (line, cache): {found}"
+
+
+def test_unbounded_cache_is_caught():
+    source = (
+        "import functools as ft\n"
+        "from functools import cache, cached_property, lru_cache as memo\n"
+        "_SIZE = 64\n"
+        "@memo(maxsize=_SIZE, typed=True)\n"
+        "def f(x): return x\n"
+        "g = ft.lru_cache(128)(f)\n"
+        "@memo\n"
+        "def h(x): return x\n"
+        "k = ft.lru_cache(maxsize=None)(f)\n"
+        "@cache\n"
+        "def m(x): return x\n"
+        "n = ft.cache(f) or memo(f) or memo(maxsize=_other)(f) or memo(typed=True)(f)\n"
+    )
+    assert unbounded_caches(source) == [
+        (7, "memo"),
+        (9, "ft.lru_cache(maxsize=None)"),
+        (10, "cache"),
+        (12, "ft.cache"),
+        (12, "memo(f)"),
+        (12, "memo(maxsize=_other)"),
+        (12, "memo(typed=True)"),
+    ]

@@ -324,3 +324,52 @@ class TestSurfaceRecord:
         calls.update(validate=0, classify=0)
         record_from_matrix(M3)
         assert calls == {"validate": 1, "classify": 1, "matrix_from_eta": 0}
+
+
+# The matrix-parameter forms in the local orders o+ = o[x+], o- = o[x-],
+# written out here: degree p * (1/o+ + 1/o-) and log canonicity e / o-.
+_DEGREE_FACTORS = {1: 4, 2: Fraction(9, 2), 3: 4}
+_LOG_CANONICITY_NUMERATORS = {1: 4, 2: 3, 3: 2}
+_MEMOS = ("_degree", "_log_canonicity", "_class_group", "_end_chain")
+
+
+def _records_up_to_12(surfaces_by_rho):
+    return [record_from_matrix(m) for rho in (1, 2, 3) for _, m in up_to(surfaces_by_rho[rho], 12)]
+
+
+class TestSharedValues:
+    """Records with the same orders hold one object per value, and it is the right value."""
+
+    def test_shared_values_are_correct(self, surfaces_by_rho):
+        for rec in _records_up_to_12(surfaces_by_rho):
+            rho, op, om = rec.key.rho, rec.local.orders["x+"], rec.local.orders["x-"]
+            assert rec.degree == degree_from_eta(rec.key) == _DEGREE_FACTORS[rho] * (Fraction(1, op) + Fraction(1, om))
+            assert rec.log_canonicity == Fraction(_LOG_CANONICITY_NUMERATORS[rho], om)
+
+    def test_equal_orders_share_one_object(self, surfaces_by_rho):
+        first = {}
+        records = _records_up_to_12(surfaces_by_rho)
+        for rec in records:
+            rho, o, chains = rec.key.rho, rec.local.orders, rec.resolution.chains
+            values = {
+                ("degree", rho, o["x+"], o["x-"]): rec.degree,
+                ("log canonicity", rho, o["x-"]): rec.log_canonicity,
+                ("class group", rho, rec.class_group.torsion_order): rec.class_group,
+            }
+            for label, order in o.items():
+                values[("end chain", rho, order) if label in ("x+", "x-") else ("interior chain", order)] = chains[label]
+            for what, value in values.items():
+                assert first.setdefault(what, value) is value, what
+        assert len(first) < len(records)
+
+    def test_values_come_back_after_cache_clear(self, surfaces_by_rho):
+        before = _records_up_to_12(surfaces_by_rho)
+        for name in _MEMOS:
+            getattr(fiqs.invariants, name).cache_clear()
+        assert _records_up_to_12(surfaces_by_rho) == before
+
+    def test_float_field_still_fails(self):
+        """A float order is another memo key: the int result is not returned for it."""
+        assert degree(DefiningMatrix(2, 1, -1, -2)) == Fraction(12, 5)
+        with pytest.raises(TypeError, match="both arguments should be Rational instances"):
+            degree(DefiningMatrix(2, 1.0, -1, -2))
