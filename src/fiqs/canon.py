@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .series import FIRST_TWO_ROWS, SERIES_IDS, DefiningMatrix, SeriesKey, _check_rho, _digit, _non_int, _orders
+from .series import FIRST_TWO_ROWS, SERIES_IDS, DefiningMatrix, SeriesKey, _check_ints, _check_rho, _digit, _orders
 
 __all__ = [
     "NormalFormError",
@@ -146,7 +146,8 @@ def _violations(
 
 
 def validate(m: DefiningMatrix) -> tuple[str, ...]:
-    """Normal-form inequality check; returns the violated inequalities (empty = ok)."""
+    """Normal-form inequality check; returns the violated inequalities (empty = ok), after naming a field not an int."""
+    _check_ints(m, m.a, m.b, m.c, m.d)
     if _HOLDS[m.rho](m.a, m.b, m.c, m.d):
         return ()
     return _violations(m.rho, m.a, m.b, m.c, m.d)
@@ -290,13 +291,7 @@ def canonicalize(m: RawMatrix) -> DefiningMatrix:
 
 def classify(m: DefiningMatrix) -> SeriesKey:
     """The unique (series, eta) whose table matrix equals the given normal form."""
-    try:
-        o = _orders(_checked(m))
-        i, ip = _digit(m.rho, o[0])
-        j, im = _digit(m.rho, o[1])
-    except TypeError:  # a field that is not an int: the inequalities and the residue table take only ints
-        error = _non_int(m)
-        if error is None:
-            raise
-        raise error from None
+    o = _orders(_checked(m))
+    i, ip = _digit(m.rho, o[0])
+    j, im = _digit(m.rho, o[1])
     return SeriesKey(SERIES_IDS[m.rho, f"s{i}{j}"], ip, im, m.c, m.d)

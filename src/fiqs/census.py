@@ -14,11 +14,11 @@ classification plus the internal oracle suites.
 
 Record export uses a fixed JSONL / CSV schema; exact rationals travel as
 "numerator/denominator" strings.  The key determines every field, so export
-builds no record: the field kernel ``fiqs.invariants._fields`` checks each key
-as :func:`~fiqs.invariants.surface_record` does and gives its values, and one
-text kernel per format (``_json_text``, ``_csv_row``) writes them, with the
-chains of small local order from a memo, since those recur.  The
-record encoders pass a record's fields to the same kernels:
+builds no record: ``fiqs.invariants._fields`` checks each key as
+:func:`~fiqs.invariants.surface_record` does and gives the field kernel's
+(m, local orders, values), which one text kernel per format (``_json_text``,
+``_csv_row``) writes, with the chains of small local order from a memo.  The
+record encoders pass the same triple, read back by ``_record_fields``:
 :func:`record_to_json_line` equals ``json.dumps(record_to_obj(rec),
 separators=(",", ":"))`` byte for byte, :func:`record_to_obj` being the
 documented dict form.  CSV rows are the fields joined by commas, unquoted:
@@ -30,7 +30,8 @@ The key (rho, series, iota+, iota-[, c[, d]]) determines every other
 field, so the readers parse only the key, rebuild the record with
 :func:`~fiqs.invariants.surface_record` and accept the input only if it
 is that record's encoding; otherwise they raise ``ValueError`` naming the
-first field that does not parse, differs, is missing or is extra.
+first field that does not parse, differs, is missing or is extra, or the
+resolution, before the record is built, if the input is too short for it.
 """
 
 from __future__ import annotations
@@ -68,6 +69,7 @@ from .series import (
     DefiningMatrix,
     SeriesKey,
     _CLASS_WEIGHTS,
+    _WEIGHTS,
     _check_rho,
     _lcm_pairs_unordered,
     _series_id,
@@ -289,8 +291,8 @@ _JSON_POINTS = {
 }
 
 
-def _json_text(key: SeriesKey, a: int, b: int, o: tuple[int, ...], values: tuple) -> str:
-    """The JSONL text kernel: a key's line from its a, b, local orders o and the values of ``_fields``."""
+def _json_text(key: SeriesKey, m: DefiningMatrix, o: tuple[int, ...], values: tuple) -> str:
+    """The JSONL text kernel: a key's line from the field kernel's (m, local orders o, values)."""
     rho = key.series.rho
     iota, torsion, deg, eps, pic, ke = values
     local, resolution = _JSON_POINTS[rho]
@@ -299,7 +301,7 @@ def _json_text(key: SeriesKey, a: int, b: int, o: tuple[int, ...], values: tuple
     return (
         f'{{"rho":{rho},"series":"{key.series.tag}","iota_plus":{key.iota_plus},'
         f'"iota_minus":{key.iota_minus},"c":{"null" if c is None else c},'
-        f'"d":{"null" if d is None else d},"a":{a},"b":{b},'
+        f'"d":{"null" if d is None else d},"a":{m.a},"b":{m.b},'
         f'"gorenstein_index":{iota},"cl_rank":{rho},"cl_torsion":{torsion},'
         f'"degree":"{deg.numerator}/{deg.denominator}","log_canonicity":"{eps.numerator}/{eps.denominator}",'
         f'"picard_index":{pic},"ke":{"true" if ke else "false"},'
@@ -307,7 +309,7 @@ def _json_text(key: SeriesKey, a: int, b: int, o: tuple[int, ...], values: tuple
     )
 
 
-def _csv_row(key: SeriesKey, a: int, b: int, o: tuple[int, ...], values: tuple) -> list[str]:
+def _csv_row(key: SeriesKey, m: DefiningMatrix, o: tuple[int, ...], values: tuple) -> list[str]:
     """The CSV text kernel: a key's row from what :func:`_json_text` takes; points the rho lacks are empty."""
     rho = key.series.rho
     iota, torsion, deg, eps, pic, ke = values
@@ -315,17 +317,16 @@ def _csv_row(key: SeriesKey, a: int, b: int, o: tuple[int, ...], values: tuple) 
     absent = [""] * (len(POINT_LABELS[3]) - len(o))
     return [
         str(rho), key.series.tag, str(key.iota_plus), str(key.iota_minus),
-        "" if c is None else str(c), "" if d is None else str(d), str(a), str(b), str(iota), str(rho), str(torsion),
+        "" if c is None else str(c), "" if d is None else str(d), str(m.a), str(m.b), str(iota), str(rho), str(torsion),
         f"{deg.numerator}/{deg.denominator}", f"{eps.numerator}/{eps.denominator}", str(pic), "true" if ke else "false",
         *map(str, o), *absent, *_chain_texts(rho, o, ";"), *absent,
     ]
 
 
 def _record_fields(rec: SurfaceRecord) -> tuple:
-    """A record's a, b, local orders and field values, as the text kernels take them."""
-    m = rec.matrix
+    """A record's (m, local orders, values), as the field kernel gives them: the inverse of ``_record``."""
     values = (rec.gorenstein_index, rec.class_group.torsion_order, rec.degree, rec.log_canonicity, rec.picard_index, rec.ke)
-    return m.a, m.b, tuple(rec.local.orders.values()), values
+    return rec.matrix, tuple(rec.local.orders.values()), values
 
 
 def record_to_json_line(rec: SurfaceRecord) -> str:
@@ -363,6 +364,23 @@ def _key_from_fields(
         _key_int("c", c) if rho >= 2 else None,
         _key_int("d", d) if rho == 3 else None,
     )
+
+
+def _room(key: SeriesKey) -> int:
+    """A lower bound on a key's line or row length: three characters per interior weight -2, with its separator.
+
+    An interior point of order n has n - 1 weights, and the interior orders of a member key add up to s/4, s/2
+    and s for rho = 1, 2 and 3, with s = w+ iota+ + w- iota-.
+    """
+    wp, wm = _WEIGHTS[key.series.rho][key.series.tag]
+    return 3 * ((wp * key.iota_plus + wm * key.iota_minus) // (4, 2, 1)[key.series.rho - 1] - key.series.rho)
+
+
+def _rebuild(key: SeriesKey, length: int) -> SurfaceRecord:
+    """The record of a key read from input of this length; ValueError, before its chains are built, if too short."""
+    if length < _room(key):
+        raise ValueError(f"field 'resolution' of {key} needs at least {_room(key)} characters, got {length}")
+    return surface_record(key)
 
 
 # The key fields at the start of a line written by record_to_json_line.
@@ -410,8 +428,9 @@ def record_from_json_line(line: str) -> SurfaceRecord:
     twice (in a nested object too).
     """
     match = _JSON_KEY_PREFIX.match(line)
-    if match:
-        rec = surface_record(_key_from_fields(*match.groups()))
+    key = match and _key_from_fields(*match.groups())
+    if key and len(line) >= _room(key):
+        rec = surface_record(key)
         if record_to_json_line(rec) == line:
             return rec
     try:
@@ -425,7 +444,7 @@ def record_from_json_line(line: str) -> SurfaceRecord:
     for name in _JSON_FIELDS:
         if name not in obj:
             raise ValueError(f"missing field {name!r}")
-    rec = surface_record(_key_from_fields(*(obj[name] for name in _JSON_FIELDS[:6])))
+    rec = _rebuild(_key_from_fields(*(obj[name] for name in _JSON_FIELDS[:6])), len(line))
     want = record_to_obj(rec)
     if json.dumps(obj, sort_keys=True) != json.dumps(want, sort_keys=True):
         for name, value in obj.items():
@@ -443,7 +462,7 @@ def record_to_csv_row(rec: SurfaceRecord) -> list[str]:
 
 
 def record_from_csv_row(row: list[str]) -> SurfaceRecord:
-    """The record of a CSV row's key, if the row is that record's row.
+    """The record of a CSV row's key, if the row is that record's row of text cells.
 
     Only the key columns are parsed; the record is rebuilt with
     :func:`~fiqs.invariants.surface_record` and accepted only if
@@ -455,7 +474,7 @@ def record_from_csv_row(row: list[str]) -> SurfaceRecord:
         raise ValueError(f"extra column after {CSV_COLUMNS[-1]!r}: {row[n]!r}")
     if len(row) < n:
         raise ValueError(f"missing column {CSV_COLUMNS[len(row)]!r}")
-    rec = surface_record(_key_from_fields(*row[:6]))
+    rec = _rebuild(_key_from_fields(*row[:6]), len(",".join(row)))
     want = record_to_csv_row(rec)
     if want != row:
         for name, got, text in zip(CSV_COLUMNS, row, want):

@@ -23,11 +23,11 @@ sharing changes no comparison, pickle or copy of a record.
 
 Input is checked once, at the boundary.  Each public closed form checks its
 matrix (:func:`fiqs.canon.validate`) or its key (the series predicate),
-raising ``ValueError`` on failure, and then calls an unchecked kernel.
-The matrix-parameter forms are written in the local class group orders, one
-kernel per field.  :func:`surface_record` checks once per record and
-assembles the bundle from those kernels; ``_fields`` checks a key the same
-way and gives the field values without one, for the encoders of :mod:`fiqs.census`.
+raising ``ValueError`` on failure, and then calls an unchecked kernel, one
+per field, written in the local class group orders.  One field kernel,
+``_values``, calls them for every record and exported line and returns
+(m, local orders, values); ``_record`` assembles a record from that triple,
+and the encoders of :mod:`fiqs.census` write a line from it.
 """
 
 from __future__ import annotations
@@ -164,18 +164,6 @@ def _chain(rho: int, order: int, elliptic: bool) -> tuple[int, ...]:
     return _A_CHAINS[order] if order <= _SHARED_ORDER_MAX else (-2,) * (order - 1)
 
 
-def _fields(key: SeriesKey) -> tuple:
-    """The field kernel: (a, b, local orders, values) of a key, checked as :func:`surface_record` checks one.
-
-    The values are the Gorenstein index, torsion, degree, log canonicity, Picard index and KE.
-    """
-    m = _checked(matrix_from_eta(key))
-    rho, o = m.rho, _orders(m)
-    torsion = _torsion(rho, o)
-    values = key.iota, torsion, _degree(rho, *o[:2]), _log_canonicity(rho, o[1]), _picard_index(o, torsion), _ke_rule(key)
-    return m.a, m.b, o, values
-
-
 def _local_data(key: SeriesKey, o: tuple[int, ...]) -> LocalData:
     """Orders and local Gorenstein indices: iota+/iota- at x+/x-, one at the interior points."""
     labels = POINT_LABELS[key.series.rho]
@@ -186,21 +174,24 @@ def _resolution(rho: int, o: tuple[int, ...]) -> ResolutionGraph:
     return ResolutionGraph(dict(zip(POINT_LABELS[rho], map(_chain, repeat(rho), o, _ELLIPTIC))))
 
 
-def _record(key: SeriesKey, m: DefiningMatrix) -> SurfaceRecord:
-    o = _orders(m)
-    rho = m.rho
+def _values(key: SeriesKey, m: DefiningMatrix) -> tuple:
+    """The field kernel: (m, local orders, values) of a key and its checked matrix; no other code computes the values."""
+    rho, o = m.rho, _orders(m)
     torsion = _torsion(rho, o)
+    deg, eps = _degree(rho, o[0], o[1]), _log_canonicity(rho, o[1])
+    return m, o, (key.iota, torsion, deg, eps, _picard_index(o, torsion), _ke_rule(key))
+
+
+def _fields(key: SeriesKey) -> tuple:
+    """The field kernel of a key, checked as :func:`surface_record` checks one."""
+    return _values(key, _checked(matrix_from_eta(key)))
+
+
+def _record(key: SeriesKey, m: DefiningMatrix, o: tuple[int, ...], values: tuple) -> SurfaceRecord:
+    """The record of the field kernel's (m, o, values), assembled without computing a value."""
+    iota, torsion, deg, eps, pic, ke = values
     return SurfaceRecord(
-        key,
-        m,
-        _class_group(rho, torsion),
-        _local_data(key, o),
-        key.iota,
-        _degree(rho, o[0], o[1]),
-        _log_canonicity(rho, o[1]),
-        _picard_index(o, torsion),
-        _ke_rule(key),
-        _resolution(rho, o),
+        key, m, _class_group(m.rho, torsion), _local_data(key, o), iota, deg, eps, pic, ke, _resolution(m.rho, o)
     )
 
 
@@ -360,12 +351,13 @@ def surface_record(key: SeriesKey, matrix: DefiningMatrix | None = None) -> Surf
     matrix.  A failed check raises ``ValueError``.
     """
     if matrix is None:
-        matrix = _checked(matrix_from_eta(key))
-    elif classify(matrix) != key:
+        return _record(key, *_fields(key))
+    if classify(matrix) != key:
         raise ValueError(f"matrix {matrix} is not the normal form of {key}")
-    return _record(key, matrix)
+    return _record(key, *_values(key, matrix))
 
 
 def record_from_matrix(m: DefiningMatrix) -> SurfaceRecord:
     """Invariant bundle for a normal-form matrix, classified once."""
-    return _record(classify(m), m)
+    key = classify(m)
+    return _record(key, *_values(key, m))

@@ -56,6 +56,14 @@ def _check_rho(rho: int) -> None:
         raise ValueError(f"rho must be 1, 2 or 3, got {rho}")
 
 
+def _check_shape(rho: int, c: int | None, d: int | None) -> None:
+    """The parameter shape of keys and matrices alike: c is given exactly for rho >= 2, d exactly for rho = 3."""
+    if (c is not None) != (rho >= 2):
+        raise ValueError(f"c must be present exactly for rho >= 2 (rho={rho})")
+    if (d is not None) != (rho == 3):
+        raise ValueError(f"d must be present exactly for rho = 3 (rho={rho})")
+
+
 @dataclass(frozen=True, order=True, slots=True)
 class SeriesId:
     rho: int
@@ -92,13 +100,9 @@ class SeriesKey:
     d: int | None = None
 
     def __post_init__(self) -> None:
-        rho = self.series.rho
         if self.iota_plus < 1 or self.iota_minus < 1:
             raise ValueError("local Gorenstein indices must be positive")
-        if (self.c is not None) != (rho >= 2):
-            raise ValueError(f"c must be present exactly for rho >= 2 (rho={rho})")
-        if (self.d is not None) != (rho == 3):
-            raise ValueError(f"d must be present exactly for rho = 3 (rho={rho})")
+        _check_shape(self.series.rho, self.c, self.d)
 
     @property
     def rho(self) -> int:
@@ -113,19 +117,13 @@ class SeriesKey:
         return tuple(v for v in (self.iota_plus, self.iota_minus, self.c, self.d) if v is not None)
 
 
-_INT_OR_NONE = (int, type(None))
-
-
-def _non_int(obj: SeriesKey | DefiningMatrix) -> ValueError | None:
-    """The error naming the first field of a key or matrix that is not an int (c, d may be None), if any.
-
-    The test is RawMatrix's.  The constructors, which run several times per record, do not apply it.
-    """
-    for name in obj.__slots__:
-        value = getattr(obj, name)
-        if name != "series" and not isinstance(value, _INT_OR_NONE if name in ("c", "d") else int):
-            return ValueError(f"{type(obj).__name__} field {name!r} must be an int, got {value!r}")
-    return None
+def _check_ints(obj: SeriesKey | DefiningMatrix, x: object, y: object, c: object, d: object) -> None:
+    """ValueError naming the first of a key's or matrix's last four fields x, y, c, d not an int (c, d may be None)."""
+    if isinstance(x, int) and isinstance(y, int) and (c is None or isinstance(c, int)) and (d is None or isinstance(d, int)):
+        return
+    for name, value in zip(obj.__slots__[1:], (x, y, c, d)):
+        if not (isinstance(value, int) or value is None and name in ("c", "d")):
+            raise ValueError(f"{type(obj).__name__} field {name!r} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -140,10 +138,7 @@ class DefiningMatrix:
 
     def __post_init__(self) -> None:
         _check_rho(self.rho)
-        if (self.c is not None) != (self.rho >= 2):
-            raise ValueError(f"c must be present exactly for rho >= 2 (rho={self.rho})")
-        if (self.d is not None) != (self.rho == 3):
-            raise ValueError(f"d must be present exactly for rho = 3 (rho={self.rho})")
+        _check_shape(self.rho, self.c, self.d)
 
     def params(self) -> tuple[int, ...]:
         return tuple(v for v in (self.a, self.b, self.c, self.d) if v is not None)
@@ -284,9 +279,7 @@ def enumerate_eta(series: SeriesId, iota: int) -> list[SeriesKey]:
 
 def matrix_from_eta(key: SeriesKey) -> DefiningMatrix:
     """The defining matrix P_eta of a series member; ValueError naming a field that is not an int."""
-    ip, im, c, d = key.iota_plus, key.iota_minus, key.c, key.d
-    if not (isinstance(ip, int) and isinstance(im, int) and isinstance(c, _INT_OR_NONE) and isinstance(d, _INT_OR_NONE)):
-        raise _non_int(key)
+    _check_ints(key, key.iota_plus, key.iota_minus, key.c, key.d)
     if not series_membership(key):
         raise ValueError(f"key does not satisfy its series predicate: {key}")
     rho = key.series.rho

@@ -46,6 +46,7 @@ from fiqs.census import (
     _ke_cd_count,
     _ke_explicit_ranges,
     _json_text,
+    _room,
     record_to_obj,
 )
 from fiqs.cli import main
@@ -575,6 +576,66 @@ _CSV_TAMPERS = {
 def test_csv_reader_names_tampered_column(column):
     with pytest.raises(ValueError, match=re.escape(f"'{column}'")):
         record_from_csv_row(_csv_with(column, _CSV_TAMPERS[column]))
+
+
+# An 89-character JSON line and a 25-column CSV row of the same key, each too short for its x0 chain of
+# 4 000 001 weights; neither is the key's encoding.
+_HUGE_KEY_LINE = '{"rho":1,"series":"s11","iota_plus":2000001,"iota_minus":2000001,"c":null,"d":null,"a":0}'
+_HUGE_KEY_ROW = ["1", "s11", "2000001", "2000001"] + [""] * (len(CSV_COLUMNS) - 4)
+
+
+@pytest.mark.parametrize(
+    "decode, raw", [(record_from_json_line, _HUGE_KEY_LINE), (record_from_csv_row, _HUGE_KEY_ROW)]
+)
+def test_short_input_of_a_huge_key_builds_no_record(decode, raw):
+    """A short line is rejected before the record of its key is built, so its memory does not grow with iota."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            decode(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"peak of {peak} bytes"
+
+
+def test_room_is_named_before_the_record():
+    with pytest.raises(ValueError, match="'resolution'.* needs at least 12000003 characters, got 42"):
+        record_from_csv_row(_HUGE_KEY_ROW)
+    line = json.dumps({**record_to_obj(_RHO1_REC), "iota_plus": 2000001, "iota_minus": 2000001})  # no field missing
+    with pytest.raises(ValueError, match="'resolution'"):
+        record_from_json_line(line)
+
+
+# Per rho, the interior local orders of a member key add up to s / q, with s = w+ iota+ + w- iota-.
+_INTERIOR_SHARE = {1: 4, 2: 2, 3: 1}
+
+
+def _assert_room(key):
+    fields = _fields(key)
+    rho, o = key.rho, fields[1]
+    wp, wm = _WEIGHTS[rho][key.series.tag]
+    assert sum(o[2:]) * _INTERIOR_SHARE[rho] == wp * key.iota_plus + wm * key.iota_minus, key
+    assert len(_json_text(key, *fields)) >= _room(key), key
+    assert len(",".join(_csv_row(key, *fields))) >= _room(key), key
+
+
+@pytest.mark.parametrize("rho", [1, 2, 3])
+def test_every_genuine_line_and_row_has_room(rho):
+    """The readers' length bound holds for every line and row up to iota 30."""
+    for iota in range(1, 31):
+        for tag in SERIES_TAGS:
+            for key in enumerate_eta(SERIES_IDS[rho, tag], iota):
+                _assert_room(key)
+
+
+@settings(max_examples=25, deadline=None)
+@given(member_keys(bound=10**5))
+def test_large_genuine_lines_and_rows_have_room(key):
+    try:
+        _assert_room(key)
+    finally:
+        _chain_text.cache_clear()
 
 
 def test_cli_eta_errors_name_the_field(capsys):

@@ -9,6 +9,14 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fiqs import (
+    enumerate_all,
+    record_from_csv_row,
+    record_from_json_line,
+    record_to_csv_row,
+    record_to_json_line,
+    surface_record,
+)
 from fiqs.census import ClaimResult, VerifyReport
 from fiqs.cli import main
 
@@ -230,6 +238,46 @@ def test_cli_argv_fuzz_exits_cleanly(argv):
     code, err = run_main(argv)
     assert code in (0, 1, 2), (argv, code)
     assert "Traceback" not in err
+
+
+def _read_csv_text(text: str):
+    return record_from_csv_row(text.split(","))  # the rows need no quoting
+
+
+# (reader, genuine text, its record) for every surface with iota <= 6, a JSONL line and a CSV row each.
+_GENUINE = [
+    (read, text, rec)
+    for rec in (surface_record(key, m) for rho in (1, 2, 3) for iota in range(1, 7) for key, m in enumerate_all(rho, iota))
+    for read, text in (
+        (record_from_json_line, record_to_json_line(rec)),
+        (_read_csv_text, ",".join(record_to_csv_row(rec))),
+    )
+]
+_TEXT_ALPHABET = sorted(set("".join(text for _, text, _ in _GENUINE)) | set(' ."\\eE+'))
+
+
+@st.composite
+def mutated_records(draw):
+    """A genuine line or row with 1-3 characters inserted, deleted or replaced, with its reader and record."""
+    read, text, rec = draw(st.sampled_from(_GENUINE))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        kind = draw(st.sampled_from(("insert", "delete", "replace")))
+        char = "" if kind == "delete" else draw(st.sampled_from(_TEXT_ALPHABET))
+        text = text[:i] + char + text[i + (kind != "insert") :]
+    return read, text, rec
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_records())
+def test_reader_mutation_fuzz(case):
+    """A mutated line or row reads back as its original record or raises ValueError, never another exception."""
+    read, text, rec = case
+    try:
+        got = read(text)
+    except ValueError:
+        return
+    assert got == rec, text
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 
 import fiqs.canon
+import fiqs.census
 import fiqs.invariants
 from fiqs import (
     ClassGroup,
     DefiningMatrix,
     LocalData,
     ResolutionGraph,
+    barycenters,
     classify,
     SeriesId,
     SeriesKey,
@@ -22,6 +24,8 @@ from fiqs import (
     enumerate_all,
     gorenstein_index,
     is_ke_family,
+    is_ke_oracle,
+    is_valid,
     local_data,
     local_gorenstein,
     local_gorenstein_oracle,
@@ -33,8 +37,10 @@ from fiqs import (
     record_from_matrix,
     resolution_graph,
     surface_record,
+    validate,
 )
-from fiqs.invariants import POINT_LABELS
+from fiqs.canon import _checked
+from fiqs.invariants import POINT_LABELS, _fields, _record
 from fiqs.series import _WEIGHTS
 
 from conftest import up_to
@@ -369,7 +375,61 @@ class TestSharedValues:
         assert _records_up_to_12(surfaces_by_rho) == before
 
     def test_float_field_still_fails(self):
-        """A float order is another memo key: the int result is not returned for it."""
+        """A float field is rejected before it reaches a memo: the int result is not returned for it."""
         assert degree(DefiningMatrix(2, 1, -1, -2)) == Fraction(12, 5)
-        with pytest.raises(TypeError, match="both arguments should be Rational instances"):
+        with pytest.raises(ValueError, match="DefiningMatrix field 'a' must be an int, got 1.0"):
             degree(DefiningMatrix(2, 1.0, -1, -2))
+
+
+# Every public function that takes a matrix and checks it, plus record_from_matrix.
+_MATRIX_FUNCTIONS = (
+    validate, is_valid, _checked, classify, local_orders, local_data, local_gorenstein, gorenstein_index,
+    class_group, class_group_oracle, degree, log_canonicity, picard_index, barycenters, is_ke_oracle,
+    record_from_matrix,
+)
+
+
+@pytest.mark.parametrize("fn", _MATRIX_FUNCTIONS, ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("field", ["a", "b", "c", "d"])
+def test_float_field_is_named(fn, field):
+    """A float parameter is rejected with the ValueError that names it, never a wrong value or a bare TypeError."""
+    params = dict(a=3, b=1, c=-2, d=-2)
+    fn(DefiningMatrix(3, **params))  # the int matrix passes
+    params[field] = float(params[field])
+    with pytest.raises(ValueError, match=f"^DefiningMatrix field '{field}' must be an int, got {params[field]}$"):
+        fn(DefiningMatrix(3, **params))
+
+
+class TestOneKernel:
+    """One field kernel computes every value of a record, and _record only assembles it."""
+
+    def test_every_record_path_equals_the_kernel(self, surfaces_by_rho):
+        for rho in (1, 2, 3):
+            for key, m in up_to(surfaces_by_rho[rho], 12):
+                fields = _fields(key)
+                rec = _record(key, *fields)
+                assert rec == surface_record(key) == surface_record(key, m) == record_from_matrix(m)
+                assert fiqs.census._record_fields(surface_record(key)) == fields
+
+    def test_each_path_runs_the_kernel_once(self, monkeypatch):
+        calls = {"_torsion": 0, "_ke_rule": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(fiqs.invariants, name, counting(name, getattr(fiqs.invariants, name)))
+        key = classify(M3)
+        for path in (lambda: _fields(key), lambda: surface_record(key), lambda: surface_record(key, M3),
+                     lambda: record_from_matrix(M3)):
+            calls.update(_torsion=0, _ke_rule=0)
+            path()
+            assert calls == {"_torsion": 1, "_ke_rule": 1}
+        fields = _fields(key)
+        calls.update(_torsion=0, _ke_rule=0)
+        _record(key, *fields)
+        assert calls == {"_torsion": 0, "_ke_rule": 0}
