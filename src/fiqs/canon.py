@@ -9,17 +9,19 @@ exactly one matrix satisfying the normal-form inequalities checked by
 :func:`validate`.
 
 :func:`canonicalize` recovers that unique representative in three steps:
-row-reduce the stored third row so the designated entries take their
-canonical values, list the orbit of the reduced parameter tuple under the
-finite symmetry group of the arm swaps and the negation (one closed-form
-image per group element), and select the single orbit element passing the
-normal-form inequalities.  The orbit is checked on the parameter tuples
-themselves, by the truth of the inequalities behind :func:`validate` (their
-names are built only when :func:`validate` reports a failure); only the one
-passing tuple becomes a :class:`~fiqs.series.DefiningMatrix`.  Zero or
-several passing elements indicate corrupted input and raise
-:class:`NormalFormError`.  :func:`classify` reads the series back from the
-local orders of x+ and x- (``fiqs.series._orders`` and ``_digit``).
+row-reduce the stored third row arm by arm, reading the arm layout from
+``ARM_COLUMNS`` (each one-column arm's entry becomes 1, each two-column
+arm's first entry 0 and its second negative), list the orbit of the reduced
+parameter tuple under the finite symmetry group of the arm swaps and the
+negation (one closed-form image per group element), and select the single
+orbit element passing the normal-form inequalities.  The orbit is checked on
+the parameter tuples themselves, by the truth of the inequalities behind
+:func:`validate` (their names are built only when :func:`validate` reports a
+failure); only the one passing tuple becomes a
+:class:`~fiqs.series.DefiningMatrix`.  Zero or several passing elements
+indicate corrupted input and raise :class:`NormalFormError`.
+:func:`classify` reads the series back from the local orders of x+ and x-
+(``fiqs.series._orders`` and ``_digit``).
 """
 
 from __future__ import annotations
@@ -57,6 +59,10 @@ ARM_COLUMNS: dict[int, tuple[tuple[int, ...], ...]] = {
     2: ((0, 1), (2, 3), (4,)),
     3: ((0, 1), (2, 3), (4, 5)),
 }
+
+# The columns of the one-column arms, per rho.  Their leading entries are 0
+# and 2, so such a column is primitive exactly when its third entry is odd.
+_SINGLE_COLUMNS = {rho: tuple(c for arm in arms if len(arm) == 1 for c in arm) for rho, arms in ARM_COLUMNS.items()}
 
 # Arm pairs that are structurally identical and hence swappable.
 SWAPPABLE_ARM_PAIRS: dict[int, frozenset[tuple[int, int]]] = {
@@ -106,11 +112,9 @@ class RawMatrix:
         if not all(map(int.__instancecheck__, self.third_row)):
             i, x = next((i, x) for i, x in enumerate(self.third_row, 1) if not isinstance(x, int))
             raise ValueError(f"third-row entry {i} must be an int, got {x!r}")
-        # primitivity of the columns with an even leading entry
-        if self.rho == 1 and (self.third_row[2] % 2 == 0 or self.third_row[3] % 2 == 0):
-            raise ValueError("columns 3 and 4 need odd third-row entries to be primitive")
-        if self.rho == 2 and self.third_row[4] % 2 == 0:
-            raise ValueError("column 5 needs an odd third-row entry to be primitive")
+        for k in _SINGLE_COLUMNS[self.rho]:
+            if self.third_row[k] % 2 == 0:
+                raise ValueError(f"column {k + 1} needs an odd third-row entry to be primitive")
 
 
 def raw_from_matrix(m: DefiningMatrix) -> RawMatrix:
@@ -200,42 +204,26 @@ def reduce_raw(m: RawMatrix) -> tuple[int, ...]:
 
     Returns the free parameters (a, b[, c[, d]]) with a > b and c, d < 0.
     """
-    t = list(m.third_row)
-    if m.rho == 1:
-        k = (1 - t[2]) // 2
-        l = (1 - t[3]) // 2
-        a, b = t[0] - k - l, t[1] - k - l
-        if a == b:
-            raise NormalFormError("columns 1 and 2 coincide")
-        return (max(a, b), min(a, b))
-    if m.rho == 2:
-        x = t[0] + t[2]
-        y = t[1] + t[2]
-        c = t[3] - t[2]
-        l = (1 - t[4]) // 2
-        x, y = x - l, y - l
-        if c == 0:
-            raise NormalFormError("columns 3 and 4 coincide")
-        if c > 0:
-            x, y, c = x + c, y + c, -c
-        if x == y:
-            raise NormalFormError("columns 1 and 2 coincide")
-        return (max(x, y), min(x, y), c)
-    x = t[0] + t[2] + t[4]
-    y = t[1] + t[2] + t[4]
-    c = t[3] - t[2]
-    d = t[5] - t[4]
-    if c == 0:
-        raise NormalFormError("columns 3 and 4 coincide")
-    if d == 0:
-        raise NormalFormError("columns 5 and 6 coincide")
-    if c > 0:
-        x, y, c = x + c, y + c, -c
-    if d > 0:
-        x, y, d = x + d, y + d, -d
+    t = m.third_row
+    x, y = t[0], t[1]
+    params = []
+    for arm in ARM_COLUMNS[m.rho][1:]:
+        if len(arm) == 1:
+            # an odd entry 2l + 1 becomes 1: subtract l times the row holding the column's 2
+            shift = (t[arm[0]] - 1) // 2
+        else:
+            i, j = arm
+            p = t[j] - t[i]
+            if p == 0:
+                raise NormalFormError(f"columns {i + 1} and {j + 1} coincide")
+            # subtract t[i] times the arm's row; if that leaves t[j] = p > 0,
+            # swap the two columns and subtract p times the row once more
+            shift = t[i] + max(p, 0)
+            params.append(-abs(p))
+        x, y = x + shift, y + shift
     if x == y:
         raise NormalFormError("columns 1 and 2 coincide")
-    return (max(x, y), min(x, y), c, d)
+    return (max(x, y), min(x, y), *params)
 
 
 # The orbit of a slope-ordered parameter tuple under the group generated by

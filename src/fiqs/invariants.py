@@ -38,10 +38,10 @@ from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm, prod
 
-from .canon import _checked, classify
+from .canon import ARM_COLUMNS, _checked, classify
 from .core import IntMatrix, smith_normal_form, solve3
 from .kaehler import _ke_rule
-from .series import FIRST_TWO_ROWS, DefiningMatrix, SeriesKey, _orders, matrix_from_eta
+from .series import FIRST_TWO_ROWS, DefiningMatrix, SeriesKey, _check_ints, _orders, matrix_from_eta
 
 __all__ = [
     "POINT_LABELS", "SIGMA_RAY_COLUMNS", "ClassGroup", "LocalData", "ResolutionGraph",
@@ -59,11 +59,11 @@ POINT_LABELS: dict[int, tuple[str, ...]] = {
     3: ("x+", "x-", "x0", "x1", "x2"),
 }
 
-# Columns spanning the cones sigma+ / sigma- of the elliptic fixed points.
+# Columns spanning the cones sigma+ / sigma- of the elliptic fixed points:
+# the first / last column of each arm.
 SIGMA_RAY_COLUMNS: dict[int, dict[str, tuple[int, int, int]]] = {
-    1: {"plus": (0, 2, 3), "minus": (1, 2, 3)},
-    2: {"plus": (0, 2, 4), "minus": (1, 3, 4)},
-    3: {"plus": (0, 2, 4), "minus": (1, 3, 5)},
+    rho: {"plus": tuple(arm[0] for arm in arms), "minus": tuple(arm[-1] for arm in arms)}
+    for rho, arms in ARM_COLUMNS.items()
 }
 
 # The matrix-parameter closed forms in the local class group orders
@@ -266,7 +266,8 @@ _DEGREE_NUMERATORS = {
 
 
 def degree_from_eta(key: SeriesKey) -> Fraction:
-    """Anticanonical degree in terms of the local Gorenstein indices."""
+    """Anticanonical degree in terms of the local Gorenstein indices; ValueError naming a key field not an int."""
+    _check_ints(key, key.iota_plus, key.iota_minus, key.c, key.d)
     rho, tag = key.series.rho, key.series.tag
     np_ = _DEGREE_NUMERATORS[rho][tag[1]]
     nm = _DEGREE_NUMERATORS[rho][tag[2]]
@@ -291,7 +292,8 @@ _PICARD_FACTORS = {2: {"1": 1, "2": 3}, 3: {"1": 1, "2": 2}}
 
 
 def picard_index_from_eta(key: SeriesKey) -> int:
-    """Picard index in terms of eta (tabulated forms, one per series)."""
+    """Picard index in terms of eta (tabulated forms, one per series); ValueError naming a key field not an int."""
+    _check_ints(key, key.iota_plus, key.iota_minus, key.c, key.d)
     rho, tag = key.series.rho, key.series.tag
     ip, im = key.iota_plus, key.iota_minus
     c, d = key.c, key.d

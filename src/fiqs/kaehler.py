@@ -62,7 +62,9 @@ def degeneration_polygon(m: DefiningMatrix, kappa: int) -> tuple[tuple[int, int]
 
     Degeneration kappa merges the two arms other than arm kappa into one
     row of vertices, with the slopes of arm kappa on the opposite row.
+    ValueError if the matrix is not a normal form or kappa is not special.
     """
+    _checked(m)
     if kappa not in SPECIAL_KAPPAS[m.rho]:
         raise ValueError(f"kappa={kappa} is not special for rho={m.rho}")
     a, b = m.a, m.b

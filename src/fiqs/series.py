@@ -231,7 +231,8 @@ def _pair_ok(rho: int, tag: str, ip: int, im: int) -> bool:
 
 
 def series_membership(key: SeriesKey) -> bool:
-    """Whether eta satisfies the defining predicate of its series."""
+    """Whether eta satisfies the defining predicate of its series; ValueError naming a field that is not an int."""
+    _check_ints(key, key.iota_plus, key.iota_minus, key.c, key.d)
     rho, tag = key.series.rho, key.series.tag
     ip, im = key.iota_plus, key.iota_minus
     if not _pair_ok(rho, tag, ip, im):
@@ -279,7 +280,6 @@ def enumerate_eta(series: SeriesId, iota: int) -> list[SeriesKey]:
 
 def matrix_from_eta(key: SeriesKey) -> DefiningMatrix:
     """The defining matrix P_eta of a series member; ValueError naming a field that is not an int."""
-    _check_ints(key, key.iota_plus, key.iota_minus, key.c, key.d)
     if not series_membership(key):
         raise ValueError(f"key does not satisfy its series predicate: {key}")
     rho = key.series.rho

@@ -24,7 +24,7 @@ from fiqs import (
     validate,
 )
 from fiqs.canon import _HOLDS, ARM_COLUMNS, SWAPPABLE_ARM_PAIRS, _violations, parameter_orbit, reduce_raw
-from fiqs.series import SERIES_IDS
+from fiqs.series import FIRST_TWO_ROWS, SERIES_IDS
 
 from conftest import up_to
 
@@ -124,6 +124,15 @@ class TestApplyOp:
             RawMatrix(1, (0, -2, 2, 1))
         with pytest.raises(ValueError):
             RawMatrix(2, (1, 0, 0, -2, 2))
+
+    @pytest.mark.parametrize(
+        "rho, row, column",
+        [(1, (0, -2, 2, 1), 3), (1, (0, -2, 1, 0), 4), (1, (0, -2, 4, -2), 3), (2, (1, 0, 0, -2, 2), 5)],
+    )
+    def test_primitivity_names_the_column(self, rho, row, column):
+        with pytest.raises(ValueError) as info:
+            RawMatrix(rho, row)
+        assert str(info.value) == f"column {column} needs an odd third-row entry to be primitive"
 
     @pytest.mark.parametrize(
         "rho, row, message",
@@ -286,10 +295,10 @@ def scrambled_raw(draw):
 
 
 @st.composite
-def arbitrary_raw(draw):
-    """Any in-shape third row: small entries, odd where primitivity needs it."""
+def arbitrary_raw(draw, bound=12):
+    """Any in-shape third row: entries up to about +-bound, odd where primitivity needs it."""
     rho = draw(st.sampled_from((1, 2, 3)))
-    row = draw(st.lists(st.integers(-12, 12), min_size=rho + 3, max_size=rho + 3))
+    row = draw(st.lists(st.integers(-bound, bound), min_size=rho + 3, max_size=rho + 3))
     odd = {1: (2, 3), 2: (4,), 3: ()}[rho]
     return RawMatrix(rho, tuple(2 * x + 1 if j in odd else x for j, x in enumerate(row)))
 
@@ -302,6 +311,15 @@ class TestCanonicalizeEqualsReference:
     @given(arbitrary_raw())
     def test_arbitrary_rows(self, raw):
         assert canon_outcome(canonicalize, raw) == canon_outcome(reference_canonicalize, raw)
+
+    @given(st.one_of(scrambled_raw(), arbitrary_raw()))
+    def test_reduction_equals_reference_ladder(self, raw):
+        assert canon_outcome(reduce_raw, raw) == canon_outcome(reference_reduce_raw, raw)
+
+    @given(st.one_of(arbitrary_raw(), arbitrary_raw(100)))
+    def test_accepts_exactly_the_complete_fans(self, raw):
+        accepted = not isinstance(canon_outcome(canonicalize, raw), str)
+        assert accepted == is_complete_fan(raw), raw
 
     def test_no_normal_form_message(self):
         raw = RawMatrix(1, (-3, -2, -3, -3))
@@ -376,6 +394,74 @@ def reference_violations(rho, a, b, c=None, d=None):
         if not a <= -b - c - d:
             bad.append("a <= -b-c-d")
     return tuple(bad)
+
+
+def reference_reduce_raw(m: RawMatrix) -> tuple[int, ...]:
+    """The row reduction written out per rho, one ladder branch each."""
+    t = list(m.third_row)
+    if m.rho == 1:
+        k = (1 - t[2]) // 2
+        l = (1 - t[3]) // 2
+        a, b = t[0] - k - l, t[1] - k - l
+        if a == b:
+            raise NormalFormError("columns 1 and 2 coincide")
+        return (max(a, b), min(a, b))
+    if m.rho == 2:
+        x = t[0] + t[2]
+        y = t[1] + t[2]
+        c = t[3] - t[2]
+        l = (1 - t[4]) // 2
+        x, y = x - l, y - l
+        if c == 0:
+            raise NormalFormError("columns 3 and 4 coincide")
+        if c > 0:
+            x, y, c = x + c, y + c, -c
+        if x == y:
+            raise NormalFormError("columns 1 and 2 coincide")
+        return (max(x, y), min(x, y), c)
+    x = t[0] + t[2] + t[4]
+    y = t[1] + t[2] + t[4]
+    c = t[3] - t[2]
+    d = t[5] - t[4]
+    if c == 0:
+        raise NormalFormError("columns 3 and 4 coincide")
+    if d == 0:
+        raise NormalFormError("columns 5 and 6 coincide")
+    if c > 0:
+        x, y, c = x + c, y + c, -c
+    if d > 0:
+        x, y, d = x + d, y + d, -d
+    if x == y:
+        raise NormalFormError("columns 1 and 2 coincide")
+    return (max(x, y), min(x, y), c, d)
+
+
+def _cross(u: tuple[int, ...], v: tuple[int, ...]) -> tuple[int, int, int]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def is_complete_fan(m: RawMatrix) -> bool:
+    """Whether the columns of the full matrix are pairwise distinct and positively span Q^3.
+
+    Integer arithmetic only.  The columns positively span exactly when no
+    nonzero w has <w, v> >= 0 for every column v, that is, when the dual cone
+    {w : <w, v> >= 0 for all columns v} is {0}.  That needs rank 3, and with
+    rank 3 the dual cone is pointed: if it is not {0}, it has an extreme ray,
+    and in three dimensions an extreme ray is orthogonal to two linearly
+    independent columns, so it is spanned by their cross product.  Hence the
+    columns positively span exactly when some cross product of two columns is
+    nonzero and every nonzero one w has a column with <w, v> < 0 and a column
+    with <w, v> > 0.  Below rank 3 there is no nonzero cross product, or each
+    one is orthogonal to every column, and the test fails as it should.
+    """
+    r1, r2 = FIRST_TWO_ROWS[m.rho]
+    cols = list(zip(r1, r2, m.third_row))
+    if len(set(cols)) != len(cols):
+        return False
+    crosses = [w for i, u in enumerate(cols) for v in cols[i + 1:] if any(w := _cross(u, v))]
+    return bool(crosses) and all(
+        {-1, 1} <= {(p > 0) - (p < 0) for p in (sum(x * y for x, y in zip(w, v)) for v in cols)} for w in crosses
+    )
 
 
 def assert_checks_match_reference(rho, params):

@@ -111,6 +111,11 @@ def test_bad_matrix_input_exit_code(capsys):
     assert main(["classify", "--rho", "1", "--matrix", "0,2,2,-1"]) == 1
 
 
+def test_even_column_is_named(capsys):
+    assert main(["classify", "--rho", "1", "--matrix", "0,-3,2,1"]) == 1
+    assert capsys.readouterr().err == "fiqs: error: column 3 needs an odd third-row entry to be primitive\n"
+
+
 def test_invariants_rejects_bad_eta(capsys):
     assert main(["invariants", "--eta", "1,s11,2,2"]) == 1
     assert main(["invariants", "--eta", "2,s99,1,1,-1"]) == 1

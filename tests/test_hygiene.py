@@ -5,8 +5,9 @@ package ``__init__`` imports a name it never uses, every module-level
 private name is used somewhere in the package, no module reaches
 into private stdlib API, which may differ between the Python versions that
 ``pyproject.toml`` accepts (``Fraction(..., _normalize=False)`` exists on
-3.11 but not on 3.12), and every functools cache has a finite size, so that
-no memo grows with the input.
+3.11 but not on 3.12), every functools cache has a finite size, so that
+no memo grows with the input, and ``canon`` never branches on rho: it reads
+the shape of the matrix from ``ARM_COLUMNS``.
 """
 
 from __future__ import annotations
@@ -258,3 +259,35 @@ def test_unbounded_cache_is_caught():
         (12, "memo(maxsize=_other)"),
         (12, "memo(typed=True)"),
     ]
+
+
+def rho_branches(source: str) -> list[tuple[int, str]]:
+    """Each comparison of ``rho`` or ``<expr>.rho`` with an int literal, with its line."""
+    def is_rho(node: ast.AST) -> bool:
+        return isinstance(node, ast.Name) and node.id == "rho" or isinstance(node, ast.Attribute) and node.attr == "rho"
+
+    def is_int(node: ast.AST) -> bool:
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    return sorted(
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare)
+        and any(map(is_rho, [node.left, *node.comparators]))
+        and any(map(is_int, [node.left, *node.comparators]))
+    )
+
+
+def test_canon_has_no_rho_branch():
+    found = rho_branches((PACKAGE / "canon.py").read_text())
+    assert not found, f"fiqs.canon branches on rho (line, comparison): {found}"
+
+
+def test_rho_branch_is_caught():
+    source = (
+        "if m.rho == 2:\n    pass\n"
+        "x = 1 if rho != 3 else 2\n"
+        "y = 3 < self.rho\n"
+        "z = len(row) == m.rho + 3 or rho in (1, 2) or m.arm == 1\n"
+    )
+    assert rho_branches(source) == [(1, "m.rho == 2"), (3, "rho != 3"), (4, "3 < self.rho")]

@@ -36,12 +36,13 @@ from fiqs import (
     picard_index_from_eta,
     record_from_matrix,
     resolution_graph,
+    series_membership,
     surface_record,
     validate,
 )
 from fiqs.canon import _checked
 from fiqs.invariants import POINT_LABELS, _fields, _record
-from fiqs.series import _WEIGHTS
+from fiqs.series import SERIES_IDS, _WEIGHTS
 
 from conftest import up_to
 
@@ -398,6 +399,19 @@ def test_float_field_is_named(fn, field):
     params[field] = float(params[field])
     with pytest.raises(ValueError, match=f"^DefiningMatrix field '{field}' must be an int, got {params[field]}$"):
         fn(DefiningMatrix(3, **params))
+
+
+@pytest.mark.parametrize(
+    "fn", (series_membership, is_ke_family, degree_from_eta, picard_index_from_eta), ids=lambda fn: fn.__name__
+)
+@pytest.mark.parametrize("field", ["iota_plus", "iota_minus", "c", "d"])
+def test_float_key_field_is_named(fn, field):
+    """A float key field is rejected with the ValueError that names it, never a wrong value or a bare TypeError."""
+    fields = dict(iota_plus=3, iota_minus=3, c=-2, d=-2)
+    fn(SeriesKey(SERIES_IDS[3, "s11"], **fields))  # the int key passes
+    fields[field] = float(fields[field])
+    with pytest.raises(ValueError, match=f"^SeriesKey field '{field}' must be an int, got {fields[field]}$"):
+        fn(SeriesKey(SERIES_IDS[3, "s11"], **fields))
 
 
 class TestOneKernel:

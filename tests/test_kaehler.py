@@ -147,6 +147,17 @@ class TestPolygons:
         with pytest.raises(ValueError):
             degeneration_polygon(DefiningMatrix(2, 1, 0, -2), 0)
 
+    @pytest.mark.parametrize("fn", (degeneration_polygon, barycenter_oracle), ids=lambda fn: fn.__name__)
+    def test_matrix_is_checked(self, fn):
+        """The polygon oracle takes only normal forms, as barycenters does."""
+        fn(DefiningMatrix(3, 3, 1, -2, -2), 0)
+        with pytest.raises(ValueError, match="^matrix is not in normal form, violated: -c >= -d$"):
+            fn(DefiningMatrix(3, 3, 1, -2, -7), 0)
+        with pytest.raises(ValueError, match="^DefiningMatrix field 'a' must be an int, got 3.0$"):
+            fn(DefiningMatrix(3, 3.0, 1, -2, -2), 0)
+        with pytest.raises(ValueError, match="^matrix is not in normal form, violated: a <= -b-2$"):
+            fn(DefiningMatrix(1, 5, -2), 1)
+
     def test_dual_polygon_square(self):
         # conv(+-e1, +-e2) is self-dual up to rotation: dual is the square
         # with vertices (+-1, +-1)
