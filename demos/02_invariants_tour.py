@@ -50,3 +50,7 @@ for m in (DefiningMatrix(1, 2, -6), DefiningMatrix(2, 1, 0, -2), DefiningMatrix(
 print("The whole bundle at once:")
 rec = surface_record(classify(DefiningMatrix(3, 3, 1, -2, -2)))
 print(f"  {rec}")
+# A record stores its local orders (x+, x-, x0, ...); the key and the orders
+# fix the local data and the chains, which are built when read.
+print(f"  rec.local      = {rec.local}")
+print(f"  rec.resolution = {rec.resolution}")

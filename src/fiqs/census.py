@@ -54,6 +54,7 @@ from .invariants import (
     SurfaceRecord,
     _chain,
     _fields,
+    _resolution,
     chain_determinant,
     class_group_oracle,
     degree_from_eta,
@@ -263,8 +264,8 @@ def record_to_obj(rec: SurfaceRecord) -> dict:
         "log_canonicity": f"{eps.numerator}/{eps.denominator}",
         "picard_index": rec.picard_index,
         "ke": rec.ke,
-        "local_orders": {p: rec.local.orders[p] for p in POINT_LABELS[key.rho]},
-        "resolution": {p: list(rec.resolution.chains[p]) for p in POINT_LABELS[key.rho]},
+        "local_orders": dict(zip(POINT_LABELS[key.rho], rec.orders)),
+        "resolution": {p: list(chain) for p, chain in _resolution(key.rho, rec.orders).chains.items()},
     }
 
 
@@ -326,7 +327,7 @@ def _csv_row(key: SeriesKey, m: DefiningMatrix, o: tuple[int, ...], values: tupl
 def _record_fields(rec: SurfaceRecord) -> tuple:
     """A record's (m, local orders, values), as the field kernel gives them: the inverse of ``_record``."""
     values = (rec.gorenstein_index, rec.class_group.torsion_order, rec.degree, rec.log_canonicity, rec.picard_index, rec.ke)
-    return rec.matrix, tuple(rec.local.orders.values()), values
+    return rec.matrix, rec.orders, values
 
 
 def record_to_json_line(rec: SurfaceRecord) -> str:
@@ -660,6 +661,11 @@ def _canonical_form_fixed(s: _Surface) -> bool:
         return False
 
 
+def _chain_determinants_match(s: _Surface) -> bool:
+    chains = _resolution(s.key.rho, s.rec.orders).chains.values()
+    return all(chain_determinant(chain) == n for chain, n in zip(chains, s.rec.orders))
+
+
 # The claims checked surface by surface, in report order: the claim, the largest
 # Gorenstein index it is checked to, and its test on one surface (true when the
 # surface satisfies the claim).  The tests look their oracles up when called.
@@ -668,8 +674,8 @@ _SURFACE_CLAIMS: tuple[tuple[str, int, Callable[[_Surface], bool]], ...] = (
     ("local gorenstein formula = solve oracle", 30,
      lambda s: s.rec.key.iota_plus == local_gorenstein_oracle(s.m, "plus")
      and s.rec.key.iota_minus == local_gorenstein_oracle(s.m, "minus")),
-    ("local gorenstein divides local order", 50, lambda s: s.rec.local.orders["x+"] % s.rec.key.iota_plus == 0
-     and s.rec.local.orders["x-"] % s.rec.key.iota_minus == 0),
+    ("local gorenstein divides local order", 50, lambda s: s.rec.orders[0] % s.rec.key.iota_plus == 0
+     and s.rec.orders[1] % s.rec.key.iota_minus == 0),
     ("gorenstein index = lcm of local indices", 50,
      lambda s: lcm(s.rec.key.iota_plus, s.rec.key.iota_minus) == s.index.iota),
     ("degree matrix form = series form", 50, lambda s: s.rec.degree == degree_from_eta(s.key)),
@@ -677,8 +683,7 @@ _SURFACE_CLAIMS: tuple[tuple[str, int, Callable[[_Surface], bool]], ...] = (
     ("ke family rule = barycenter test", 30, lambda s: s.rec.ke == _ke_criterion(s.bcs)),
     ("barycenters = polygon dual centroids", 20,
      lambda s: all((bc.x, bc.y) == barycenter_oracle(s.m, bc.kappa) for bc in s.bcs)),
-    ("chain determinant = local order", 30,
-     lambda s: all(chain_determinant(ch) == s.rec.local.orders[p] for p, ch in s.rec.resolution.chains.items())),
+    ("chain determinant = local order", 30, _chain_determinants_match),
     ("degree, log canonicity, picard bounds", 50,
      lambda s: not _bounds_violations(s.index.bounds, s.key, s.rec.degree, s.rec.log_canonicity, s.rec.picard_index)),
     ("gorenstein index divides picard index", 50, lambda s: s.rec.picard_index % s.index.iota == 0),

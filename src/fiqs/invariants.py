@@ -19,7 +19,10 @@ Records share their values: the degree, log canonicity and x+/x- chains
 come from bounded memos keyed by the local orders they read (typed, so a
 float order still fails), the class group from one keyed by (rho, torsion),
 and interior chains of small order from a table.  All are immutable, so
-sharing changes no comparison, pickle or copy of a record.
+sharing changes no comparison, pickle or copy of a record.  A record stores
+its local orders as a tuple, not its local data or chains: the key and the
+orders fix both, so ``SurfaceRecord.local`` and ``.resolution`` build them
+when read, and code in this package reads ``orders`` instead.
 
 Input is checked once, at the boundary.  Each public closed form checks its
 matrix (:func:`fiqs.canon.validate`) or its key (the series predicate),
@@ -102,18 +105,33 @@ class ResolutionGraph:
 
 @dataclass(frozen=True, slots=True)
 class SurfaceRecord:
-    """Full invariant bundle of one surface."""
+    """Full invariant bundle of one surface.
+
+    ``orders`` holds the local class group orders in ``POINT_LABELS`` order.
+    :attr:`local` and :attr:`resolution` are derived from the key and the
+    orders on each read, so equality, hashing and pickling see only the
+    stored fields, all immutable.
+    """
 
     key: SeriesKey
     matrix: DefiningMatrix
     class_group: ClassGroup
-    local: LocalData
+    orders: tuple[int, ...]
     gorenstein_index: int
     degree: Fraction
     log_canonicity: Fraction
     picard_index: int
     ke: bool
-    resolution: ResolutionGraph
+
+    @property
+    def local(self) -> LocalData:
+        """Orders and local Gorenstein indices per fixed point, built on each read."""
+        return _local_data(self.key, self.orders)
+
+    @property
+    def resolution(self) -> ResolutionGraph:
+        """Resolution chains per fixed point, built on each read."""
+        return _resolution(self.key.rho, self.orders)
 
 
 def _torsion(rho: int, o: tuple[int, ...]) -> int:
@@ -190,9 +208,7 @@ def _fields(key: SeriesKey) -> tuple:
 def _record(key: SeriesKey, m: DefiningMatrix, o: tuple[int, ...], values: tuple) -> SurfaceRecord:
     """The record of the field kernel's (m, o, values), assembled without computing a value."""
     iota, torsion, deg, eps, pic, ke = values
-    return SurfaceRecord(
-        key, m, _class_group(m.rho, torsion), _local_data(key, o), iota, deg, eps, pic, ke, _resolution(m.rho, o)
-    )
+    return SurfaceRecord(key, m, _class_group(m.rho, torsion), o, iota, deg, eps, pic, ke)
 
 
 def class_group(m: DefiningMatrix) -> ClassGroup:

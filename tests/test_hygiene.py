@@ -6,8 +6,10 @@ private name is used somewhere in the package, no module reaches
 into private stdlib API, which may differ between the Python versions that
 ``pyproject.toml`` accepts (``Fraction(..., _normalize=False)`` exists on
 3.11 but not on 3.12), every functools cache has a finite size, so that
-no memo grows with the input, and ``canon`` never branches on rho: it reads
-the shape of the matrix from ``ARM_COLUMNS``.
+no memo grows with the input, ``canon`` never branches on rho: it reads
+the shape of the matrix from ``ARM_COLUMNS``, and no module reads the
+derived ``local`` or ``resolution`` of a record: those properties build
+their dicts on every read, so code in the package reads ``orders``.
 """
 
 from __future__ import annotations
@@ -291,3 +293,33 @@ def test_rho_branch_is_caught():
         "z = len(row) == m.rho + 3 or rho in (1, 2) or m.arm == 1\n"
     )
     assert rho_branches(source) == [(1, "m.rho == 2"), (3, "rho != 3"), (4, "3 < self.rho")]
+
+
+def derived_record_reads(source: str) -> list[tuple[int, str]]:
+    """Each read of an attribute named ``local`` or ``resolution``, with its line.
+
+    ``SurfaceRecord.local`` and ``.resolution`` are properties that rebuild
+    their dicts on every read; no other object in the package has an
+    attribute of either name, so every such read is a record's.
+    """
+    return sorted(
+        (node.lineno, ast.unparse(node))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ("local", "resolution")
+    )
+
+
+@pytest.mark.parametrize("name", ALL_MODULES)
+def test_no_derived_record_reads(name):
+    found = derived_record_reads((PACKAGE / f"{name}.py").read_text())
+    assert not found, f"fiqs.{name} reads a record's derived local / resolution instead of its orders (line, read): {found}"
+
+
+def test_derived_record_read_is_caught():
+    source = (
+        "o = rec.local.orders['x+']\n"
+        "chains = s.rec.resolution.chains\n"
+        "ok = rec.orders[0] and local_data(m) and resolution_graph(key) and rec.local_orders\n"
+        "f(getattr(rec, 'resolution'), resolution=1)\n"
+    )
+    assert derived_record_reads(source) == [(1, "rec.local"), (2, "s.rec.resolution")]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import json
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from fiqs import (
     DefiningMatrix,
     LocalData,
     ResolutionGraph,
+    SurfaceRecord,
     barycenters,
     classify,
     SeriesId,
@@ -34,7 +37,11 @@ from fiqs import (
     matrix_from_eta,
     picard_index,
     picard_index_from_eta,
+    record_from_csv_row,
+    record_from_json_line,
     record_from_matrix,
+    record_to_csv_row,
+    record_to_json_line,
     resolution_graph,
     series_membership,
     surface_record,
@@ -296,6 +303,7 @@ class TestSurfaceRecord:
                 rec = surface_record(key)
                 assert rec.key == key and rec.matrix == m
                 assert rec.class_group == class_group(m)
+                assert rec.orders == tuple(local_orders(m).values()) and tuple(local_orders(m)) == POINT_LABELS[rho]
                 assert rec.local == local_data(m)
                 assert (rec.local.gorenstein_indices["x+"], rec.local.gorenstein_indices["x-"]) == key.eta()[:2]
                 assert rec.gorenstein_index == key.iota == gorenstein_index(m)
@@ -331,6 +339,46 @@ class TestSurfaceRecord:
         calls.update(validate=0, classify=0)
         record_from_matrix(M3)
         assert calls == {"validate": 1, "classify": 1, "matrix_from_eta": 0}
+
+
+class TestRecordLayout:
+    """A record stores its local orders; its local data and chains are derived from them when read."""
+
+    def test_stored_fields(self):
+        assert [f.name for f in dataclasses.fields(SurfaceRecord)] == [
+            "key", "matrix", "class_group", "orders", "gorenstein_index", "degree", "log_canonicity",
+            "picard_index", "ke",
+        ]
+
+    def test_every_path_gives_an_equal_record(self, surfaces_by_rho):
+        for rho in (1, 2, 3):
+            for key, m in up_to(surfaces_by_rho[rho], 8):
+                rec = surface_record(key)
+                spaced = json.dumps(json.loads(record_to_json_line(rec)), indent=1)  # the field-by-field reader
+                twins = (
+                    surface_record(key, m), record_from_matrix(m), record_from_json_line(record_to_json_line(rec)),
+                    record_from_json_line(spaced), record_from_csv_row(record_to_csv_row(rec)),
+                )
+                for twin in twins:
+                    assert twin == rec and hash(twin) == hash(rec)
+
+    def test_records_are_equal_exactly_when_their_keys_are(self, surfaces_by_rho):
+        pairs = [pair for rho in (1, 2, 3) for pair in up_to(surfaces_by_rho[rho], 12)]
+        records = [surface_record(key) for key, _ in pairs] + [record_from_matrix(m) for _, m in pairs]
+        distinct = set(records)
+        assert len(distinct) == len(pairs)
+        assert {rec.key for rec in distinct} == {key for key, _ in pairs}
+        first = surface_record(pairs[0][0])
+        assert first != dataclasses.replace(first, orders=(*first.orders[:-1], first.orders[-1] + 1))
+
+    def test_derived_views_are_not_stored(self):
+        rec = surface_record(SeriesKey(SeriesId(3, "s11"), 3, 3, -2, -2))
+        assert rec.orders == (3, 3, 2, 2, 2)
+        assert rec.local == LocalData(
+            dict(zip(POINT_LABELS[3], rec.orders)), {"x+": 3, "x-": 3, "x0": 1, "x1": 1, "x2": 1}
+        )
+        assert rec.resolution.chains == {"x+": (-3,), "x-": (-3,), "x0": (-2,), "x1": (-2,), "x2": (-2,)}
+        assert "local" not in repr(rec) and "orders=(3, 3, 2, 2, 2)" in repr(rec)
 
 
 # The matrix-parameter forms in the local orders o+ = o[x+], o- = o[x-],

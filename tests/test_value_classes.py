@@ -50,7 +50,7 @@ EXAMPLES = {
     "AdmissibleOp": AdmissibleOp("swap_arms", arms=(0, 1)),
     "RawMatrix": RawMatrix(3, (3, 1, 0, -2, 0, -2)),
     "ClassGroup": _REC.class_group,
-    "LocalData": _REC.local,
+    "LocalData": _REC.local,  # this and the chains are built from the record's orders when read
     "ResolutionGraph": _REC.resolution,
     "SurfaceRecord": _REC,
     "Barycenter": barycenters(_REC.matrix)[0],
