@@ -122,7 +122,8 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 
     for t in range(n):
         while True:
-            # smallest nonzero entry of the trailing block becomes the pivot
+            # smallest nonzero entry of the trailing block becomes the pivot;
+            # none is below 1, so the scan stops at the first unit
             pos = None
             best = None
             for i in range(t, nr):
@@ -131,6 +132,10 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                     if v != 0 and (best is None or v < best):
                         best = v
                         pos = (i, j)
+                        if v == 1:
+                            break
+                if best == 1:
+                    break
             if pos is None:
                 factors.extend([0] * (n - t))
                 return SmithForm(tuple(factors), len([f for f in factors if f != 0]))

@@ -11,7 +11,10 @@ degeneration's Fano polygon, whose integral vertices are written down in
 :func:`degeneration_polygon`.  :func:`barycenters` evaluates the closed
 forms obtained by carrying out the dual-centroid computation symbolically;
 :func:`barycenter_oracle` redoes it from the polygon in integer homogeneous
-coordinates, exact, so the two paths check each other.  The criterion
+coordinates, exact, so the two paths check each other.  The oracle reads
+the matrix only through :func:`degeneration_polygon`, so its value is a
+function of the polygon's vertices alone, and ``verify_claims`` evaluates it
+once per distinct polygon of a Gorenstein index.  The criterion
 itself is one helper, applied to a list of closed-form barycenters, so
 ``verify_claims`` evaluates them once per surface for both the criterion and
 the comparison with the polygons; the oracle never reads the closed forms.
@@ -66,7 +69,7 @@ def degeneration_polygon(m: DefiningMatrix, kappa: int) -> tuple[tuple[int, int]
     """
     _checked(m)
     if kappa not in SPECIAL_KAPPAS[m.rho]:
-        raise ValueError(f"kappa={kappa} is not special for rho={m.rho}")
+        raise ValueError(f"kappa={kappa!r} is not special for rho={m.rho}")
     a, b = m.a, m.b
     if m.rho == 1:
         return ((1, -2), (1 + 2 * a, 2), (1 + 2 * b, 2))

@@ -7,6 +7,7 @@ import io
 import json
 import re
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 from types import SimpleNamespace
@@ -20,6 +21,7 @@ import fiqs.invariants
 import fiqs.kaehler
 from fiqs import (
     SERIES_TAGS,
+    DefiningMatrix,
     SeriesId,
     SeriesKey,
     count,
@@ -821,6 +823,123 @@ def test_errors_on_nonpositive_bounds():
         emit_plot_data(1, 0, io.StringIO())
     with pytest.raises(ValueError):
         verify_claims(0)
+
+
+_MEMBER = DefiningMatrix(3, 1, -3, -3, -3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: count_ke(3, 12.0), "iota must be an int, got 12.0"),
+        (lambda: count_exact(3, 12.0), "iota must be an int, got 12.0"),
+        (lambda: count_exact(3, "12"), "iota must be an int, got '12'"),
+        (lambda: count(3, 12.0), "iota_max must be an int, got 12.0"),
+        (lambda: emit_plot_data(3, 12.0, io.StringIO()), "iota_max must be an int, got 12.0"),
+        (lambda: verify_claims(3.0), "iota_max must be an int, got 3.0"),
+        (lambda: fiqs.kaehler.barycenter_oracle(_MEMBER, "0"), "kappa='0' is not special for rho=3"),
+    ],
+    ids=["count_ke", "count_exact float", "count_exact str", "count", "emit_plot_data", "verify_claims",
+         "barycenter_oracle"],
+)
+def test_bad_index_arguments_are_named(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "kwargs, message", [({}, "iota_max must be an int, got 3.0"), ({"iota": "3"}, "iota must be an int, got '3'")]
+)
+def test_export_names_a_bad_index_before_writing(kwargs, message):
+    sink = io.StringIO()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        export_records(1, 3.0, "csv", sink, **kwargs)
+    assert sink.getvalue() == ""
+
+
+def _distinct_oracle_inputs(iota_max: int) -> tuple[int, int]:
+    """The distinct polygons and cones per (rho, iota), summed: the evaluations a verify run shares."""
+    polygons = cones = 0
+    for rho in (1, 2, 3):
+        for iota in range(1, iota_max + 1):
+            matrices = [m for _, m in enumerate_all(rho, iota)]
+            kappas = fiqs.kaehler.SPECIAL_KAPPAS[rho]
+            polygons += len({fiqs.kaehler.degeneration_polygon(m, k) for m in matrices for k in kappas})
+            cones += len({
+                (which, *(m.third_row()[j] for j in columns))
+                for m in matrices for which, columns in fiqs.invariants.SIGMA_RAY_COLUMNS[rho].items()
+            })
+    return polygons, cones
+
+
+def test_verify_evaluates_each_oracle_input_once_per_call(monkeypatch):
+    """Each distinct polygon and cone of an index is solved once per verify run, and no value outlives the run."""
+    calls = {"barycenter_oracle": 0, "local_gorenstein_oracle": 0}
+    for name in calls:
+        oracle = getattr(fiqs.census, name)
+
+        def counted(*args, name=name, oracle=oracle):
+            calls[name] += 1
+            return oracle(*args)
+
+        monkeypatch.setattr(fiqs.census, name, counted)
+    polygons, cones = _distinct_oracle_inputs(12)
+    surfaces = sum(len(enumerate_all(rho, iota)) for rho in (1, 2, 3) for iota in range(1, 13))
+    assert polygons < surfaces and cones < 2 * surfaces  # the values are shared
+    for _ in range(2):
+        calls.update(dict.fromkeys(calls, 0))
+        assert verify_claims(12).ok
+        assert calls == {"barycenter_oracle": polygons, "local_gorenstein_oracle": cones}
+
+
+def _failures(report):
+    return {r.claim.split(" (iota")[0]: r.computed for r in report.results if not r.passed}
+
+
+def _seen_earlier(iota, m, input_of):
+    """Whether a surface of rho 3 at this index gives the oracle input of m before m does."""
+    earlier = []
+    for _, other in enumerate_all(3, iota):
+        if other == m:
+            return input_of(m) in earlier
+        earlier.append(input_of(other))
+    raise AssertionError(f"{m} is not at iota {iota}")
+
+
+def test_verify_compares_a_surface_whose_polygon_was_shared(monkeypatch):
+    """A wrong closed form is caught on a surface whose polygon an earlier surface of its index gave."""
+    assert _seen_earlier(9, _MEMBER, lambda m: fiqs.kaehler.degeneration_polygon(m, 0))
+    correct = fiqs.census.barycenters
+
+    def off_y0(m):
+        bcs = correct(m)
+        return [replace(bcs[0], y=bcs[0].y + 1), *bcs[1:]] if m == _MEMBER else bcs
+
+    monkeypatch.setattr(fiqs.census, "barycenters", off_y0)
+    assert _failures(verify_claims(9)) == {"barycenters = polygon dual centroids": 1}
+
+
+def test_verify_compares_a_surface_whose_cone_was_shared(monkeypatch):
+    """A wrong local index is caught on a surface whose plus cone an earlier surface of its index gave.
+
+    The record's key carries the local indices, so the three other claims that read them fail on the
+    same surface too; each counts it once.
+    """
+    m = DefiningMatrix(3, 1, -4, -4, -1)
+    assert _seen_earlier(9, m, lambda m: m.a)  # the plus cone's third-row entries are (a, 0, 0)
+    correct = fiqs.census.record_from_matrix
+
+    def off_plus(matrix):
+        rec = correct(matrix)
+        return replace(rec, key=replace(rec.key, iota_plus=rec.key.iota_plus + 1)) if matrix == m else rec
+
+    monkeypatch.setattr(fiqs.census, "record_from_matrix", off_plus)
+    assert _failures(verify_claims(9)) == {
+        "local gorenstein formula = solve oracle": 1,
+        "local gorenstein divides local order": 1,
+        "gorenstein index = lcm of local indices": 1,
+        "classify inverts matrix_from_eta": 1,
+    }
 
 
 def reference_bounds_violations(rho, key, deg, eps, pic):

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fiqs import IntMatrix, SmithForm, smith_normal_form, solve3
 
@@ -73,7 +73,100 @@ def test_direct_construction_rejects_non_int_entries(shape, entries, message):
     assert str(info.value) == message
 
 
+def reference_smith_normal_form(m: IntMatrix) -> SmithForm:
+    """``smith_normal_form`` with a pivot scan over the whole trailing block, even after a unit entry."""
+    a = m.to_lists()
+    nr, nc = m.rows, m.cols
+    n = min(nr, nc)
+    factors: list[int] = []
+    for t in range(n):
+        while True:
+            pos = None
+            best = None
+            for i in range(t, nr):
+                for j in range(t, nc):
+                    v = abs(a[i][j])
+                    if v != 0 and (best is None or v < best):
+                        best = v
+                        pos = (i, j)
+            if pos is None:
+                factors.extend([0] * (n - t))
+                return SmithForm(tuple(factors), len([f for f in factors if f != 0]))
+            pi, pj = pos
+            if pi != t:
+                a[t], a[pi] = a[pi], a[t]
+            if pj != t:
+                for row in a:
+                    row[t], row[pj] = row[pj], row[t]
+            p = a[t][t]
+            dirty = False
+            for i in range(t + 1, nr):
+                if a[i][t] % p != 0:
+                    q = a[i][t] // p
+                    for j in range(t, nc):
+                        a[i][j] -= q * a[t][j]
+                    dirty = True
+            for j in range(t + 1, nc):
+                if a[t][j] % p != 0:
+                    q = a[t][j] // p
+                    for i in range(t, nr):
+                        a[i][j] -= q * a[i][t]
+                    dirty = True
+            if dirty:
+                continue
+            for i in range(t + 1, nr):
+                if a[i][t] != 0:
+                    q = a[i][t] // p
+                    for j in range(t, nc):
+                        a[i][j] -= q * a[t][j]
+            for j in range(t + 1, nc):
+                if a[t][j] != 0:
+                    q = a[t][j] // p
+                    for i in range(t, nr):
+                        a[i][j] -= q * a[i][t]
+            culprit = None
+            for i in range(t + 1, nr):
+                for j in range(t + 1, nc):
+                    if a[i][j] % p != 0:
+                        culprit = i
+                        break
+                if culprit is not None:
+                    break
+            if culprit is None:
+                break
+            for j in range(t, nc):
+                a[t][j] += a[culprit][j]
+        factors.append(abs(a[t][t]))
+    return SmithForm(tuple(factors), len([f for f in factors if f != 0]))
+
+
+@st.composite
+def int_matrices(draw) -> IntMatrix:
+    """Matrices up to 4 x 5 with small entries: arbitrary, zero, or of rank below min(rows, cols)."""
+    nr, nc = draw(st.integers(0, 4)), draw(st.integers(0, 5))
+    kind = draw(st.sampled_from(["any", "zero", "low rank"]))
+    if kind == "zero":
+        return IntMatrix(nr, nc, (0,) * (nr * nc))
+    if kind == "any":
+        return IntMatrix(nr, nc, tuple(draw(st.lists(st.integers(-30, 30), min_size=nr * nc, max_size=nr * nc))))
+    k = draw(st.integers(0, max(0, min(nr, nc) - 1)))
+    u = draw(st.lists(st.integers(-6, 6), min_size=nr * k, max_size=nr * k))
+    v = draw(st.lists(st.integers(-6, 6), min_size=k * nc, max_size=k * nc))
+    product = (sum(u[i * k + x] * v[x * nc + j] for x in range(k)) for i in range(nr) for j in range(nc))
+    return IntMatrix(nr, nc, tuple(product))
+
+
 class TestSmith:
+    @given(int_matrices())
+    @example(IntMatrix(0, 3, ()))
+    @example(IntMatrix(3, 0, ()))
+    @example(IntMatrix(2, 3, (0,) * 6))
+    @example(IntMatrix.from_rows([[2, 4, 6], [1, 2, 3], [3, 6, 9]]))
+    @example(IntMatrix.from_rows([[-1, -1, 0, 2], [-1, -1, 2, 0], [4, 0, 1, 1]]))
+    def test_unit_pivot_scan_matches_full_scan(self, m):
+        """Stopping the pivot scan at the first unit entry picks the same pivot, so the same Smith form."""
+        assert smith_normal_form(m) == reference_smith_normal_form(m)
+
     def test_zero_matrix(self):
         snf = smith_normal_form(IntMatrix.from_rows([[0, 0], [0, 0]]))
         assert snf.invariant_factors == (0, 0)

@@ -6,7 +6,9 @@ private name is used somewhere in the package, no module reaches
 into private stdlib API, which may differ between the Python versions that
 ``pyproject.toml`` accepts (``Fraction(..., _normalize=False)`` exists on
 3.11 but not on 3.12), every functools cache has a finite size, so that
-no memo grows with the input, ``canon`` never branches on rho: it reads
+no memo grows with the input, no functools cache sits in ``kaehler`` or
+``core`` or wraps an oracle of ``invariants``, so that no oracle value
+outlives a verify run, ``canon`` never branches on rho: it reads
 the shape of the matrix from ``ARM_COLUMNS``, and no module reads the
 derived ``local`` or ``resolution`` of a record: those properties build
 their dicts on every read, so code in the package reads ``orders``.
@@ -183,22 +185,11 @@ def test_unreferenced_private_name_is_caught():
     assert unreferenced_private_names(sources) == [("a", "_other"), ("a", "_recursive"), ("a", "_unused")]
 
 
-def unbounded_caches(source: str) -> list[tuple[int, str]]:
-    """Each functools cache that can grow without bound, with its line.
+def _caches(tree: ast.AST) -> list[tuple[str, ast.AST, ast.Call | None]]:
+    """Each use of functools ``cache`` or ``lru_cache``: its kind, its node and the call of that node, if any.
 
-    An ``lru_cache`` must be called with its maxsize (first argument or
-    keyword), written as an int or as a module-level name bound to one;
-    ``lru_cache`` used bare or given a function, ``maxsize=None`` and
-    ``cache`` are unbounded.  ``functools`` may be imported under any name.
+    ``functools`` may be imported under any name.
     """
-    tree = ast.parse(source)
-    sizes = {
-        target.id
-        for stmt in tree.body
-        if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Constant) and type(stmt.value.value) is int
-        for target in stmt.targets
-        if isinstance(target, ast.Name)
-    }
     modules, names = set(), {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -214,12 +205,30 @@ def unbounded_caches(source: str) -> list[tuple[int, str]]:
         return None
 
     called = {id(node.func): node for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    return [(kind(node), node, called.get(id(node))) for node in ast.walk(tree) if kind(node) in ("cache", "lru_cache")]
+
+
+def unbounded_caches(source: str) -> list[tuple[int, str]]:
+    """Each functools cache that can grow without bound, with its line.
+
+    An ``lru_cache`` must be called with its maxsize (first argument or
+    keyword), written as an int or as a module-level name bound to one;
+    ``lru_cache`` used bare or given a function, ``maxsize=None`` and
+    ``cache`` are unbounded.
+    """
+    tree = ast.parse(source)
+    sizes = {
+        target.id
+        for stmt in tree.body
+        if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Constant) and type(stmt.value.value) is int
+        for target in stmt.targets
+        if isinstance(target, ast.Name)
+    }
     found = []
-    for node in ast.walk(tree):
-        if kind(node) == "cache":
+    for kind, node, call in _caches(tree):
+        if kind == "cache":
             found.append((node.lineno, ast.unparse(node)))
-        elif kind(node) == "lru_cache":
-            call = called.get(id(node))
+        else:
             size = None
             if call is not None:
                 size = call.args[0] if call.args else next((k.value for k in call.keywords if k.arg == "maxsize"), None)
@@ -228,6 +237,24 @@ def unbounded_caches(source: str) -> list[tuple[int, str]]:
             )
             if not finite:
                 found.append((node.lineno, ast.unparse(call or node)))
+    return sorted(found)
+
+
+def cached_functions(source: str) -> list[tuple[int, str]]:
+    """Each name a functools cache wraps, with its line, bounded cache or not.
+
+    A name is wrapped when its ``def`` is decorated with ``cache``, bare
+    ``lru_cache`` or an ``lru_cache(...)`` call, or when it is passed to
+    ``cache(...)`` or to the function an ``lru_cache(...)`` call returns.
+    """
+    tree = ast.parse(source)
+    wrappers = {id(node) if kind == "cache" or call is None else id(call) for kind, node, call in _caches(tree)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.extend((node.lineno, node.name) for d in node.decorator_list if id(d) in wrappers)
+        elif isinstance(node, ast.Call) and id(node.func) in wrappers:
+            found.extend((arg.lineno, arg.id) for arg in node.args if isinstance(arg, ast.Name))
     return sorted(found)
 
 
@@ -260,6 +287,43 @@ def test_unbounded_cache_is_caught():
         (12, "memo(f)"),
         (12, "memo(maxsize=_other)"),
         (12, "memo(typed=True)"),
+    ]
+
+
+# The oracles' values must not outlive a verify run: a memo across calls would let one
+# run time a warm cache and would hide an oracle mutant behind values of an earlier test.
+@pytest.mark.parametrize("name", ["kaehler", "core"])
+def test_oracle_kernels_have_no_cache(name):
+    found = sorted((node.lineno, kind) for kind, node, _ in _caches(ast.parse((PACKAGE / f"{name}.py").read_text())))
+    assert not found, f"fiqs.{name} has functools caches (line, cache): {found}"
+
+
+def test_no_invariants_oracle_is_cached():
+    found = [(line, f) for line, f in cached_functions((PACKAGE / "invariants.py").read_text()) if f.endswith("_oracle")]
+    assert not found, f"fiqs.invariants caches an oracle (line, function): {found}"
+
+
+def test_cached_oracle_is_caught():
+    source = (
+        "import functools as ft\n"
+        "from functools import cache, cached_property, lru_cache as memo\n"
+        "@memo(maxsize=64)\n"
+        "def class_group_oracle(m): return m\n"
+        "@cache\n"
+        "def _values(m): return m\n"
+        "fast = ft.lru_cache(64)(local_gorenstein_oracle) or cache(barycenter_oracle) or cached_property(f)\n"
+        "@memo\n"
+        "def bare(x): return x\n"
+    )
+    assert cached_functions(source) == [
+        (4, "class_group_oracle"),
+        (6, "_values"),
+        (7, "barycenter_oracle"),
+        (7, "local_gorenstein_oracle"),
+        (9, "bare"),
+    ]
+    assert sorted((node.lineno, kind) for kind, node, _ in _caches(ast.parse(source))) == [
+        (3, "lru_cache"), (5, "cache"), (7, "cache"), (7, "lru_cache"), (8, "lru_cache"),
     ]
 
 
