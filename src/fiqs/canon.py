@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .series import FIRST_TWO_ROWS, SERIES_IDS, DefiningMatrix, SeriesKey, _check_ints, _check_rho, _digit, _orders
+from .series import FIRST_TWO_ROWS, SERIES_IDS, DefiningMatrix, SeriesKey, _check_rho, _digit, _orders
 
 __all__ = [
     "NormalFormError",
@@ -150,8 +150,7 @@ def _violations(
 
 
 def validate(m: DefiningMatrix) -> tuple[str, ...]:
-    """Normal-form inequality check; returns the violated inequalities (empty = ok), after naming a field not an int."""
-    _check_ints(m, m.a, m.b, m.c, m.d)
+    """Normal-form inequality check; returns the violated inequalities (empty = ok)."""
     if _HOLDS[m.rho](m.a, m.b, m.c, m.d):
         return ()
     return _violations(m.rho, m.a, m.b, m.c, m.d)

@@ -49,7 +49,7 @@ from functools import cached_property, lru_cache
 from itertools import repeat
 from math import lcm
 from operator import not_
-from typing import Callable, NoReturn, TextIO
+from typing import Callable, TextIO
 
 from .canon import NormalFormError, canonicalize, raw_from_matrix
 from .invariants import (
@@ -77,6 +77,7 @@ from .series import (
     SeriesKey,
     _CLASS_WEIGHTS,
     _WEIGHTS,
+    _check_index,
     _check_rho,
     _lcm_pairs_unordered,
     _series_id,
@@ -147,13 +148,6 @@ def _ke_cd_count(bound: int, t: int) -> int:
     )
 
 
-def _bad_index(name: str, value: object) -> NoReturn:
-    """Raise the ValueError of a Gorenstein index argument that is not a positive int, naming the argument."""
-    if not isinstance(value, int):
-        raise ValueError(f"{name} must be an int, got {value!r}")
-    raise ValueError(f"{name} must be positive, got {value}")
-
-
 def count_exact(rho: int, iota: int) -> int:
     """Number of surfaces of Gorenstein index exactly iota.
 
@@ -162,8 +156,7 @@ def count_exact(rho: int, iota: int) -> int:
     adds the size of its (c, d) set, which depends on s = w+ iota+ + w- iota-.
     """
     _check_rho(rho)
-    if not isinstance(iota, int) or iota < 1:
-        _bad_index("iota", iota)
+    _check_index("iota", iota)
     table = _CLASS_WEIGHTS[rho]
     total = 0
     for ip, im in _lcm_pairs_unordered(iota):
@@ -184,8 +177,7 @@ def count_exact(rho: int, iota: int) -> int:
 def count_ke(rho: int, iota: int) -> int:
     """Number of Kaehler-Einstein surfaces of Gorenstein index exactly iota."""
     _check_rho(rho)
-    if not isinstance(iota, int) or iota < 1:
-        _bad_index("iota", iota)
+    _check_index("iota", iota)
     if rho == 1:
         return (1 if iota % 2 == 1 else 0) + (1 if iota % 4 == 0 else 0)
     if rho == 2:
@@ -232,8 +224,7 @@ class CountTable:
 
 def count(rho: int, iota_max: int) -> CountTable:
     """Per-index census of all surfaces with Gorenstein index <= iota_max."""
-    if not isinstance(iota_max, int) or iota_max < 1:
-        _bad_index("iota_max", iota_max)
+    _check_index("iota_max", iota_max)
     rows = []
     cum = 0
     ke_cum = 0
@@ -516,8 +507,7 @@ def export_records(
         raise ValueError(f"format must be 'jsonl' or 'csv', got {fmt!r}")
     series_ids = [_series_id(rho, tag) for tag in (SERIES_TAGS if series is None else (series,))]
     name, bound = ("iota_max", iota_max) if iota is None else ("iota", iota)
-    if not isinstance(bound, int) or bound < 1:
-        _bad_index(name, bound)
+    _check_index(name, bound)
     as_csv = fmt == "csv"
     if as_csv:
         sink.write(",".join(CSV_COLUMNS) + "\n")
@@ -749,8 +739,7 @@ def verify_claims(iota_max: int) -> VerifyReport:
     The polygon and solve oracles run once per distinct input of each index (see ``_Index``); every
     surface's closed form is compared with that shared value, and no value outlives the call.
     """
-    if not isinstance(iota_max, int) or iota_max < 1:
-        _bad_index("iota_max", iota_max)
+    _check_index("iota_max", iota_max)
     failures = [0] * len(_SURFACE_CLAIMS)
     low_eps = 0
     for rho in (1, 2, 3):

@@ -24,7 +24,7 @@ from .census import (
     verify_claims,
 )
 from .invariants import record_from_matrix, surface_record
-from .series import SERIES_TAGS, SeriesKey, _check_rho
+from .series import SERIES_TAGS, SeriesKey, _check_index, _check_rho
 
 
 class _Parser(argparse.ArgumentParser):
@@ -96,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.iota is not None and args.iota < 1 or args.iota_max is not None and args.iota_max < 1:
-        raise ValueError("iota bounds must be positive")
+    name, bound = ("iota_max", args.iota_max) if args.iota is None else ("iota", args.iota)
+    _check_index(name, bound)  # before --out is opened
     ctx = open(args.out, "w", encoding="ascii") if args.out else nullcontext(sys.stdout)
     with ctx as sink:
         n = export_records(

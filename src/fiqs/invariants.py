@@ -24,9 +24,10 @@ its local orders as a tuple, not its local data or chains: the key and the
 orders fix both, so ``SurfaceRecord.local`` and ``.resolution`` build them
 when read, and code in this package reads ``orders`` instead.
 
-Input is checked once, at the boundary.  Each public closed form checks its
-matrix (:func:`fiqs.canon.validate`) or its key (the series predicate),
-raising ``ValueError`` on failure, and then calls an unchecked kernel, one
+Field types are checked when a key or matrix is made, the rest once, at
+the boundary: each public closed form checks its matrix
+(:func:`fiqs.canon.validate`) or its key (the series predicate), raising
+``ValueError`` on failure, and then calls an unchecked kernel, one
 per field, written in the local class group orders.  One field kernel,
 ``_values``, calls them for every record and exported line and returns
 (m, local orders, values); ``_record`` assembles a record from that triple,
@@ -44,7 +45,7 @@ from math import gcd, lcm, prod
 from .canon import ARM_COLUMNS, _checked, classify
 from .core import IntMatrix, smith_normal_form, solve3
 from .kaehler import _ke_rule
-from .series import FIRST_TWO_ROWS, DefiningMatrix, SeriesKey, _check_ints, _orders, matrix_from_eta
+from .series import FIRST_TWO_ROWS, DefiningMatrix, SeriesKey, _orders, matrix_from_eta
 
 __all__ = [
     "POINT_LABELS", "SIGMA_RAY_COLUMNS", "ClassGroup", "LocalData", "ResolutionGraph",
@@ -282,8 +283,7 @@ _DEGREE_NUMERATORS = {
 
 
 def degree_from_eta(key: SeriesKey) -> Fraction:
-    """Anticanonical degree in terms of the local Gorenstein indices; ValueError naming a key field not an int."""
-    _check_ints(key, key.iota_plus, key.iota_minus, key.c, key.d)
+    """Anticanonical degree in terms of the local Gorenstein indices."""
     rho, tag = key.series.rho, key.series.tag
     np_ = _DEGREE_NUMERATORS[rho][tag[1]]
     nm = _DEGREE_NUMERATORS[rho][tag[2]]
@@ -308,8 +308,7 @@ _PICARD_FACTORS = {2: {"1": 1, "2": 3}, 3: {"1": 1, "2": 2}}
 
 
 def picard_index_from_eta(key: SeriesKey) -> int:
-    """Picard index in terms of eta (tabulated forms, one per series); ValueError naming a key field not an int."""
-    _check_ints(key, key.iota_plus, key.iota_minus, key.c, key.d)
+    """Picard index in terms of eta (tabulated forms, one per series)."""
     rho, tag = key.series.rho, key.series.tag
     ip, im = key.iota_plus, key.iota_minus
     c, d = key.c, key.d

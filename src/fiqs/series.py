@@ -19,6 +19,8 @@ Gorenstein index there lies in an index class (a set of residues mod 12),
 and the local class group order is w * iota with a series weight w.  This
 module is the one home of that fact (``_DIGITS``, read back from the orders
 by ``_digit``); the exact predicates are in :func:`series_membership`.
+Keys and matrices check their field types when made (``_check_params``, a
+bool refused), and every index argument goes through ``_check_index``.
 """
 
 from __future__ import annotations
@@ -52,16 +54,31 @@ FIRST_TWO_ROWS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
 
 
 def _check_rho(rho: int) -> None:
-    if rho not in (1, 2, 3):
+    if type(rho) is not int or rho not in (1, 2, 3):
         raise ValueError(f"rho must be 1, 2 or 3, got {rho}")
 
 
-def _check_shape(rho: int, c: int | None, d: int | None) -> None:
-    """The parameter shape of keys and matrices alike: c is given exactly for rho >= 2, d exactly for rho = 3."""
+def _check_index(name: str, value: int) -> None:
+    """ValueError naming a Gorenstein index argument that is not a positive int (a bool is not an int)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
+def _check_params(obj: SeriesKey | DefiningMatrix, rho: int, x: int, y: int, c: int | None, d: int | None) -> None:
+    """ValueError naming the first bad field of a new key or matrix: rho, the c/d shape, then x, y, c, d not an int."""
+    if type(rho) is not int or rho not in (1, 2, 3):  # the test of _check_rho, inline: one call per key or matrix
+        _check_rho(rho)
     if (c is not None) != (rho >= 2):
         raise ValueError(f"c must be present exactly for rho >= 2 (rho={rho})")
     if (d is not None) != (rho == 3):
         raise ValueError(f"d must be present exactly for rho = 3 (rho={rho})")
+    if type(x) is int and type(y) is int and (c is None or type(c) is int) and (d is None or type(d) is int):
+        return
+    for name, value in zip(obj.__slots__[1:], (x, y, c, d)):
+        if not (type(value) is int or value is None and name in ("c", "d")):
+            raise ValueError(f"{type(obj).__name__} field {name!r} must be an int, got {value!r}")
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -100,9 +117,10 @@ class SeriesKey:
     d: int | None = None
 
     def __post_init__(self) -> None:
+        _check_params(self, self.series.rho, self.iota_plus, self.iota_minus, self.c, self.d)
         if self.iota_plus < 1 or self.iota_minus < 1:
-            raise ValueError("local Gorenstein indices must be positive")
-        _check_shape(self.series.rho, self.c, self.d)
+            name = "iota_plus" if self.iota_plus < 1 else "iota_minus"
+            raise ValueError(f"SeriesKey field {name!r} must be positive, got {getattr(self, name)}")
 
     @property
     def rho(self) -> int:
@@ -117,15 +135,6 @@ class SeriesKey:
         return tuple(v for v in (self.iota_plus, self.iota_minus, self.c, self.d) if v is not None)
 
 
-def _check_ints(obj: SeriesKey | DefiningMatrix, x: object, y: object, c: object, d: object) -> None:
-    """ValueError naming the first of a key's or matrix's last four fields x, y, c, d not an int (c, d may be None)."""
-    if isinstance(x, int) and isinstance(y, int) and (c is None or isinstance(c, int)) and (d is None or isinstance(d, int)):
-        return
-    for name, value in zip(obj.__slots__[1:], (x, y, c, d)):
-        if not (isinstance(value, int) or value is None and name in ("c", "d")):
-            raise ValueError(f"{type(obj).__name__} field {name!r} must be an int, got {value!r}")
-
-
 @dataclass(frozen=True, order=True, slots=True)
 class DefiningMatrix:
     """Normal-form defining matrix, stored by its free third-row parameters."""
@@ -137,8 +146,7 @@ class DefiningMatrix:
     d: int | None = None
 
     def __post_init__(self) -> None:
-        _check_rho(self.rho)
-        _check_shape(self.rho, self.c, self.d)
+        _check_params(self, self.rho, self.a, self.b, self.c, self.d)
 
     def params(self) -> tuple[int, ...]:
         return tuple(v for v in (self.a, self.b, self.c, self.d) if v is not None)
@@ -231,8 +239,7 @@ def _pair_ok(rho: int, tag: str, ip: int, im: int) -> bool:
 
 
 def series_membership(key: SeriesKey) -> bool:
-    """Whether eta satisfies the defining predicate of its series; ValueError naming a field that is not an int."""
-    _check_ints(key, key.iota_plus, key.iota_minus, key.c, key.d)
+    """Whether eta satisfies the defining predicate of its series."""
     rho, tag = key.series.rho, key.series.tag
     ip, im = key.iota_plus, key.iota_minus
     if not _pair_ok(rho, tag, ip, im):
@@ -252,8 +259,7 @@ def enumerate_eta(series: SeriesId, iota: int) -> list[SeriesKey]:
 
     Ascending lexicographic in (iota+, iota-, c, d).
     """
-    if iota < 1:
-        raise ValueError(f"iota must be positive, got {iota}")
+    _check_index("iota", iota)
     rho, tag = series.rho, series.tag
     out: list[SeriesKey] = []
     for ip, im in _lcm_pairs(iota):
@@ -279,7 +285,7 @@ def enumerate_eta(series: SeriesId, iota: int) -> list[SeriesKey]:
 
 
 def matrix_from_eta(key: SeriesKey) -> DefiningMatrix:
-    """The defining matrix P_eta of a series member; ValueError naming a field that is not an int."""
+    """The defining matrix P_eta of a series member."""
     if not series_membership(key):
         raise ValueError(f"key does not satisfy its series predicate: {key}")
     rho = key.series.rho
@@ -315,8 +321,6 @@ def enumerate_all(rho: int, iota: int) -> list[tuple[SeriesKey, DefiningMatrix]]
     each series.
     """
     _check_rho(rho)
-    if iota < 1:
-        raise ValueError(f"iota must be positive, got {iota}")
     out = []
     for tag in SERIES_TAGS:
         for key in enumerate_eta(SERIES_IDS[rho, tag], iota):

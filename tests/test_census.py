@@ -838,9 +838,12 @@ _MEMBER = DefiningMatrix(3, 1, -3, -3, -3)
         (lambda: emit_plot_data(3, 12.0, io.StringIO()), "iota_max must be an int, got 12.0"),
         (lambda: verify_claims(3.0), "iota_max must be an int, got 3.0"),
         (lambda: fiqs.kaehler.barycenter_oracle(_MEMBER, "0"), "kappa='0' is not special for rho=3"),
+        (lambda: enumerate_all(3, 12.0), "iota must be an int, got 12.0"),
+        (lambda: enumerate_eta(SERIES_IDS[3, "s11"], "12"), "iota must be an int, got '12'"),
+        (lambda: count(3, True), "iota_max must be an int, got True"),
     ],
     ids=["count_ke", "count_exact float", "count_exact str", "count", "emit_plot_data", "verify_claims",
-         "barycenter_oracle"],
+         "barycenter_oracle", "enumerate_all", "enumerate_eta", "count bool"],
 )
 def test_bad_index_arguments_are_named(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

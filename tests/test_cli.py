@@ -65,6 +65,14 @@ def test_enumerate_csv_to_file(tmp_path, capsys):
     assert lines[0].startswith("rho,series,")
 
 
+@pytest.mark.parametrize("option, name", [("--iota", "iota"), ("--iota-max", "iota_max")])
+def test_enumerate_names_a_bad_bound_before_opening_out(tmp_path, capsys, option, name):
+    out = tmp_path / "records.jsonl"
+    assert main(["enumerate", "--rho", "1", option, "0", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"fiqs: error: {name} must be positive, got 0\n"
+    assert not out.exists()
+
+
 def test_enumerate_series_filter(capsys):
     assert main(["enumerate", "--rho", "1", "--iota-max", "5", "--series", "s11"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

@@ -9,9 +9,12 @@ into private stdlib API, which may differ between the Python versions that
 no memo grows with the input, no functools cache sits in ``kaehler`` or
 ``core`` or wraps an oracle of ``invariants``, so that no oracle value
 outlives a verify run, ``canon`` never branches on rho: it reads
-the shape of the matrix from ``ARM_COLUMNS``, and no module reads the
+the shape of the matrix from ``ARM_COLUMNS``, no module reads the
 derived ``local`` or ``resolution`` of a record: those properties build
-their dicts on every read, so code in the package reads ``orders``.
+their dicts on every read, so code in the package reads ``orders``, and
+no module tests a value's type against int outside a ``__post_init__`` or
+a ``series._check_*`` function: keys and matrices check their fields when
+they are made, and ``series._check_index`` checks every index argument.
 """
 
 from __future__ import annotations
@@ -387,3 +390,63 @@ def test_derived_record_read_is_caught():
         "f(getattr(rec, 'resolution'), resolution=1)\n"
     )
     assert derived_record_reads(source) == [(1, "rec.local"), (2, "s.rec.resolution")]
+
+
+def int_type_tests(source: str, module: str) -> list[tuple[int, str]]:
+    """Each int-type test outside a ``__post_init__`` or, in ``series``, a ``_check_*`` function, with its line.
+
+    An int-type test is ``isinstance(_, int)`` (int alone or in a tuple),
+    ``type(_) is int`` or ``is not int``, and ``int.__instancecheck__``.
+    """
+    def is_int(node: ast.AST) -> bool:
+        return isinstance(node, ast.Name) and node.id == "int"
+
+    def is_type_call(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "type"
+
+    def is_test(node: ast.AST) -> bool:
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "isinstance":
+            cls = node.args[1]
+            return is_int(cls) or isinstance(cls, ast.Tuple) and any(map(is_int, cls.elts))
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            is_op = any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+            return is_op and any(map(is_int, sides)) and any(map(is_type_call, sides))
+        return isinstance(node, ast.Attribute) and is_int(node.value) and node.attr == "__instancecheck__"
+
+    found = []
+
+    def visit(node: ast.AST, allowed: bool) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            allowed = allowed or node.name == "__post_init__" or module == "series" and node.name.startswith("_check_")
+        elif not allowed and is_test(node):
+            found.append((node.lineno, ast.unparse(node)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, allowed)
+
+    visit(ast.parse(source), False)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ALL_MODULES)
+def test_int_types_are_checked_where_values_are_made(name):
+    found = int_type_tests((PACKAGE / f"{name}.py").read_text(), name)
+    assert not found, f"fiqs.{name} tests for int outside a constructor or series._check_* (line, test): {found}"
+
+
+def test_int_type_test_is_caught():
+    source = (
+        "def _check_ints(x):\n    return isinstance(x, int)\n"
+        "class K:\n    def __post_init__(self):\n        assert all(map(int.__instancecheck__, self.t))\n"
+        "def f(x, y):\n    return isinstance(x, (int, float)) or type(y) is not int\n"
+        "g = int.__instancecheck__ if type(1) is int else None\n"
+        "def h(x):\n    return type(x) is bool or isinstance(x, str) or x is int or type(x) == float\n"
+    )
+    outside = [
+        (7, "isinstance(x, (int, float))"),
+        (7, "type(y) is not int"),
+        (8, "int.__instancecheck__"),
+        (8, "type(1) is int"),
+    ]
+    assert int_type_tests(source, "series") == outside
+    assert int_type_tests(source, "census") == sorted([(2, "isinstance(x, int)"), *outside])

@@ -172,12 +172,20 @@ def test_record_path_under_python310():
             "SeriesKey field 'c' must be an int, got -2.0",
         ),
         (lambda: fiqs.resolution_graph(SeriesKey(SeriesId(2, "s22"), 1, 1, "-2")), "SeriesKey field 'c' must be an int"),
+        (
+            lambda: fiqs.record_to_json_line(surface_record(SeriesKey(SeriesId(1, "s11"), True, True))),
+            "SeriesKey field 'iota_plus' must be an int, got True",
+        ),
+        (lambda: SeriesKey(SeriesId(3, "s11"), "3", 3, -2, -2), "SeriesKey field 'iota_plus' must be an int, got '3'"),
+        (lambda: DefiningMatrix(3, 3, 1, -2, "-2"), "DefiningMatrix field 'd' must be an int, got '-2'"),
+        (lambda: SeriesId(1.0, "s11"), "rho must be 1, 2 or 3, got 1.0"),
+        (lambda: SeriesId(True, "s11"), "rho must be 1, 2 or 3, got True"),
     ],
 )
 def test_non_int_fields_are_named(call, message):
-    """Going from a key to its matrix or back names a field that is not an int, as RawMatrix does.
+    """A key, matrix or series id names a field that is not an int when it is made, as RawMatrix does.
 
-    No float record comes out, and no bare TypeError from the residue tables.
+    No float or bool record comes out, and no bare TypeError from the residue tables.
     """
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
