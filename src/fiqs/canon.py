@@ -26,9 +26,9 @@ indicate corrupted input and raise :class:`NormalFormError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
+from .core import value_class
 from .series import FIRST_TWO_ROWS, SERIES_IDS, DefiningMatrix, SeriesKey, _check_rho, _digit, _orders
 
 __all__ = [
@@ -72,7 +72,7 @@ SWAPPABLE_ARM_PAIRS: dict[int, frozenset[tuple[int, int]]] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class AdmissibleOp:
     """One isomorphy-preserving matrix move.
 
@@ -98,7 +98,7 @@ class AdmissibleOp:
             raise ValueError("swap_arms needs an arm pair")
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class RawMatrix:
     """A defining matrix with standard first two rows and free third row."""
 

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -52,6 +51,7 @@ from operator import not_
 from typing import Callable, TextIO
 
 from .canon import NormalFormError, canonicalize, raw_from_matrix
+from .core import value_class
 from .invariants import (
     _ELLIPTIC,
     _SHARED_ORDER_MAX,
@@ -157,6 +157,11 @@ def count_exact(rho: int, iota: int) -> int:
     """
     _check_rho(rho)
     _check_index("iota", iota)
+    return _count_exact(rho, iota)
+
+
+def _count_exact(rho: int, iota: int) -> int:
+    """:func:`count_exact` for arguments already checked."""
     table = _CLASS_WEIGHTS[rho]
     total = 0
     for ip, im in _lcm_pairs_unordered(iota):
@@ -178,6 +183,11 @@ def count_ke(rho: int, iota: int) -> int:
     """Number of Kaehler-Einstein surfaces of Gorenstein index exactly iota."""
     _check_rho(rho)
     _check_index("iota", iota)
+    return _count_ke(rho, iota)
+
+
+def _count_ke(rho: int, iota: int) -> int:
+    """:func:`count_ke` for arguments already checked."""
     if rho == 1:
         return (1 if iota % 2 == 1 else 0) + (1 if iota % 4 == 0 else 0)
     if rho == 2:
@@ -189,7 +199,7 @@ def count_ke(rho: int, iota: int) -> int:
     return total
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class CountRow:
     iota: int
     exact: int
@@ -198,7 +208,7 @@ class CountRow:
     ke_cumulative: int
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class CountTable:
     rho: int
     rows: tuple[CountRow, ...]
@@ -223,14 +233,15 @@ class CountTable:
 
 
 def count(rho: int, iota_max: int) -> CountTable:
-    """Per-index census of all surfaces with Gorenstein index <= iota_max."""
+    """Per-index census of all surfaces with Gorenstein index <= iota_max; the arguments are checked once."""
     _check_index("iota_max", iota_max)
+    _check_rho(rho)
     rows = []
     cum = 0
     ke_cum = 0
     for i in range(1, iota_max + 1):
-        e = count_exact(rho, i)
-        k = count_ke(rho, i)
+        e = _count_exact(rho, i)
+        k = _count_ke(rho, i)
         cum += e
         ke_cum += k
         rows.append(CountRow(i, e, cum, k, ke_cum))
@@ -536,7 +547,7 @@ def emit_plot_data(rho: int, iota_max: int, sink: TextIO) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class ClaimResult:
     claim: str
     expected: object
@@ -544,7 +555,7 @@ class ClaimResult:
     passed: bool
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class VerifyReport:
     results: tuple[ClaimResult, ...]
     notes: tuple[str, ...]

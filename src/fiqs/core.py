@@ -11,19 +11,70 @@ floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 __all__ = [
     "IntMatrix",
     "SmithForm",
     "solve3",
     "smith_normal_form",
+    "value_class",
 ]
 
+def _slot_init(cls: type) -> Callable[..., None]:
+    """The ``__init__`` of a slotted dataclass that stores each field through its slot descriptor.
 
-@dataclass(frozen=True, slots=True)
+    Compiled from text, as ``dataclasses`` compiles its own: the setters and
+    defaults are closure cells and the module is the globals, so the
+    annotations resolve as they do on the generated method.
+    """
+    fs = fields(cls)
+    for f in fs:
+        if f.default_factory is not MISSING or not f.init or f.kw_only:
+            raise TypeError(f"value_class {cls.__name__}: field {f.name!r} needs the generated __init__")
+    cells = {f"_set_{f.name}": vars(cls)[f.name].__set__ for f in fs}
+    cells.update({f"_default_{f.name}": f.default for f in fs if f.default is not MISSING})
+    params = "".join(f", {f.name}" if f.default is MISSING else f", {f.name}=_default_{f.name}" for f in fs)
+    body = [f"_set_{f.name}(self, {f.name})" for f in fs]
+    if hasattr(cls, "__post_init__"):
+        body.append("self.__post_init__()")
+    lines = [f"def make({', '.join(cells)}):", f"    def __init__(self{params}):", *(f"        {b}" for b in body)]
+    made: dict[str, Callable[..., Callable[..., None]]] = {}
+    exec("\n".join([*lines, "    return __init__"]), sys.modules[cls.__module__].__dict__, made)
+    init = made["make"](**cells)
+    init.__annotations__ = {**{f.name: f.type for f in fs}, "return": None}
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+def value_class(cls: type | None = None, /, *, order: bool = False) -> type | Callable[[type], type]:
+    """``dataclass(frozen=True, slots=True, order=order)``, with an ``__init__`` that stores through the slots.
+
+    The ``__init__`` that ``dataclass`` generates for a frozen class stores
+    each field by ``object.__setattr__(self, name, value)``, which looks the
+    name up in the type on every call, and the record paths build several
+    such values per surface.  The installed ``__init__`` calls each slot's
+    member descriptor (``cls.__dict__[name].__set__``, bound once per class),
+    which skips that lookup and the frozen ``__setattr__``, and then runs
+    ``__post_init__`` as the generated one does.  Its parameters, their order,
+    defaults and annotations are the generated ones; equality, hashing,
+    ordering, ``repr``, pickling and ``dataclasses.replace`` are
+    ``dataclass``'s own.  A field it does not handle (``default_factory``,
+    ``init=False``, ``kw_only``) is a TypeError when the class is decorated.
+    """
+
+    def wrap(cls: type) -> type:
+        cls = dataclass(cls, frozen=True, order=order, slots=True)
+        cls.__init__ = _slot_init(cls)
+        return cls
+
+    return wrap if cls is None else wrap(cls)
+
+
+@value_class
 class IntMatrix:
     """Immutable integer matrix with row-major entries."""
 
@@ -55,7 +106,7 @@ class IntMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class SmithForm:
     """Invariant factors d1 | d2 | ... of an integer matrix; rank = number of nonzero factors."""
 

@@ -36,14 +36,13 @@ and the encoders of :mod:`fiqs.census` write a line from it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
 from math import gcd, lcm, prod
 
 from .canon import ARM_COLUMNS, _checked, classify
-from .core import IntMatrix, smith_normal_form, solve3
+from .core import IntMatrix, smith_normal_form, solve3, value_class
 from .kaehler import _ke_rule
 from .series import FIRST_TWO_ROWS, DefiningMatrix, SeriesKey, _orders, matrix_from_eta
 
@@ -78,7 +77,7 @@ _ORDER_FORMS = {1: (4, 1, 4, 2), 2: (9, 2, 3, 1), 3: (4, 1, 2, 1)}
 _MEMO_SIZE = 4096  # entries per memo of a shared record value
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class ClassGroup:
     """Divisor class group Z^free_rank x Z/torsion (torsion_order 1 = free)."""
 
@@ -86,7 +85,7 @@ class ClassGroup:
     torsion_order: int
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class LocalData:
     """Per fixed point: local class group order and local Gorenstein index."""
 
@@ -94,7 +93,7 @@ class LocalData:
     gorenstein_indices: dict[str, int]
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class ResolutionGraph:
     """Per fixed point, the chain of exceptional-curve self-intersections.
 
@@ -104,7 +103,7 @@ class ResolutionGraph:
     chains: dict[str, tuple[int, ...]]
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class SurfaceRecord:
     """Full invariant bundle of one surface.
 

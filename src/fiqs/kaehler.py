@@ -28,12 +28,12 @@ weights from :mod:`fiqs.series`) and, for rho=3, a positive b survive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
 from .canon import _checked
+from .core import value_class
 from .series import _WEIGHTS, DefiningMatrix, SeriesKey, series_membership
 
 __all__ = [
@@ -51,7 +51,7 @@ __all__ = [
 SPECIAL_KAPPAS: dict[int, tuple[int, ...]] = {1: (1, 2), 2: (2,), 3: (0, 1, 2)}
 
 
-@dataclass(frozen=True, slots=True)
+@value_class
 class Barycenter:
     """Moment-polytope barycenter of the special degeneration kappa."""
 

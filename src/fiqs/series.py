@@ -25,10 +25,9 @@ bool refused), and every index argument goes through ``_check_index``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
-from .core import IntMatrix
+from .core import IntMatrix, value_class
 
 __all__ = [
     "SERIES_TAGS",
@@ -81,7 +80,7 @@ def _check_params(obj: SeriesKey | DefiningMatrix, rho: int, x: int, y: int, c: 
             raise ValueError(f"{type(obj).__name__} field {name!r} must be an int, got {value!r}")
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@value_class(order=True)
 class SeriesId:
     rho: int
     tag: str
@@ -99,14 +98,18 @@ SERIES_IDS: dict[tuple[int, str], SeriesId] = {
 
 
 def _series_id(rho: int, tag: str) -> SeriesId:
-    """The shared id of (rho, tag); ValueError naming rho or the tag if there is none."""
+    """The shared id of (rho, tag); ValueError naming rho or the tag if there is none.
+
+    rho is checked first: True or 1.0 would find the id of rho 1 as key 1.
+    """
+    _check_rho(rho)
     try:
         return SERIES_IDS[rho, tag]
     except (KeyError, TypeError):
         return SeriesId(rho, tag)  # raises the ValueError of the bad field
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@value_class(order=True)
 class SeriesKey:
     """One surface: a series together with eta = (iota+, iota-[, c[, d]])."""
 
@@ -135,7 +138,7 @@ class SeriesKey:
         return tuple(v for v in (self.iota_plus, self.iota_minus, self.c, self.d) if v is not None)
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@value_class(order=True)
 class DefiningMatrix:
     """Normal-form defining matrix, stored by its free third-row parameters."""
 

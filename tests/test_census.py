@@ -240,6 +240,8 @@ def test_export_rejects_unknown_format():
         (0, 5, "jsonl", {}, "rho must be 1, 2 or 3, got 0"),
         (1, 5, "csv", {"iota": 0}, "iota must be positive, got 0"),
         (1, 5, "csv", {"series": "s99"}, "unknown series tag 's99'"),
+        (True, 2, "jsonl", {}, "rho must be 1, 2 or 3, got True"),
+        (1.0, 2, "jsonl", {}, "rho must be 1, 2 or 3, got 1.0"),
     ],
 )
 def test_export_rejects_bad_arguments_before_writing(rho, iota_max, fmt, kwargs, message):
@@ -823,6 +825,28 @@ def test_errors_on_nonpositive_bounds():
         emit_plot_data(1, 0, io.StringIO())
     with pytest.raises(ValueError):
         verify_claims(0)
+
+
+def test_count_checks_its_arguments_once(monkeypatch):
+    calls = {"_check_rho": 0, "_check_index": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(fiqs.census, name, counting(name, getattr(fiqs.census, name)))
+    table = count(3, 50)
+    assert calls == {"_check_rho": 1, "_check_index": 1}
+    assert [r.exact for r in table.rows] == [count_exact(3, i) for i in range(1, 51)]
+    assert [r.ke for r in table.rows] == [count_ke(3, i) for i in range(1, 51)]
+    with pytest.raises(ValueError, match=r"^iota_max must be positive, got 0$"):
+        count(7, 0)  # the index is named before rho, as when every row was checked
+    with pytest.raises(ValueError, match=r"^rho must be 1, 2 or 3, got 7$"):
+        count(7, 5)
 
 
 _MEMBER = DefiningMatrix(3, 1, -3, -3, -3)

@@ -14,7 +14,9 @@ derived ``local`` or ``resolution`` of a record: those properties build
 their dicts on every read, so code in the package reads ``orders``, and
 no module tests a value's type against int outside a ``__post_init__`` or
 a ``series._check_*`` function: keys and matrices check their fields when
-they are made, and ``series._check_index`` checks every index argument.
+they are made, and ``series._check_index`` checks every index argument, and
+no class is decorated with bare ``dataclass``: every value class goes through
+``core.value_class``, whose ``__init__`` stores through the slots.
 """
 
 from __future__ import annotations
@@ -450,3 +452,39 @@ def test_int_type_test_is_caught():
     ]
     assert int_type_tests(source, "series") == outside
     assert int_type_tests(source, "census") == sorted([(2, "isinstance(x, int)"), *outside])
+
+
+def bare_dataclasses(source: str) -> list[tuple[int, str]]:
+    """Each class decorated with ``dataclass`` or ``dataclasses.dataclass``, called or not, with its line."""
+
+    def is_dataclass(node: ast.AST) -> bool:
+        if isinstance(node, ast.Call):
+            node = node.func
+        return isinstance(node, ast.Name) and node.id == "dataclass" or (
+            isinstance(node, ast.Attribute) and node.attr == "dataclass"
+        )
+
+    return sorted(
+        (node.lineno, node.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef) and any(map(is_dataclass, node.decorator_list))
+    )
+
+
+@pytest.mark.parametrize("name", ALL_MODULES)
+def test_no_bare_dataclass(name):
+    found = bare_dataclasses((PACKAGE / f"{name}.py").read_text())
+    assert not found, f"fiqs.{name} decorates classes with bare dataclass, not core.value_class (line, class): {found}"
+
+
+def test_bare_dataclass_is_caught():
+    source = (
+        "import dataclasses\nfrom dataclasses import dataclass\n"
+        "@dataclass\nclass A:\n    x: int\n"
+        "@dataclass(frozen=True, slots=True)\nclass B:\n    x: int\n"
+        "@dataclasses.dataclass(order=True)\nclass C:\n    x: int\n"
+        "@value_class\nclass D:\n    x: int\n"
+        "@value_class(order=True)\nclass E:\n    x: int\n"
+        "def f():\n    return dataclass(type('F', (), {}))\n"
+    )
+    assert bare_dataclasses(source) == [(4, "A"), (7, "B"), (10, "C")]

@@ -2,8 +2,12 @@
 
 Slots keep the per-record objects small; the guard checks that none lost
 them and that instances still pickle, deep-copy and ``replace`` unchanged.
-The last test runs the record path under Python 3.10, the oldest version
-``pyproject.toml`` accepts (and the first with ``dataclass(slots=True)``).
+The record path also runs under Python 3.10, the oldest version
+``pyproject.toml`` accepts (and the first with ``dataclass(slots=True)``),
+and under 3.12 and 3.13, whose slot machinery differs.  Each class is made by
+``core.value_class``, so the last tests pin its construction contract: the
+``__init__`` takes the parameters ``dataclass`` would generate, stores every
+field and runs ``__post_init__``.
 """
 
 from __future__ import annotations
@@ -11,12 +15,14 @@ from __future__ import annotations
 import copy
 import dataclasses
 import importlib
+import inspect
 import os
 import pickle
 import pkgutil
 import re
 import shutil
 import subprocess
+import typing
 from pathlib import Path
 
 import pytest
@@ -35,6 +41,8 @@ from fiqs import (
     surface_record,
 )
 from fiqs.census import ClaimResult, CountRow, VerifyReport
+from fiqs.core import value_class
+from fiqs.series import SERIES_IDS
 
 _KEY = SeriesKey(SeriesId(3, "s11"), 3, 3, -2, -2)
 _REC = surface_record(_KEY)
@@ -104,8 +112,8 @@ def test_replace_still_runs_post_init_checks():
         dataclasses.replace(EXAMPLES["DefiningMatrix"], d=None)
 
 
-_PY310_SCRIPT = """
-import csv, io, pickle, sys
+_RECORD_PATH_SCRIPT = """
+import csv, dataclasses, io, pickle, sys
 sys.path.insert(0, sys.argv[1])
 from fiqs import (SeriesId, SeriesKey, record_from_csv_row, record_from_json_line,
                   record_to_csv_row, record_to_json_line, surface_record)
@@ -120,38 +128,55 @@ for key in keys:
     assert record_from_csv_row(row) == rec
     assert pickle.loads(pickle.dumps(rec)) == rec
     assert not hasattr(rec, "__dict__")
+    named = {f.name: getattr(rec, f.name) for f in dataclasses.fields(rec)}
+    assert type(rec)(**named) == rec == dataclasses.replace(rec)
+    assert SeriesKey(series=key.series, iota_plus=key.iota_plus, iota_minus=key.iota_minus, c=key.c, d=key.d) == key
+    try:
+        dataclasses.replace(key, iota_plus=0)
+    except ValueError as e:
+        assert "must be positive" in str(e)
+    else:
+        raise AssertionError("replace skipped __post_init__")
+    try:
+        rec.ke = not rec.ke
+    except dataclasses.FrozenInstanceError:
+        pass
+    else:
+        raise AssertionError("a record field was assigned")
 print(".".join(map(str, sys.version_info[:2])), len(keys))
 """
 
 
-def _python310() -> tuple[str, dict[str, str]] | None:
-    """A working python3.10 on PATH and the environment to run it in, or None."""
-    exe = shutil.which("python3.10")
+def _python(version: str) -> tuple[str, dict[str, str]] | None:
+    """A working python<version> on PATH and the environment to run it in, or None."""
+    exe = shutil.which(f"python{version}")
     if exe is None:
         return None
     # A pyenv shim runs only a selected version; other interpreters ignore this.
-    env = {**os.environ, "PYENV_VERSION": "3.10"}
+    env = {**os.environ, "PYENV_VERSION": version}
     try:
         probe = subprocess.run(
-            [exe, "-c", "import sys; print(sys.version_info[:2] == (3, 10))"],
+            [exe, "-c", "import sys; print('.'.join(map(str, sys.version_info[:2])))"],
             capture_output=True, text=True, timeout=60, env=env,
         )
     except OSError:
         return None
-    return (exe, env) if probe.stdout.strip() == "True" else None
+    return (exe, env) if probe.stdout.strip() == version else None
 
 
-def test_record_path_under_python310():
-    found = _python310()
+@pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+def test_record_path_under_python(version):
+    """The record path under the oldest Python ``pyproject.toml`` accepts and under the newer slot machinery."""
+    found = _python(version)
     if found is None:
-        pytest.skip("no working python3.10 on PATH")
+        pytest.skip(f"no working python{version} on PATH")
     exe, env = found
     src = Path(fiqs.__file__).resolve().parents[1]
     done = subprocess.run(
-        [exe, "-B", "-c", _PY310_SCRIPT, str(src)], capture_output=True, text=True, timeout=120, env=env
+        [exe, "-B", "-c", _RECORD_PATH_SCRIPT, str(src)], capture_output=True, text=True, timeout=120, env=env
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["3.10", "3"]
+    assert done.stdout.split() == [version, "3"]
 
 
 @pytest.mark.parametrize(
@@ -189,3 +214,59 @@ def test_non_int_fields_are_named(call, message):
     """
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def _generated_init(cls: type) -> typing.Callable[..., None]:
+    """The ``__init__`` that plain ``dataclass`` generates for the fields of cls, on a twin class."""
+    fields = dataclasses.fields(cls)
+    namespace = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING}
+    namespace["__annotations__"] = {f.name: f.type for f in fields}
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace)).__init__
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_init_has_the_generated_signature(name):
+    cls = DATACLASSES[name]
+    assert inspect.signature(cls.__init__) == inspect.signature(_generated_init(cls))
+    hints = typing.get_type_hints(cls)
+    assert typing.get_type_hints(cls.__init__) == {**hints, "return": type(None)}
+    assert cls.__init__.__qualname__ == f"{name}.__init__"
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLES))
+def test_positional_and_keyword_construction_store_every_field(name):
+    obj = EXAMPLES[name]
+    cls = type(obj)
+    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(cls)}
+    for twin in (cls(*values.values()), cls(**values)):
+        assert all(getattr(twin, field) is value for field, value in values.items())
+        assert twin == obj
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SeriesKey(SERIES_IDS[3, "s11"], 0, 3, -2, -2), "SeriesKey field 'iota_plus' must be positive, got 0"),
+        (lambda: SeriesKey(series=SERIES_IDS[1, "s11"], iota_plus=3, iota_minus=3, c=-2), "c must be present exactly"),
+        (lambda: DefiningMatrix(3, 3, 1, -2, "-2"), "DefiningMatrix field 'd' must be an int, got '-2'"),
+        (lambda: DefiningMatrix(rho=2, a=1, b=-1), "c must be present exactly for rho >= 2 (rho=2)"),
+    ],
+)
+def test_construction_runs_post_init(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        dataclasses.field(default_factory=list),
+        dataclasses.field(default=0, init=False),
+        dataclasses.field(default=0, kw_only=True),
+    ],
+    ids=["default_factory", "init=False", "kw_only"],
+)
+def test_value_class_refuses_fields_it_does_not_store(field):
+    namespace = {"__annotations__": {"x": "int", "y": "int"}, "x": 0, "y": field}
+    with pytest.raises(TypeError, match=re.escape("value_class Bad: field 'y' needs the generated __init__")):
+        value_class(type("Bad", (), namespace))
