@@ -77,8 +77,8 @@ class AdmissibleOp:
     """One isomorphy-preserving matrix move.
 
     kind is one of "add_row" (row 1 or 2, integer multiplier),
-    "swap_within_arm" (arm index), "swap_arms" (pair of arm indices) and
-    "negate_last_row".
+    "swap_within_arm" (arm index 0, 1 or 2), "swap_arms" (pair of arm
+    indices) and "negate_last_row".
     """
 
     kind: str
@@ -90,10 +90,12 @@ class AdmissibleOp:
     def __post_init__(self) -> None:
         if self.kind not in ("add_row", "swap_within_arm", "swap_arms", "negate_last_row"):
             raise ValueError(f"unknown op kind {self.kind!r}")
-        if self.kind == "add_row" and (self.row not in (1, 2) or self.multiplier is None):
-            raise ValueError("add_row needs row in (1, 2) and a multiplier")
-        if self.kind == "swap_within_arm" and self.arm is None:
-            raise ValueError("swap_within_arm needs an arm index")
+        if self.kind == "add_row" and (type(self.row) is not int or self.row not in (1, 2)):
+            raise ValueError(f"add_row needs row 1 or 2, got {self.row!r}")
+        if self.kind == "add_row" and type(self.multiplier) is not int:
+            raise ValueError(f"add_row multiplier must be an int, got {self.multiplier!r}")
+        if self.kind == "swap_within_arm" and (type(self.arm) is not int or self.arm not in (0, 1, 2)):
+            raise ValueError(f"swap_within_arm needs an arm index 0, 1 or 2, got {self.arm!r}")
         if self.kind == "swap_arms" and self.arms is None:
             raise ValueError("swap_arms needs an arm pair")
 
@@ -107,6 +109,8 @@ class RawMatrix:
 
     def __post_init__(self) -> None:
         _check_rho(self.rho)
+        if not isinstance(self.third_row, tuple):  # a list would make an unhashable value
+            raise ValueError(f"RawMatrix field 'third_row' must be a tuple, got {self.third_row!r}")
         if len(self.third_row) != self.rho + 3:
             raise ValueError(f"third row must have {self.rho + 3} entries")
         if not all(map(int.__instancecheck__, self.third_row)):

@@ -22,11 +22,12 @@ Record export uses a fixed JSONL / CSV schema; exact rationals travel as
 builds no record: ``fiqs.invariants._fields`` checks each key as
 :func:`~fiqs.invariants.surface_record` does and gives the field kernel's
 (m, local orders, values), which one text kernel per format (``_json_text``,
-``_csv_row``) writes, with the chains of small local order from a memo.  The
-record encoders pass the same triple, read back by ``_record_fields``:
-:func:`record_to_json_line` equals ``json.dumps(record_to_obj(rec),
-separators=(",", ":"))`` byte for byte, :func:`record_to_obj` being the
-documented dict form.  CSV rows are the fields joined by commas, unquoted:
+``_csv_row``) writes.  Records share only degree, log canonicity and class
+group; only the x+/x- chain texts, of at most three weights, come from a
+memo.  The record encoders pass the same triple, read back by
+``_record_fields``: :func:`record_to_json_line` equals
+``json.dumps(record_to_obj(rec), separators=(",", ":"))`` byte for byte,
+:func:`record_to_obj` being the documented dict form.  CSV rows are the fields joined by commas, unquoted:
 each field is an integer, a series tag, "n/d", true / false, a ";"-joined
 chain, empty or a column name, so none needs quoting and ``csv.writer`` writes
 the same line.
@@ -45,7 +46,6 @@ import json
 import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
 from math import lcm
 from operator import not_
 from typing import Callable, TextIO
@@ -53,12 +53,10 @@ from typing import Callable, TextIO
 from .canon import NormalFormError, canonicalize, raw_from_matrix
 from .core import value_class
 from .invariants import (
-    _ELLIPTIC,
-    _SHARED_ORDER_MAX,
     POINT_LABELS,
     SIGMA_RAY_COLUMNS,
     SurfaceRecord,
-    _chain,
+    _end_chain,
     _fields,
     _resolution,
     chain_determinant,
@@ -285,18 +283,16 @@ def record_to_obj(rec: SurfaceRecord) -> dict:
 
 
 @lru_cache(maxsize=1024)
-def _chain_text(rho: int, order: int, elliptic: bool, sep: str) -> str:
-    """A point's resolution chain joined by sep, memoised by its order: the all-(-2) chains recur."""
-    chain = _chain(rho, order, elliptic)
-    if len(set(chain)) == 1:  # one weight, as in every long chain: its text once, repeated
-        return sep.join(repeat(str(chain[0]), len(chain)))
-    return sep.join(map(str, chain))
+def _end_chain_text(rho: int, order: int, sep: str) -> str:
+    """The x+/x- chain joined by sep, memoised by its order; it holds at most three weights."""
+    return sep.join(map(str, _end_chain(rho, order)))
 
 
 def _chain_texts(rho: int, o: tuple[int, ...], sep: str) -> list[str]:
-    """Each point's chain text; only orders up to _SHARED_ORDER_MAX go to the memo, so no long text stays alive."""
+    """Each point's chain text: x+/x- from the memo, the n-1 weights -2 of an interior point repeated."""
     return [
-        (_chain_text if n <= _SHARED_ORDER_MAX else _chain_text.__wrapped__)(rho, n, e, sep) for n, e in zip(o, _ELLIPTIC)
+        _end_chain_text(rho, o[0], sep), _end_chain_text(rho, o[1], sep),
+        *(("-2" + sep) * (n - 2) + "-2" if n > 1 else "" for n in o[2:]),
     ]
 
 

@@ -138,11 +138,12 @@ def _cmd_classify(args) -> int:
 
 def _cmd_count(args) -> int:
     table = count(args.rho, args.iota_max)
-    sys.stdout.write("# iota exact cumulative ke ke_cumulative\n")
-    sys.stdout.write(table.to_text())
-    if args.plot_data:
-        with open(args.plot_data, "w", encoding="ascii") as sink:
-            sink.write(table.to_plot_text())
+    ctx = open(args.plot_data, "w", encoding="ascii") if args.plot_data else nullcontext()
+    with ctx as plot:  # opened before the table is written, so a bad path writes nothing
+        sys.stdout.write("# iota exact cumulative ke ke_cumulative\n")
+        sys.stdout.write(table.to_text())
+        if plot is not None:
+            plot.write(table.to_plot_text())
     return 0
 
 

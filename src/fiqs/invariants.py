@@ -15,14 +15,14 @@ paired with an independent oracle where the derivation allows it:
   from the local class group orders: those of x+/x- are w+ iota+ and
   w- iota-, so the chain centres need no series table.
 
-Records share their values: the degree, log canonicity and x+/x- chains
-come from bounded memos keyed by the local orders they read (typed, so a
-float order still fails), the class group from one keyed by (rho, torsion),
-and interior chains of small order from a table.  All are immutable, so
-sharing changes no comparison, pickle or copy of a record.  A record stores
-its local orders as a tuple, not its local data or chains: the key and the
-orders fix both, so ``SurfaceRecord.local`` and ``.resolution`` build them
-when read, and code in this package reads ``orders`` instead.
+Records share only three values: the degree and log canonicity come from
+bounded memos keyed by the local orders they read (typed, so a float order
+still fails), the class group from one keyed by (rho, torsion).  All are
+immutable, so sharing changes no comparison, pickle or copy of a record.  A
+record stores its local orders as a tuple, not its local data or chains:
+the key and the orders fix both, so ``SurfaceRecord.local`` and
+``.resolution`` build them when read, and code in this package reads
+``orders`` instead.
 
 Field types are checked when a key or matrix is made, the rest once, at
 the boundary: each public closed form checks its matrix
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 from math import gcd, lcm, prod
 
 from .canon import ARM_COLUMNS, _checked, classify
@@ -159,27 +158,11 @@ def _picard_index(o: tuple[int, ...], torsion: int) -> int:
     return num // torsion
 
 
-# Per point in POINT_LABELS order: whether it is elliptic (x+, x-) or interior.
-_ELLIPTIC = (True, True, False, False, False)
-
-# Chains are shared up to this local order: _A_CHAINS[n] is the interior chain
-# (-2,)*(n-1), and fiqs.census memoises chain texts up to the same order only.
-_SHARED_ORDER_MAX = 256
-_A_CHAINS = tuple((-2,) * (n - 1) for n in range(_SHARED_ORDER_MAX + 1))
-
-
-@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def _end_chain(rho: int, order: int) -> tuple[int, ...]:
+    """The resolution chain of x+/x- from its local order w iota; an interior A_(n-1) point has n-1 weights -2."""
     if rho == 1:
         return (-2, -1 - order // 4, -2)
     return () if order == 1 else (-2, -(1 + order) // 2) if rho == 2 else (-order,)
-
-
-def _chain(rho: int, order: int, elliptic: bool) -> tuple[int, ...]:
-    """The resolution chain of a point from its local order: w iota at x+/x-, n at an A_(n-1) point."""
-    if elliptic:
-        return _end_chain(rho, order)
-    return _A_CHAINS[order] if order <= _SHARED_ORDER_MAX else (-2,) * (order - 1)
 
 
 def _local_data(key: SeriesKey, o: tuple[int, ...]) -> LocalData:
@@ -189,7 +172,8 @@ def _local_data(key: SeriesKey, o: tuple[int, ...]) -> LocalData:
 
 
 def _resolution(rho: int, o: tuple[int, ...]) -> ResolutionGraph:
-    return ResolutionGraph(dict(zip(POINT_LABELS[rho], map(_chain, repeat(rho), o, _ELLIPTIC))))
+    chains = (_end_chain(rho, o[0]), _end_chain(rho, o[1]), *((-2,) * (n - 1) for n in o[2:]))
+    return ResolutionGraph(dict(zip(POINT_LABELS[rho], chains)))
 
 
 def _values(key: SeriesKey, m: DefiningMatrix) -> tuple:

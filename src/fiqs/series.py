@@ -120,6 +120,8 @@ class SeriesKey:
     d: int | None = None
 
     def __post_init__(self) -> None:
+        if type(self.series) is not SeriesId:
+            raise ValueError(f"SeriesKey field 'series' must be a SeriesId, got {self.series!r}")
         _check_params(self, self.series.rho, self.iota_plus, self.iota_minus, self.c, self.d)
         if self.iota_plus < 1 or self.iota_minus < 1:
             name = "iota_plus" if self.iota_plus < 1 else "iota_minus"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,23 @@ class TestApplyOp:
     def test_swap_singleton_arm_rejected(self):
         with pytest.raises(ValueError):
             apply_op(RawMatrix(1, (0, -2, 1, 1)), AdmissibleOp("swap_within_arm", arm=1))
+
+    @pytest.mark.parametrize("arm", [7, -1, 3, True, 1.0, None])
+    def test_arm_outside_the_three_arms_rejected(self, arm):
+        """An arm index is 0, 1 or 2: no IndexError later, and -1 does not wrap round to arm 2."""
+        with pytest.raises(ValueError, match=re.escape(f"swap_within_arm needs an arm index 0, 1 or 2, got {arm!r}")):
+            AdmissibleOp("swap_within_arm", arm=arm)
+
+    @pytest.mark.parametrize("multiplier", [0.5, 1.0, "1", True, None])
+    def test_non_int_multiplier_rejected(self, multiplier):
+        """The multiplier is named, not the third-row entry it would have made."""
+        with pytest.raises(ValueError, match=re.escape(f"add_row multiplier must be an int, got {multiplier!r}")):
+            AdmissibleOp("add_row", row=1, multiplier=multiplier)
+
+    @pytest.mark.parametrize("row", [True, 1.0, 3, None])
+    def test_row_other_than_one_or_two_rejected(self, row):
+        with pytest.raises(ValueError, match=re.escape(f"add_row needs row 1 or 2, got {row!r}")):
+            AdmissibleOp("add_row", row=row, multiplier=1)
 
     def test_swap_unequal_arms_rejected(self):
         # rho=2: the single-column arm {v5} cannot trade places with a pair

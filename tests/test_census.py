@@ -24,6 +24,7 @@ from fiqs import (
     DefiningMatrix,
     SeriesId,
     SeriesKey,
+    chain_determinant,
     count,
     count_exact,
     count_ke,
@@ -42,8 +43,8 @@ from fiqs.census import (
     CSV_COLUMNS,
     _bounds_violations,
     _cd_count,
-    _chain_text,
     _csv_row,
+    _end_chain_text,
     _index_bounds,
     _ke_cd_count,
     _ke_explicit_ranges,
@@ -384,7 +385,7 @@ def test_text_kernels_equal_dict_form_at_large_orders(key):
         assert _json_text(key, *fields) == json.dumps(obj, separators=(",", ":"))
         assert _csv_row(key, *fields) == csv_row_from_obj(obj)
     finally:
-        _chain_text.cache_clear()
+        _end_chain_text.cache_clear()
 
 
 def test_field_kernel_keeps_the_checks(monkeypatch):
@@ -639,7 +640,17 @@ def test_large_genuine_lines_and_rows_have_room(key):
     try:
         _assert_room(key)
     finally:
-        _chain_text.cache_clear()
+        _end_chain_text.cache_clear()
+
+
+@settings(max_examples=25, deadline=None)
+@given(member_keys(bound=10**5))
+def test_chain_determinant_law_at_large_orders(key):
+    """Every chain's determinant is its point's local order, far past the iota <= 30 of the verify claim."""
+    rec = surface_record(key)
+    chains = rec.resolution.chains
+    for label, order in rec.local.orders.items():
+        assert chain_determinant(chains[label]) == order, label
 
 
 def test_cli_eta_errors_name_the_field(capsys):

@@ -89,6 +89,15 @@ def test_count_table_and_plot_data(tmp_path, capsys):
     assert plot.read_text() == "1 1\n2 1\n3 3\n4 5\n5 7\n"
 
 
+def test_count_fails_on_a_bad_plot_path_before_writing(tmp_path, capsys):
+    """An unwritable --plot-data path fails before the table reaches stdout, as enumerate --out does."""
+    plot = tmp_path / "missing" / "plot.txt"
+    assert main(["count", "--rho", "1", "--iota-max", "3", "--plot-data", str(plot)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("fiqs: error: [Errno 2]")
+
+
 def test_verify_small(capsys):
     assert main(["verify", "--iota-max", "3"]) == 0
     assert "overall: PASS" in capsys.readouterr().out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import doctest
 import os
 import subprocess
 import sys
@@ -26,3 +27,9 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_readme_quick_tour():
+    """The library quick tour in README.md runs as written and shows the reprs it prints."""
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False, encoding="utf-8")
+    assert result.attempted > 0 and result.failed == 0

@@ -385,7 +385,7 @@ class TestRecordLayout:
 # written out here: degree p * (1/o+ + 1/o-) and log canonicity e / o-.
 _DEGREE_FACTORS = {1: 4, 2: Fraction(9, 2), 3: 4}
 _LOG_CANONICITY_NUMERATORS = {1: 4, 2: 3, 3: 2}
-_MEMOS = ("_degree", "_log_canonicity", "_class_group", "_end_chain")
+_MEMOS = ("_degree", "_log_canonicity", "_class_group")
 
 
 def _records_up_to_12(surfaces_by_rho):
@@ -405,14 +405,12 @@ class TestSharedValues:
         first = {}
         records = _records_up_to_12(surfaces_by_rho)
         for rec in records:
-            rho, o, chains = rec.key.rho, rec.local.orders, rec.resolution.chains
+            rho, o = rec.key.rho, rec.local.orders
             values = {
                 ("degree", rho, o["x+"], o["x-"]): rec.degree,
                 ("log canonicity", rho, o["x-"]): rec.log_canonicity,
                 ("class group", rho, rec.class_group.torsion_order): rec.class_group,
             }
-            for label, order in o.items():
-                values[("end chain", rho, order) if label in ("x+", "x-") else ("interior chain", order)] = chains[label]
             for what, value in values.items():
                 assert first.setdefault(what, value) is value, what
         assert len(first) < len(records)

@@ -205,12 +205,16 @@ def test_record_path_under_python(version):
         (lambda: DefiningMatrix(3, 3, 1, -2, "-2"), "DefiningMatrix field 'd' must be an int, got '-2'"),
         (lambda: SeriesId(1.0, "s11"), "rho must be 1, 2 or 3, got 1.0"),
         (lambda: SeriesId(True, "s11"), "rho must be 1, 2 or 3, got True"),
+        (lambda: SeriesKey("s11", 1, 1), "SeriesKey field 'series' must be a SeriesId, got 's11'"),
+        (lambda: RawMatrix(1, [1, 1, 1, 1]), "RawMatrix field 'third_row' must be a tuple, got [1, 1, 1, 1]"),
+        (lambda: RawMatrix(1, 5), "RawMatrix field 'third_row' must be a tuple, got 5"),
     ],
 )
 def test_non_int_fields_are_named(call, message):
     """A key, matrix or series id names a field that is not an int when it is made, as RawMatrix does.
 
-    No float or bool record comes out, and no bare TypeError from the residue tables.
+    No float or bool record comes out, and no bare TypeError from the residue tables.  A series that is no
+    SeriesId and a third row that is no tuple (a list would make an unhashable value) are named the same way.
     """
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
