@@ -96,8 +96,10 @@ class AdmissibleOp:
             raise ValueError(f"add_row multiplier must be an int, got {self.multiplier!r}")
         if self.kind == "swap_within_arm" and (type(self.arm) is not int or self.arm not in (0, 1, 2)):
             raise ValueError(f"swap_within_arm needs an arm index 0, 1 or 2, got {self.arm!r}")
-        if self.kind == "swap_arms" and self.arms is None:
-            raise ValueError("swap_arms needs an arm pair")
+        if self.kind == "swap_arms" and not (
+            type(self.arms) is tuple and len(self.arms) == 2 and all(type(x) is int for x in self.arms)
+        ):
+            raise ValueError(f"swap_arms field 'arms' must be a tuple of two ints, got {self.arms!r}")
 
 
 @value_class

@@ -10,12 +10,19 @@ numbers up to index 200 takes about 10 ms and up to 1000 about 0.048 s
 ``python3 perfbench/run.py --workload census``).  The closed-form counters
 agree with brute enumeration (tested for small indices), and
 :func:`verify_claims` re-checks every quantitative claim of the
-classification plus the internal oracle suites.  Surfaces of one Gorenstein
-index share degeneration polygons and cones, so verify evaluates the polygon
-oracle once per polygon and the exact solve once per cone of an index, keyed
-by the oracle's whole input, compares every surface's closed form with that
-value, and drops the values when the index is done: for the 2 875 surfaces
-of index <= 12 that is 1 530 polygon evaluations and 1 244 solves.
+classification plus the internal oracle suites.  Verify checks each surface
+once: its matrix is validated when its record is classified, and every
+oracle after that runs as its unchecked kernel (``_class_group_oracle`` and
+``_local_gorenstein_oracle`` of :mod:`fiqs.invariants`, ``_polygon``,
+``_barycenter_oracle`` and ``_barycenters`` of :mod:`fiqs.kaehler`), which
+computes from the matrix what the public, checking oracle computes.  Surfaces
+of one Gorenstein index share degeneration polygons, cones and (series,
+iota+, iota-), so verify evaluates the polygon oracle once per polygon, the
+exact solve once per cone and the series form of the degree once per
+(series, iota+, iota-) of an index, keyed by the oracle's whole input,
+compares every surface's closed form with that value, and drops the values
+when the index is done: for the 2 875 surfaces of index <= 12 that is 1 530
+polygon evaluations, 1 244 solves and 132 degrees.
 
 Record export uses a fixed JSONL / CSV schema; exact rationals travel as
 "numerator/denominator" strings.  The key determines every field, so export
@@ -56,18 +63,18 @@ from .invariants import (
     POINT_LABELS,
     SIGMA_RAY_COLUMNS,
     SurfaceRecord,
+    _class_group_oracle,
     _end_chain,
     _fields,
+    _local_gorenstein_oracle,
     _resolution,
     chain_determinant,
-    class_group_oracle,
     degree_from_eta,
-    local_gorenstein_oracle,
     picard_index_from_eta,
     record_from_matrix,
     surface_record,
 )
-from .kaehler import Barycenter, _ke_criterion, barycenter_oracle, barycenters, degeneration_polygon
+from .kaehler import Barycenter, _barycenter_oracle, _barycenters, _ke_criterion, _polygon
 from .series import (
     SERIES_IDS,
     SERIES_TAGS,
@@ -77,10 +84,10 @@ from .series import (
     _WEIGHTS,
     _check_index,
     _check_rho,
+    _iter_eta,
     _lcm_pairs_unordered,
     _series_id,
     enumerate_all,
-    enumerate_eta,
 )
 
 __all__ = [
@@ -521,7 +528,7 @@ def export_records(
     n = 0
     for i in [iota] if iota is not None else range(1, iota_max + 1):
         for series_id in series_ids:
-            for key in enumerate_eta(series_id, i):
+            for key in _iter_eta(series_id, i):
                 fields = _fields(key)
                 sink.write((",".join(_csv_row(key, *fields)) if as_csv else _json_text(key, *fields)) + "\n")
                 n += 1
@@ -638,21 +645,23 @@ def _ke_explicit_ranges(rho: int, iota: int) -> list[SeriesKey]:
 class _Index:
     """One (rho, iota) of the scan: its surfaces, its bounds, its explicit KE keys and its shared oracle values.
 
-    The explicit KE keys are listed on first use.  The polygon and solve oracles run once per distinct
-    input of the index, and their values are dropped with it.
+    The explicit KE keys are listed on first use.  The polygon and solve oracles and the series form of
+    the degree run once per distinct input of the index, and their values are dropped with it.  Every
+    matrix of the index has been checked once, by its surface's record, so the oracles run unchecked.
     """
 
     def __init__(self, rho: int, iota: int) -> None:
         self.rho, self.iota, self.bounds, self.pairs = rho, iota, _index_bounds(rho, iota), enumerate_all(rho, iota)
         self.centroids: dict[tuple[tuple[int, int], ...], tuple[Fraction, Fraction]] = {}
         self.cone_indices: dict[tuple, int] = {}
+        self.degrees: dict[tuple, Fraction] = {}
 
     def centroid(self, m: DefiningMatrix, kappa: int) -> tuple[Fraction, Fraction]:
         """``barycenter_oracle(m, kappa)``, once per polygon: the oracle reads nothing but the polygon's vertices."""
-        polygon = degeneration_polygon(m, kappa)
+        polygon = _polygon(m, kappa)
         value = self.centroids.get(polygon)
         if value is None:
-            value = self.centroids[polygon] = barycenter_oracle(m, kappa)
+            value = self.centroids[polygon] = _barycenter_oracle(m, kappa)
         return value
 
     def cone_index(self, m: DefiningMatrix, which: str) -> int:
@@ -662,7 +671,15 @@ class _Index:
         cone = (which, t[i], t[j], t[k])
         value = self.cone_indices.get(cone)
         if value is None:
-            value = self.cone_indices[cone] = local_gorenstein_oracle(m, which)
+            value = self.cone_indices[cone] = _local_gorenstein_oracle(m, which)
+        return value
+
+    def degree(self, key: SeriesKey) -> Fraction:
+        """``degree_from_eta(key)``, once per (series, iota+, iota-): the series form reads nothing else of the key."""
+        eta = (key.series, key.iota_plus, key.iota_minus)
+        value = self.degrees.get(eta)
+        if value is None:
+            value = self.degrees[eta] = degree_from_eta(key)
         return value
 
     @cached_property
@@ -674,7 +691,7 @@ class _Index:
 
 
 class _Surface:
-    """One surface of the scan, classified once; its closed-form barycenters are evaluated on first use."""
+    """One surface of the scan, checked and classified once; its closed-form barycenters are evaluated on first use."""
 
     __slots__ = ("index", "key", "m", "rec", "_bcs")
 
@@ -684,7 +701,7 @@ class _Surface:
     @property
     def bcs(self) -> list[Barycenter]:
         if self._bcs is None:
-            self._bcs = barycenters(self.m)
+            self._bcs = _barycenters(self.m)
         return self._bcs
 
 
@@ -703,9 +720,10 @@ def _chain_determinants_match(s: _Surface) -> bool:
 # The claims checked surface by surface, in report order: the claim, the largest
 # Gorenstein index it is checked to, and its test on one surface (true when the
 # surface satisfies the claim).  The tests look their oracles up when called; the
-# polygon and solve oracles go through the surface's _Index, which shares their values.
+# polygon and solve oracles and the series form of the degree go through the surface's
+# _Index, which shares their values.
 _SURFACE_CLAIMS: tuple[tuple[str, int, Callable[[_Surface], bool]], ...] = (
-    ("class group formula = smith oracle", 30, lambda s: s.rec.class_group == class_group_oracle(s.m)),
+    ("class group formula = smith oracle", 30, lambda s: s.rec.class_group == _class_group_oracle(s.m)),
     ("local gorenstein formula = solve oracle", 30,
      lambda s: s.rec.key.iota_plus == s.index.cone_index(s.m, "plus")
      and s.rec.key.iota_minus == s.index.cone_index(s.m, "minus")),
@@ -713,7 +731,7 @@ _SURFACE_CLAIMS: tuple[tuple[str, int, Callable[[_Surface], bool]], ...] = (
      and s.rec.orders[1] % s.rec.key.iota_minus == 0),
     ("gorenstein index = lcm of local indices", 50,
      lambda s: lcm(s.rec.key.iota_plus, s.rec.key.iota_minus) == s.index.iota),
-    ("degree matrix form = series form", 50, lambda s: s.rec.degree == degree_from_eta(s.key)),
+    ("degree matrix form = series form", 50, lambda s: s.rec.degree == s.index.degree(s.key)),
     ("picard matrix form = series form", 50, lambda s: s.rec.picard_index == picard_index_from_eta(s.key)),
     ("ke family rule = barycenter test", 30, lambda s: s.rec.ke == _ke_criterion(s.bcs)),
     ("barycenters = polygon dual centroids", 20,
@@ -743,8 +761,10 @@ def verify_claims(iota_max: int) -> VerifyReport:
     to 50.  A claim counts the surfaces that fail it.  The census totals are checked whenever
     iota_max >= 200 (computed at 200).
 
-    The polygon and solve oracles run once per distinct input of each index (see ``_Index``); every
-    surface's closed form is compared with that shared value, and no value outlives the call.
+    Each surface's matrix is checked once, by its record; the oracles run unchecked.  The polygon and
+    solve oracles and the series form of the degree run once per distinct input of each index (see
+    ``_Index``); every surface's closed form is compared with that shared value, and no value outlives
+    the call.
     """
     _check_index("iota_max", iota_max)
     failures = [0] * len(_SURFACE_CLAIMS)

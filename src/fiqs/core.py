@@ -175,71 +175,55 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
         while True:
             # smallest nonzero entry of the trailing block becomes the pivot;
             # none is below 1, so the scan stops at the first unit
-            pos = None
-            best = None
+            best = pi = pj = 0
             for i in range(t, nr):
+                row = a[i]
                 for j in range(t, nc):
-                    v = abs(a[i][j])
-                    if v != 0 and (best is None or v < best):
-                        best = v
-                        pos = (i, j)
+                    v = abs(row[j])
+                    if v and (not best or v < best):
+                        best, pi, pj = v, i, j
                         if v == 1:
                             break
                 if best == 1:
                     break
-            if pos is None:
+            if not best:
                 factors.extend([0] * (n - t))
                 return SmithForm(tuple(factors), len([f for f in factors if f != 0]))
-            pi, pj = pos
             if pi != t:
                 a[t], a[pi] = a[pi], a[t]
             if pj != t:
                 for row in a:
                     row[t], row[pj] = row[pj], row[t]
-            p = a[t][t]
+            pivot_row = a[t]
+            p = pivot_row[t]
 
-            # Euclidean steps down the column and across the row
+            # reduce column t below the pivot, one row operation per row; a
+            # remainder left there is the next, smaller pivot
             dirty = False
             for i in range(t + 1, nr):
-                if a[i][t] % p != 0:
-                    q = a[i][t] // p
-                    for j in range(t, nc):
-                        a[i][j] -= q * a[t][j]
-                    dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j] % p != 0:
-                    q = a[t][j] // p
-                    for i in range(t, nr):
-                        a[i][j] -= q * a[i][t]
-                    dirty = True
+                row = a[i]
+                if row[t] != 0:
+                    q = row[t] // p
+                    a[i] = row = [x - q * y for x, y in zip(row, pivot_row)]
+                    dirty = dirty or row[t] != 0
             if dirty:
                 continue
 
-            # pivot divides its row and column: clear them
-            for i in range(t + 1, nr):
-                if a[i][t] != 0:
-                    q = a[i][t] // p
-                    for j in range(t, nc):
-                        a[i][j] -= q * a[t][j]
-            for j in range(t + 1, nc):
-                if a[t][j] != 0:
-                    q = a[t][j] // p
-                    for i in range(t, nr):
-                        a[i][j] -= q * a[i][t]
+            # column t is zero below the pivot, so the column operations that
+            # reduce row t change row t alone: each entry becomes its remainder
+            # mod p, zero for a unit pivot
+            rest = [0] * (nc - t - 1) if best == 1 else [x % p for x in pivot_row[t + 1 :]]
+            pivot_row[t + 1 :] = rest
+            if any(rest):
+                continue
+            if best == 1:
+                break  # a unit divides every entry: the divisibility chain holds
 
             # enforce the divisibility chain: pivot must divide the rest
-            culprit = None
-            for i in range(t + 1, nr):
-                for j in range(t + 1, nc):
-                    if a[i][j] % p != 0:
-                        culprit = i
-                        break
-                if culprit is not None:
-                    break
+            culprit = next((row for row in a[t + 1 :] if any(x % p for x in row[t + 1 :])), None)
             if culprit is None:
                 break
-            for j in range(t, nc):
-                a[t][j] += a[culprit][j]
+            a[t] = [x + y for x, y in zip(pivot_row, culprit)]
 
         factors.append(abs(a[t][t]))
 

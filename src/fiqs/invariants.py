@@ -31,7 +31,11 @@ the boundary: each public closed form checks its matrix
 per field, written in the local class group orders.  One field kernel,
 ``_values``, calls them for every record and exported line and returns
 (m, local orders, values); ``_record`` assembles a record from that triple,
-and the encoders of :mod:`fiqs.census` write a line from it.
+and the encoders of :mod:`fiqs.census` write a line from it.  The two
+matrix oracles are split the same way: ``class_group_oracle`` and
+``local_gorenstein_oracle`` check the matrix and call ``_class_group_oracle``
+and ``_local_gorenstein_oracle``, which ``verify_claims`` calls on matrices
+it has checked once.
 """
 
 from __future__ import annotations
@@ -202,7 +206,11 @@ def class_group(m: DefiningMatrix) -> ClassGroup:
 
 def class_group_oracle(m: DefiningMatrix) -> ClassGroup:
     """Divisor class group as the cokernel Z^(rho+3) / im(P^T), via Smith form."""
-    _checked(m)
+    return _class_group_oracle(_checked(m))
+
+
+def _class_group_oracle(m: DefiningMatrix) -> ClassGroup:
+    """:func:`class_group_oracle` of a matrix already checked."""
     # P itself: it has the invariant factors of its transpose
     r1, r2 = FIRST_TWO_ROWS[m.rho]
     n = m.rho + 3
@@ -228,7 +236,11 @@ def local_gorenstein_oracle(m: DefiningMatrix, which: str) -> int:
     alpha_i is the anticanonical coefficient (0 on the elliptic column, 1 on
     the others); the index is the lcm of the denominators of u.
     """
-    _checked(m)
+    return _local_gorenstein_oracle(_checked(m), which)
+
+
+def _local_gorenstein_oracle(m: DefiningMatrix, which: str) -> int:
+    """:func:`local_gorenstein_oracle` of a matrix already checked."""
     if which not in ("plus", "minus"):
         raise ValueError(f"which must be 'plus' or 'minus', got {which!r}")
     i, j, k = SIGMA_RAY_COLUMNS[m.rho][which]

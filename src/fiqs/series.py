@@ -26,6 +26,7 @@ bool refused), and every index argument goes through ``_check_index``.
 from __future__ import annotations
 
 from math import lcm
+from typing import Iterator
 
 from .core import IntMatrix, value_class
 
@@ -265,13 +266,17 @@ def enumerate_eta(series: SeriesId, iota: int) -> list[SeriesKey]:
     Ascending lexicographic in (iota+, iota-, c, d).
     """
     _check_index("iota", iota)
+    return list(_iter_eta(series, iota))
+
+
+def _iter_eta(series: SeriesId, iota: int) -> Iterator[SeriesKey]:
+    """The keys of :func:`enumerate_eta`, in its order, one at a time, for an index already checked."""
     rho, tag = series.rho, series.tag
-    out: list[SeriesKey] = []
     for ip, im in _lcm_pairs(iota):
         if not _pair_ok(rho, tag, ip, im):
             continue
         if rho == 1:
-            out.append(SeriesKey(series, ip, im))
+            yield SeriesKey(series, ip, im)
             continue
         wp, wm = _WEIGHTS[rho][tag]
         s = wp * ip + wm * im
@@ -279,14 +284,13 @@ def enumerate_eta(series: SeriesId, iota: int) -> list[SeriesKey]:
             c_lo = 1 - s // 2  # s is even: both iota are odd and the weights match parity
             c_hi = (-s) // 4  # floor of -s/4
             for c in range(c_lo, c_hi + 1):
-                out.append(SeriesKey(series, ip, im, c))
+                yield SeriesKey(series, ip, im, c)
             continue
         c_lo = -((s - 1) // 2)  # smallest c admitting some d
         for c in range(c_lo, 0):
             d_lo = max(c, -s - 2 * c)
             for d in range(d_lo, 0):
-                out.append(SeriesKey(series, ip, im, c, d))
-    return out
+                yield SeriesKey(series, ip, im, c, d)
 
 
 def matrix_from_eta(key: SeriesKey) -> DefiningMatrix:

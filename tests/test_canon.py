@@ -121,6 +121,13 @@ class TestApplyOp:
         with pytest.raises(ValueError, match=re.escape(f"swap_within_arm needs an arm index 0, 1 or 2, got {arm!r}")):
             AdmissibleOp("swap_within_arm", arm=arm)
 
+    @pytest.mark.parametrize("arms", [5, (1, "2"), (True, 2), (0, 1.0), [0, 1], (0, 1, 2), (1,), None])
+    def test_arms_other_than_a_pair_of_ints_rejected(self, arms):
+        """The arm pair is named when the op is made, not a bare TypeError when it is applied; True is not arm 1."""
+        message = f"swap_arms field 'arms' must be a tuple of two ints, got {arms!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AdmissibleOp("swap_arms", arms=arms)
+
     @pytest.mark.parametrize("multiplier", [0.5, 1.0, "1", True, None])
     def test_non_int_multiplier_rejected(self, multiplier):
         """The multiplier is named, not the third-row entry it would have made."""

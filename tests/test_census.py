@@ -211,6 +211,33 @@ def test_export_keeps_no_long_chain_alive():
     assert kept < 250_000, f"{kept} bytes still allocated after export"
 
 
+class _Discard:
+    """A sink that keeps nothing, so traced memory is export's own."""
+
+    def write(self, text: str) -> None:
+        pass
+
+
+def _export_peak(fmt: str, iota: int) -> int:
+    export_records(3, 1, fmt, _Discard(), iota=iota)  # fill the chain-text memo first
+    tracemalloc.start()
+    try:
+        export_records(3, 1, fmt, _Discard(), iota=iota)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+def test_export_streams_the_keys_of_an_index(fmt):
+    """Keys are made one at a time: rho 3 has 753 surfaces at iota 12 and 3 463 at 24, and the peak stays flat.
+
+    Holding one (series, iota)'s keys in a list costs about 250 kB more at 24 than at 12.
+    """
+    low, high = _export_peak(fmt, 12), _export_peak(fmt, 24)
+    assert high - low < 50_000, f"peak {low} bytes at iota 12, {high} at 24"
+
+
 def test_export_csv_header_and_rows():
     sink = io.StringIO()
     assert export_records(2, 1, "csv", sink) == 2
@@ -786,14 +813,14 @@ def test_verify_catches_a_broken_oracle(monkeypatch, capsys, mutant):
 
 
 # Each claim whose oracle sees the surface's matrix or index, with that oracle in
-# fiqs.census and the Gorenstein index it is applied to.
+# fiqs.census (the unchecked kernel of a matrix oracle) and the Gorenstein index it is applied to.
 _SCOPED_ORACLES = {
-    "class group formula = smith oracle": ("class_group_oracle", lambda out, m: fiqs.invariants.gorenstein_index(m)),
+    "class group formula = smith oracle": ("_class_group_oracle", lambda out, m: fiqs.invariants.gorenstein_index(m)),
     "local gorenstein formula = solve oracle": (
-        "local_gorenstein_oracle", lambda out, m, which: fiqs.invariants.gorenstein_index(m),
+        "_local_gorenstein_oracle", lambda out, m, which: fiqs.invariants.gorenstein_index(m),
     ),
     "barycenters = polygon dual centroids": (
-        "barycenter_oracle", lambda out, m, kappa: fiqs.invariants.gorenstein_index(m),
+        "_barycenter_oracle", lambda out, m, kappa: fiqs.invariants.gorenstein_index(m),
     ),
     "canonicalize fixes canonical raw form": ("canonicalize", lambda out, raw: fiqs.invariants.gorenstein_index(out)),
     "ke explicit ranges = ke inequality predicate": ("_ke_explicit_ranges", lambda out, rho, iota: iota),
@@ -895,24 +922,26 @@ def test_export_names_a_bad_index_before_writing(kwargs, message):
     assert sink.getvalue() == ""
 
 
-def _distinct_oracle_inputs(iota_max: int) -> tuple[int, int]:
-    """The distinct polygons and cones per (rho, iota), summed: the evaluations a verify run shares."""
-    polygons = cones = 0
+def _distinct_oracle_inputs(iota_max: int) -> tuple[int, int, int]:
+    """The distinct polygons, cones and (series, iota+, iota-) of each (rho, iota), summed: the values verify shares."""
+    polygons = cones = etas = 0
     for rho in (1, 2, 3):
         for iota in range(1, iota_max + 1):
-            matrices = [m for _, m in enumerate_all(rho, iota)]
+            pairs = enumerate_all(rho, iota)
+            matrices = [m for _, m in pairs]
             kappas = fiqs.kaehler.SPECIAL_KAPPAS[rho]
             polygons += len({fiqs.kaehler.degeneration_polygon(m, k) for m in matrices for k in kappas})
             cones += len({
                 (which, *(m.third_row()[j] for j in columns))
                 for m in matrices for which, columns in fiqs.invariants.SIGMA_RAY_COLUMNS[rho].items()
             })
-    return polygons, cones
+            etas += len({(key.series, key.iota_plus, key.iota_minus) for key, _ in pairs})
+    return polygons, cones, etas
 
 
 def test_verify_evaluates_each_oracle_input_once_per_call(monkeypatch):
-    """Each distinct polygon and cone of an index is solved once per verify run, and no value outlives the run."""
-    calls = {"barycenter_oracle": 0, "local_gorenstein_oracle": 0}
+    """Each distinct polygon, cone and degree input of an index is evaluated once per verify run, and not kept."""
+    calls = {"_barycenter_oracle": 0, "_local_gorenstein_oracle": 0, "degree_from_eta": 0}
     for name in calls:
         oracle = getattr(fiqs.census, name)
 
@@ -921,13 +950,27 @@ def test_verify_evaluates_each_oracle_input_once_per_call(monkeypatch):
             return oracle(*args)
 
         monkeypatch.setattr(fiqs.census, name, counted)
-    polygons, cones = _distinct_oracle_inputs(12)
+    polygons, cones, etas = _distinct_oracle_inputs(12)
     surfaces = sum(len(enumerate_all(rho, iota)) for rho in (1, 2, 3) for iota in range(1, 13))
-    assert polygons < surfaces and cones < 2 * surfaces  # the values are shared
+    assert polygons < surfaces and cones < 2 * surfaces and etas < surfaces  # the values are shared
     for _ in range(2):
         calls.update(dict.fromkeys(calls, 0))
         assert verify_claims(12).ok
-        assert calls == {"barycenter_oracle": polygons, "local_gorenstein_oracle": cones}
+        assert calls == {"_barycenter_oracle": polygons, "_local_gorenstein_oracle": cones, "degree_from_eta": etas}
+
+
+def test_verify_checks_each_surface_once(monkeypatch):
+    """One normal-form check per surface: its record's classification; every oracle after it runs unchecked."""
+    calls = [0]
+    validate = fiqs.canon.validate
+
+    def counted(m):
+        calls[0] += 1
+        return validate(m)
+
+    monkeypatch.setattr(fiqs.canon, "validate", counted)
+    assert verify_claims(6).ok
+    assert calls[0] == sum(count(rho, 6).total for rho in (1, 2, 3))
 
 
 def _failures(report):
@@ -947,13 +990,13 @@ def _seen_earlier(iota, m, input_of):
 def test_verify_compares_a_surface_whose_polygon_was_shared(monkeypatch):
     """A wrong closed form is caught on a surface whose polygon an earlier surface of its index gave."""
     assert _seen_earlier(9, _MEMBER, lambda m: fiqs.kaehler.degeneration_polygon(m, 0))
-    correct = fiqs.census.barycenters
+    correct = fiqs.census._barycenters
 
     def off_y0(m):
         bcs = correct(m)
         return [replace(bcs[0], y=bcs[0].y + 1), *bcs[1:]] if m == _MEMBER else bcs
 
-    monkeypatch.setattr(fiqs.census, "barycenters", off_y0)
+    monkeypatch.setattr(fiqs.census, "_barycenters", off_y0)
     assert _failures(verify_claims(9)) == {"barycenters = polygon dual centroids": 1}
 
 

@@ -142,13 +142,25 @@ def reference_smith_normal_form(m: IntMatrix) -> SmithForm:
 
 @st.composite
 def int_matrices(draw) -> IntMatrix:
-    """Matrices up to 4 x 5 with small entries: arbitrary, zero, or of rank below min(rows, cols)."""
+    """Matrices up to 4 x 5 with small entries: arbitrary, zero, scaled, or of rank below min(rows, cols).
+
+    A scaled matrix has entries that are multiples of some d in 2..6 but for one, prime to d and larger,
+    so the smallest entry is a non-unit pivot that leaves remainders or fails the divisibility chain.
+    """
     nr, nc = draw(st.integers(0, 4)), draw(st.integers(0, 5))
-    kind = draw(st.sampled_from(["any", "zero", "low rank"]))
+    kind = draw(st.sampled_from(["any", "zero", "scaled", "low rank"]))
     if kind == "zero":
         return IntMatrix(nr, nc, (0,) * (nr * nc))
     if kind == "any":
         return IntMatrix(nr, nc, tuple(draw(st.lists(st.integers(-30, 30), min_size=nr * nc, max_size=nr * nc))))
+    if kind == "scaled":
+        d = draw(st.integers(2, 6))
+        entries = [d * x for x in draw(st.lists(st.integers(-6, 6), min_size=nr * nc, max_size=nr * nc))]
+        if entries:
+            r = draw(st.sampled_from([r for r in range(1, d) if gcd(r, d) == 1]))
+            prime = draw(st.sampled_from([-1, 1])) * (d * draw(st.integers(1, 6)) + r)
+            entries[draw(st.integers(0, len(entries) - 1))] = prime
+        return IntMatrix(nr, nc, tuple(entries))
     k = draw(st.integers(0, max(0, min(nr, nc) - 1)))
     u = draw(st.lists(st.integers(-6, 6), min_size=nr * k, max_size=nr * k))
     v = draw(st.lists(st.integers(-6, 6), min_size=k * nc, max_size=k * nc))
@@ -163,8 +175,11 @@ class TestSmith:
     @example(IntMatrix(2, 3, (0,) * 6))
     @example(IntMatrix.from_rows([[2, 4, 6], [1, 2, 3], [3, 6, 9]]))
     @example(IntMatrix.from_rows([[-1, -1, 0, 2], [-1, -1, 2, 0], [4, 0, 1, 1]]))
+    @example(IntMatrix.from_rows([[4, 6], [8, 4]]))  # remainders in the pivot's row
+    @example(IntMatrix.from_rows([[6, 9], [4, 2]]))  # remainders in the pivot's column
+    @example(IntMatrix.from_rows([[2, 0], [0, 3]]))  # the divisibility chain fails
     def test_unit_pivot_scan_matches_full_scan(self, m):
-        """Stopping the pivot scan at the first unit entry picks the same pivot, so the same Smith form."""
+        """The elimination gives the reference's Smith form; the reference scans the whole block, clearing entrywise."""
         assert smith_normal_form(m) == reference_smith_normal_form(m)
 
     def test_zero_matrix(self):

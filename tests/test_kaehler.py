@@ -147,9 +147,13 @@ class TestPolygons:
         with pytest.raises(ValueError):
             degeneration_polygon(DefiningMatrix(2, 1, 0, -2), 0)
 
-    @pytest.mark.parametrize("fn", (degeneration_polygon, barycenter_oracle), ids=lambda fn: fn.__name__)
+    @pytest.mark.parametrize(
+        "fn",
+        (degeneration_polygon, barycenter_oracle, lambda m, kappa: barycenters(m)),
+        ids=("degeneration_polygon", "barycenter_oracle", "barycenters"),
+    )
     def test_matrix_is_checked(self, fn):
-        """The polygon oracle takes only normal forms, as barycenters does."""
+        """The polygon oracle and the closed forms take only normal forms; their unchecked kernels serve verify."""
         fn(DefiningMatrix(3, 3, 1, -2, -2), 0)
         with pytest.raises(ValueError, match="^matrix is not in normal form, violated: -c >= -d$"):
             fn(DefiningMatrix(3, 3, 1, -2, -7), 0)

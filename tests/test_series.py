@@ -14,8 +14,10 @@ from fiqs import (
     series_membership,
 )
 from fiqs.census import _ke_explicit_ranges
-from fiqs.kaehler import barycenter_oracle
+from fiqs.kaehler import _barycenter_oracle, _polygon, barycenter_oracle
 from fiqs.invariants import (
+    _class_group_oracle,
+    _local_gorenstein_oracle,
     class_group_oracle,
     degree_from_eta,
     local_gorenstein_oracle,
@@ -193,5 +195,9 @@ def test_oracles_do_not_read_series_tables():
         barycenter_oracle,
         class_group_oracle,
         local_gorenstein_oracle,
+        _barycenter_oracle,
+        _polygon,
+        _class_group_oracle,
+        _local_gorenstein_oracle,
     ):
         assert not series_tables & set(fn.__code__.co_names), fn.__name__
