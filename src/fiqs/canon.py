@@ -115,8 +115,8 @@ class RawMatrix:
             raise ValueError(f"RawMatrix field 'third_row' must be a tuple, got {self.third_row!r}")
         if len(self.third_row) != self.rho + 3:
             raise ValueError(f"third row must have {self.rho + 3} entries")
-        if not all(map(int.__instancecheck__, self.third_row)):
-            i, x = next((i, x) for i, x in enumerate(self.third_row, 1) if not isinstance(x, int))
+        if not {int}.issuperset(map(type, self.third_row)):  # one pass; a bool is not an int
+            i, x = next((i, x) for i, x in enumerate(self.third_row, 1) if type(x) is not int)
             raise ValueError(f"third-row entry {i} must be an int, got {x!r}")
         for k in _SINGLE_COLUMNS[self.rho]:
             if self.third_row[k] % 2 == 0:

@@ -1,14 +1,16 @@
 """Full-scale counting, claim verification and flat-file serialization.
 
-Counting never materializes surfaces: for fixed (series, iota+, iota-) the
-admissible (c, d) form a lattice set whose size has a closed form, and so
-does its Kaehler-Einstein part.  Per Gorenstein index the work is one
-factorisation, which lists the lcm pairs (iota+, iota-), plus one table
-lookup and O(1) arithmetic per pair, so the census of all three Picard
-numbers up to index 200 takes about 10 ms and up to 1000 about 0.048 s
-(reference seconds, Python 3.11 on one core of a shared x86-64 host; see
-``python3 perfbench/run.py --workload census``).  The closed-form counters
-agree with brute enumeration (tested for small indices), and
+Counting never materializes surfaces.  A block (series, iota+, iota-) of
+rho = 3 has s = w+ iota+ + w- iota-, and its surfaces are the partitions of
+s into three parts: their interior local orders are (x0, x1, x2) =
+(s + c + d, -c, -d), so the block holds round(s^2 / 12) surfaces.  Its
+Kaehler-Einstein surfaces are those of a block with o+ = o- whose three
+parts are the sides of a triangle (x0 < x1 + x2), round(s^2 / 48) of them.
+Per Gorenstein index the work is one factorisation, which lists the lcm
+pairs (iota+, iota-), plus one table lookup and one such expression per
+pair (``python3 perfbench/run.py --workload census`` measures it).  Both
+forms are proved per residue class in ``tests/test_symbolic.py``, the
+counters agree with brute enumeration (tested for small indices), and
 :func:`verify_claims` re-checks every quantitative claim of the
 classification plus the internal oracle suites.  Verify checks each surface
 once: its matrix is validated when its record is classified, and every
@@ -108,49 +110,18 @@ CENSUS_TOTAL = 15538339
 # ---------------------------------------------------------------------------
 
 
-def _cd_count(bound: int) -> int:
-    """#{(c, d) : c <= d <= -1, 2c + d >= -bound} in closed form."""
-    if bound < 3:
-        return 0
-    third = bound // 3
-    total = third * (third + 1) // 2  # c' = -c <= bound/3: d' ranges over 1..c'
-    hi = (bound - 1) // 2
-    lo = third + 1
-    if hi >= lo:
-        # remaining c': d' ranges over 1..bound-2c', an arithmetic series
-        first = bound - 2 * lo
-        last = bound - 2 * hi
-        total += (first + last) * (hi - lo + 1) // 2
-    return total
+def _cd_count(s: int) -> int:
+    """#{(c, d) : c <= d <= -1, 2c + d >= -s}: the partitions of s into three parts, round(s^2 / 12).
 
-
-def _arith_sum(slope: int, intercept: int, lo: int, hi: int) -> int:
-    """Sum of slope * x + intercept over the integers lo <= x <= hi."""
-    if hi < lo:
-        return 0
-    return (slope * (lo + hi) + 2 * intercept) * (hi - lo + 1) // 2
-
-
-def _ke_cd_count(bound: int, t: int) -> int:
-    """#{(c, d) : c <= d <= -1, 2c + d >= -bound, c + d <= -t - 1} in closed form.
-
-    With x = -c and y = -d, y runs over max(1, t+1-x)..min(x, bound-2x).  The
-    two max/min terms switch at x = t and x = bound // 3, so the count per x
-    is linear on four pieces; each piece is clipped to where it is positive
-    and summed as an arithmetic series.
+    The local orders (x0, x1, x2) = (s + c + d, -c, -d) of the interior
+    points satisfy x0 >= x1 >= x2 >= 1 and x0 + x1 + x2 = s.
     """
-    third = bound // 3
-    half = (bound - 1) // 2  # bound - 2x >= 1
-    return (
-        # x <= t, x <= bound/3: y in t+1-x..x
-        _arith_sum(2, -t, t // 2 + 1, min(t, third))
-        # x <= t, x > bound/3: y in t+1-x..bound-2x
-        + _arith_sum(-1, bound - t, third + 1, min(t, bound - t - 1))
-        # x > t, x <= bound/3: y in 1..x
-        + _arith_sum(1, 0, t + 1, third)
-        # x > t, x > bound/3: y in 1..bound-2x
-        + _arith_sum(-2, bound, max(t, third) + 1, half)
-    )
+    return (s * s + 6) // 12
+
+
+def _triangle_count(s: int) -> int:
+    """The partitions of an even s into three parts that are the sides of a triangle, round(s^2 / 48)."""
+    return (s * s + 24) // 48
 
 
 def count_exact(rho: int, iota: int) -> int:
@@ -158,7 +129,8 @@ def count_exact(rho: int, iota: int) -> int:
 
     Each lcm pair (iota+, iota-) is looked up once in the index-class table
     of its residues mod 12; each admitted series with w+ iota+ <= w- iota-
-    adds the size of its (c, d) set, which depends on s = w+ iota+ + w- iota-.
+    adds the size of its (c, d) set, which depends on s = w+ iota+ + w- iota-:
+    at rho = 3 the partitions of s into three parts, round(s^2 / 12).
     """
     _check_rho(rho)
     _check_index("iota", iota)
@@ -192,16 +164,17 @@ def count_ke(rho: int, iota: int) -> int:
 
 
 def _count_ke(rho: int, iota: int) -> int:
-    """:func:`count_ke` for arguments already checked."""
+    """:func:`count_ke` for arguments already checked.
+
+    At rho = 3 the KE blocks are s11 (iota odd) and s22 at iota+ = iota- =
+    iota, of o+ = o- = s / 2; each holds the partitions of s into three
+    parts that are the sides of a triangle, round(s^2 / 48).
+    """
     if rho == 1:
         return (1 if iota % 2 == 1 else 0) + (1 if iota % 4 == 0 else 0)
     if rho == 2:
         return 0
-    total = 0
-    if iota % 2 == 1:
-        total += _ke_cd_count(2 * iota, iota)  # s11 at iota+ = iota- = iota
-    total += _ke_cd_count(4 * iota, 2 * iota)  # s22
-    return total
+    return (_triangle_count(2 * iota) if iota % 2 == 1 else 0) + _triangle_count(4 * iota)
 
 
 @value_class
@@ -444,7 +417,8 @@ def record_from_json_line(line: str) -> SurfaceRecord:
     field, by JSON text: spacing and key order may differ, but ``1`` is not
     ``true`` and ``"72"`` is not ``72``.  ``ValueError`` names the first
     field that does not parse, differs, is missing, is extra or is given
-    twice (in a nested object too).
+    twice (in a nested object too); a line that is no JSON, or nests too deep
+    for the decoder, is a ``malformed JSON record``.
     """
     match = _JSON_KEY_PREFIX.match(line)
     key = match and _key_from_fields(*match.groups())
@@ -454,7 +428,7 @@ def record_from_json_line(line: str) -> SurfaceRecord:
             return rec
     try:
         obj = json.loads(line, object_pairs_hook=_unique_fields)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"malformed JSON record: {exc}") from None
     if type(obj) is _Repeated:
         raise ValueError(f"malformed JSON record: duplicate field {obj.name!r}")

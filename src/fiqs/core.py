@@ -83,12 +83,15 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.rows) is not int or type(self.cols) is not int:  # a bool is not an int
+            name = "rows" if type(self.rows) is not int else "cols"
+            raise ValueError(f"IntMatrix field {name!r} must be an int, got {getattr(self, name)!r}")
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError(f"expected {self.rows * self.cols} entries, got {len(self.entries)}")
-        if not all(map(int.__instancecheck__, self.entries)):
-            k, x = next((k, x) for k, x in enumerate(self.entries) if not isinstance(x, int))
+        if not {int}.issuperset(map(type, self.entries)):  # one pass; a bool is not an int
+            k, x = next((k, x) for k, x in enumerate(self.entries) if type(x) is not int)
             raise ValueError(f"entry {k % self.cols + 1} of row {k // self.cols + 1} must be an int, got {x!r}")
 
     @classmethod

@@ -26,7 +26,12 @@ At the family level the criterion collapses to a finite description:
 no rho=2 surface is Kaehler-Einstein (its single barycenter lies on the
 line y = x/2, so y > 0 forces x != 0), and for rho=1, 3 exactly the members
 with equal local orders w+ iota+ = w- iota- (s11 and s22 with iota+ = iota-;
-weights from :mod:`fiqs.series`) and, for rho=3, a positive b survive.
+weights from :mod:`fiqs.series`) and, for rho=3, a positive b survive.  At
+rho=3 the interior local orders (x0, x1, x2) = (a - b, -c, -d) are a
+partition of s = w+ iota+ + w- iota- into three parts, and on the slice
+a + b + c + d = 0 of equal orders b > 0 is the triangle inequality
+x0 < x1 + x2: the KE surfaces of such a block are the integer triangles of
+perimeter s, round(s^2 / 48) of them.
 """
 
 from __future__ import annotations

@@ -166,6 +166,7 @@ class TestApplyOp:
             (1, (0, "3", 1, 1), "third-row entry 2 must be an int, got '3'"),
             (1, (0, -2, 1.0, 1), "third-row entry 3 must be an int, got 1.0"),
             (3, (3, 1, 0, -2, 0, Fraction(-2)), "third-row entry 6 must be an int, got Fraction(-2, 1)"),
+            (1, (True, -7, 1, 1), "third-row entry 1 must be an int, got True"),
         ],
     )
     def test_non_int_entries_rejected(self, rho, row, message):

@@ -46,10 +46,10 @@ from fiqs.census import (
     _csv_row,
     _end_chain_text,
     _index_bounds,
-    _ke_cd_count,
     _ke_explicit_ranges,
     _json_text,
     _room,
+    _triangle_count,
     record_to_obj,
 )
 from fiqs.cli import main
@@ -69,7 +69,7 @@ def brute_cd_count(bound: int) -> int:
 
 
 def test_cd_count_closed_form():
-    for bound in range(0, 60):
+    for bound in range(0, 201):
         assert _cd_count(bound) == brute_cd_count(bound)
 
 
@@ -84,11 +84,16 @@ def brute_ke_cd_count(bound: int, t: int) -> int:
     return total
 
 
-def test_ke_cd_count_closed_form():
-    # covers bound < 3, t >= bound and both call shapes (2i, i) and (4i, 2i)
-    for bound in range(0, 401):
-        for t in range(0, 301):
-            assert _ke_cd_count(bound, t) == brute_ke_cd_count(bound, t), (bound, t)
+def test_triangle_count_closed_form():
+    for s in range(0, 2001, 2):
+        assert _triangle_count(s) == brute_ke_cd_count(s, s // 2), s
+
+
+def test_count_ke_is_its_two_brute_shapes():
+    # s11 at iota+ = iota- = iota for odd iota, and s22
+    for iota in range(1, 1001):
+        s11 = brute_ke_cd_count(2 * iota, iota) if iota % 2 == 1 else 0
+        assert count_ke(3, iota) == s11 + brute_ke_cd_count(4 * iota, 2 * iota), iota
 
 
 def test_lcm_pairs_match_full_divisor_scan():
@@ -519,6 +524,13 @@ def _csv_with(column, value, rec=_GOOD_REC):
         (record_from_json_line, _json_with(c=None), "'c'"),
         (record_from_json_line, _json_with(series=["s11"]), "'series'"),
         (record_from_json_line, record_to_json_line(_GOOD_REC)[:-1], "malformed JSON record"),
+        # nested too deep for the decoder: a bare RecursionError is no named rejection
+        (record_from_json_line, "[" * 1000, "malformed JSON record"),
+        (
+            record_from_json_line,
+            record_to_json_line(_GOOD_REC)[:-1] + ',"extra":' + "[" * 5000 + "]" * 5000 + "}",
+            "malformed JSON record",
+        ),
         (record_from_json_line, json.dumps({**record_to_obj(_RHO1_REC), "c": 0}), "'c'"),
         (record_from_csv_row, _csv_with("degree", "16/6"), "'degree'"),
         (record_from_csv_row, _csv_with("rho", "03"), "'rho'"),

@@ -16,6 +16,7 @@ from fiqs import (
     is_ke_oracle,
 )
 from fiqs.kaehler import SPECIAL_KAPPAS, _hull_ccw, dual_polygon, polygon_centroid
+from fiqs.series import _orders
 
 from conftest import up_to
 
@@ -249,6 +250,15 @@ class TestKeFamily:
     def test_rejects_invalid_keys(self):
         with pytest.raises(ValueError):
             is_ke_family(SeriesKey(SeriesId(1, "s11"), 2, 2))
+
+    def test_rho3_rule_is_the_triangle_inequality(self, surfaces_by_rho):
+        # KE exactly when o+ = o- and the interior local orders are the sides of a triangle
+        surfaces = up_to(surfaces_by_rho[3], 24)
+        assert sum(is_ke_family(key) for key, _ in surfaces) > 0
+        for key, m in surfaces:
+            op, om, x0, x1, x2 = _orders(m)
+            assert x0 >= x1 >= x2 >= 1, key
+            assert is_ke_family(key) == (op == om and x0 < x1 + x2), key
 
     def test_family_equals_oracle_small(self, surfaces_by_rho):
         for rho in (1, 2, 3):

@@ -208,6 +208,10 @@ def test_record_path_under_python(version):
         (lambda: SeriesKey("s11", 1, 1), "SeriesKey field 'series' must be a SeriesId, got 's11'"),
         (lambda: RawMatrix(1, [1, 1, 1, 1]), "RawMatrix field 'third_row' must be a tuple, got [1, 1, 1, 1]"),
         (lambda: RawMatrix(1, 5), "RawMatrix field 'third_row' must be a tuple, got 5"),
+        (lambda: fiqs.smith_normal_form(IntMatrix(2.0, 1, (1, 2))), "IntMatrix field 'rows' must be an int, got 2.0"),
+        (lambda: IntMatrix(True, 2, (4, 6)), "IntMatrix field 'rows' must be an int, got True"),
+        (lambda: IntMatrix(1, 2.0, (4, 6)), "IntMatrix field 'cols' must be an int, got 2.0"),
+        (lambda: IntMatrix(1, 2, (4, True)), "entry 2 of row 1 must be an int, got True"),
     ],
 )
 def test_non_int_fields_are_named(call, message):
