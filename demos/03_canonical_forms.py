@@ -41,7 +41,7 @@ print(f"canonicalize() recovers {recovered.params()}  (equal to the start: {reco
 print()
 print("the symmetry orbit of the parameters, with the inequality report per element:")
 for p in sorted(parameter_orbit(3, m.params())):
-    bad = validate(DefiningMatrix(3, *p))
+    bad = validate(3, *p)
     verdict = "normal form" if not bad else f"violates {', '.join(bad)}"
     print(f"  {p}  ->  {verdict}")
 

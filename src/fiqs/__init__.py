@@ -30,7 +30,6 @@ from .canon import (
     apply_op,
     canonicalize,
     classify,
-    is_valid,
     raw_from_matrix,
     validate,
 )

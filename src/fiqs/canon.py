@@ -5,8 +5,9 @@ integer multiples of the first two rows to the last row, swapping the two
 columns of an arm, swapping structurally identical arms (together with the
 induced unimodular change of the first two rows, which never touches the
 last row), and negating the last row.  Each isomorphy class contains
-exactly one matrix satisfying the normal-form inequalities checked by
-:func:`validate`.
+exactly one matrix satisfying the normal-form inequalities, and only such a
+matrix can be a :class:`~fiqs.series.DefiningMatrix`: it checks them when it
+is made.  :func:`validate` names the inequalities a parameter tuple violates.
 
 :func:`canonicalize` recovers that unique representative in three steps:
 row-reduce the stored third row arm by arm, reading the arm layout from
@@ -15,21 +16,21 @@ arm's first entry 0 and its second negative), list the orbit of the reduced
 parameter tuple under the finite symmetry group of the arm swaps and the
 negation (one closed-form image per group element), and select the single
 orbit element passing the normal-form inequalities.  The orbit is checked on
-the parameter tuples themselves, by the truth of the inequalities behind
-:func:`validate` (their names are built only when :func:`validate` reports a
-failure); only the one passing tuple becomes a
-:class:`~fiqs.series.DefiningMatrix`.  Zero or several passing elements
-indicate corrupted input and raise :class:`NormalFormError`.
+the parameter tuples themselves, by the one short-circuit test that a new
+matrix runs (``fiqs.series._HOLDS``); only the one passing tuple becomes a
+:class:`~fiqs.series.DefiningMatrix`, which runs it once more.  Zero or
+several passing elements indicate corrupted input and raise
+:class:`NormalFormError`.
 :func:`classify` reads the series back from the local orders of x+ and x-
 (``fiqs.series._orders`` and ``_digit``).
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 from .core import value_class
-from .series import FIRST_TWO_ROWS, SERIES_IDS, DefiningMatrix, SeriesKey, _check_rho, _digit, _orders
+from .series import (
+    _CHECKS, _HOLDS, FIRST_TWO_ROWS, SERIES_IDS, DefiningMatrix, SeriesKey, _check_params, _check_rho, _digit, _orders,
+)
 
 __all__ = [
     "NormalFormError",
@@ -38,7 +39,6 @@ __all__ = [
     "ARM_COLUMNS",
     "SWAPPABLE_ARM_PAIRS",
     "validate",
-    "is_valid",
     "apply_op",
     "raw_from_matrix",
     "reduce_raw",
@@ -127,51 +127,13 @@ def raw_from_matrix(m: DefiningMatrix) -> RawMatrix:
     return RawMatrix(m.rho, m.third_row())
 
 
-# The normal-form inequalities of the parameters (a, b[, c[, d]]) per rho,
-# each written once, as the Python expression it is reported under.
-_INEQUALITIES = {
-    1: ("b <= -2", "0 <= a", "a <= -b-2"),
-    2: ("b < a", "c < 0", "a >= 0", "b+c <= -1", "a-b <= -c", "a <= -b-c-1"),
-    3: ("a > b", "0 > c", "0 > d", "a-b >= -c", "-c >= -d", "b+c+d < 0", "0 < a", "a <= -b-c-d"),
-}
+def validate(rho: int, a: int, b: int, c: int | None = None, d: int | None = None) -> tuple[str, ...]:
+    """The normal-form inequalities that the parameters (a, b[, c[, d]]) violate (empty = a normal form).
 
-
-def _predicate(expression: str) -> Callable[..., bool]:
-    """``lambda a, b, c=None, d=None: expression``, compiled from its text."""
-    return eval(f"lambda a, b, c=None, d=None: {expression}", {})
-
-
-# Per rho: whether all inequalities hold, as one short-circuit test (the
-# passing path of validate and the orbit filter of canonicalize), and each
-# inequality with its own test, run only to name the failures.
-_HOLDS = {rho: _predicate(" and ".join(texts)) for rho, texts in _INEQUALITIES.items()}
-_CHECKS = {rho: tuple((text, _predicate(text)) for text in texts) for rho, texts in _INEQUALITIES.items()}
-
-
-def _violations(
-    rho: int, a: int, b: int, c: int | None = None, d: int | None = None
-) -> tuple[str, ...]:
-    """The normal-form inequalities that the parameters (a, b[, c[, d]]) violate."""
+    The parameters are checked as a :class:`~fiqs.series.DefiningMatrix` checks its fields.
+    """
+    _check_params(DefiningMatrix, rho, a, b, c, d)
     return tuple(text for text, holds in _CHECKS[rho] if not holds(a, b, c, d))
-
-
-def validate(m: DefiningMatrix) -> tuple[str, ...]:
-    """Normal-form inequality check; returns the violated inequalities (empty = ok)."""
-    if _HOLDS[m.rho](m.a, m.b, m.c, m.d):
-        return ()
-    return _violations(m.rho, m.a, m.b, m.c, m.d)
-
-
-def is_valid(m: DefiningMatrix) -> bool:
-    return not validate(m)
-
-
-def _checked(m: DefiningMatrix) -> DefiningMatrix:
-    """The matrix itself; ValueError naming the violated inequalities if it is not a normal form."""
-    bad = validate(m)
-    if bad:
-        raise ValueError(f"matrix is not in normal form, violated: {', '.join(bad)}")
-    return m
 
 
 def apply_op(m: RawMatrix, op: AdmissibleOp) -> RawMatrix:
@@ -284,7 +246,7 @@ def canonicalize(m: RawMatrix) -> DefiningMatrix:
 
 def classify(m: DefiningMatrix) -> SeriesKey:
     """The unique (series, eta) whose table matrix equals the given normal form."""
-    o = _orders(_checked(m))
+    o = _orders(m)
     i, ip = _digit(m.rho, o[0])
     j, im = _digit(m.rho, o[1])
     return SeriesKey(SERIES_IDS[m.rho, f"s{i}{j}"], ip, im, m.c, m.d)

@@ -13,13 +13,11 @@ forms are proved per residue class in ``tests/test_symbolic.py``, the
 counters agree with brute enumeration (tested for small indices), and
 :func:`verify_claims` re-checks every quantitative claim of the
 classification plus the internal oracle suites.  Verify checks each surface
-once: its matrix is validated when its record is classified, and every
-oracle after that runs as its unchecked kernel (``_class_group_oracle`` and
-``_local_gorenstein_oracle`` of :mod:`fiqs.invariants`, ``_polygon``,
-``_barycenter_oracle`` and ``_barycenters`` of :mod:`fiqs.kaehler`), which
-computes from the matrix what the public, checking oracle computes.  Surfaces
-of one Gorenstein index share degeneration polygons, cones and (series,
-iota+, iota-), so verify evaluates the polygon oracle once per polygon, the
+once, when :func:`~fiqs.series.enumerate_all` makes its matrix: a
+:class:`~fiqs.series.DefiningMatrix` checks the normal-form inequalities
+when it is made, so no oracle re-checks it.  Surfaces of one Gorenstein
+index share degeneration polygons, cones and (series, iota+, iota-), so
+verify evaluates the polygon oracle once per polygon, the
 exact solve once per cone and the series form of the degree once per
 (series, iota+, iota-) of an index, keyed by the oracle's whole input,
 compares every surface's closed form with that value, and drops the values
@@ -28,16 +26,17 @@ polygon evaluations, 1 244 solves and 132 degrees.
 
 Record export uses a fixed JSONL / CSV schema; exact rationals travel as
 "numerator/denominator" strings.  The key determines every field, so export
-builds no record: ``fiqs.invariants._fields`` checks each key as
-:func:`~fiqs.invariants.surface_record` does and gives the field kernel's
+builds no record: ``fiqs.invariants._values`` of each key and its matrix
+(:func:`~fiqs.series.matrix_from_eta`, which checks the key as
+:func:`~fiqs.invariants.surface_record` does) gives the field kernel's
 (m, local orders, values), which one text kernel per format (``_json_text``,
 ``_csv_row``) writes.  Records share only degree, log canonicity and class
 group; only the x+/x- chain texts, of at most three weights, come from a
 memo.  The record encoders pass the same triple, read back by
-``_record_fields``: :func:`record_to_json_line` equals
-``json.dumps(record_to_obj(rec), separators=(",", ":"))`` byte for byte,
-:func:`record_to_obj` being the documented dict form.  CSV rows are the fields joined by commas, unquoted:
-each field is an integer, a series tag, "n/d", true / false, a ";"-joined
+``_record_fields``.  ``_json_text`` is the one statement of the JSON
+schema: :func:`record_to_obj` is the parsed line of
+:func:`record_to_json_line`.  CSV rows are the fields joined by commas,
+unquoted: each field is an integer, a series tag, "n/d", true / false, a ";"-joined
 chain, empty or a column name, so none needs quoting and ``csv.writer`` writes
 the same line.
 
@@ -65,18 +64,18 @@ from .invariants import (
     POINT_LABELS,
     SIGMA_RAY_COLUMNS,
     SurfaceRecord,
-    _class_group_oracle,
     _end_chain,
-    _fields,
-    _local_gorenstein_oracle,
     _resolution,
+    _values,
     chain_determinant,
+    class_group_oracle,
     degree_from_eta,
+    local_gorenstein_oracle,
     picard_index_from_eta,
     record_from_matrix,
     surface_record,
 )
-from .kaehler import Barycenter, _barycenter_oracle, _barycenters, _ke_criterion, _polygon
+from .kaehler import Barycenter, _ke_criterion, barycenter_oracle, barycenters, degeneration_polygon
 from .series import (
     SERIES_IDS,
     SERIES_TAGS,
@@ -90,6 +89,7 @@ from .series import (
     _lcm_pairs_unordered,
     _series_id,
     enumerate_all,
+    matrix_from_eta,
 )
 
 __all__ = [
@@ -239,27 +239,8 @@ CSV_COLUMNS = _JSON_FIELDS[:15] + tuple(f"{f}_{p}" for f in ("local", "resolutio
 
 
 def record_to_obj(rec: SurfaceRecord) -> dict:
-    """JSON-ready dict with the fixed field order and exact rational strings."""
-    key, m, deg, eps = rec.key, rec.matrix, rec.degree, rec.log_canonicity
-    return {
-        "rho": key.rho,
-        "series": key.series.tag,
-        "iota_plus": key.iota_plus,
-        "iota_minus": key.iota_minus,
-        "c": key.c,
-        "d": key.d,
-        "a": m.a,
-        "b": m.b,
-        "gorenstein_index": rec.gorenstein_index,
-        "cl_rank": rec.class_group.free_rank,
-        "cl_torsion": rec.class_group.torsion_order,
-        "degree": f"{deg.numerator}/{deg.denominator}",
-        "log_canonicity": f"{eps.numerator}/{eps.denominator}",
-        "picard_index": rec.picard_index,
-        "ke": rec.ke,
-        "local_orders": dict(zip(POINT_LABELS[key.rho], rec.orders)),
-        "resolution": {p: list(chain) for p, chain in _resolution(key.rho, rec.orders).chains.items()},
-    }
+    """JSON-ready dict with the fixed field order and exact rational strings: the parsed :func:`record_to_json_line`."""
+    return json.loads(record_to_json_line(rec))
 
 
 @lru_cache(maxsize=1024)
@@ -322,7 +303,7 @@ def _record_fields(rec: SurfaceRecord) -> tuple:
 
 
 def record_to_json_line(rec: SurfaceRecord) -> str:
-    """``json.dumps(record_to_obj(rec), separators=(",", ":"))``; the chains are written from the local orders."""
+    """The record's JSONL line, compact, in ``_JSON_FIELDS`` order; the chains are written from the local orders."""
     return _json_text(rec.key, *_record_fields(rec))
 
 
@@ -418,8 +399,11 @@ def record_from_json_line(line: str) -> SurfaceRecord:
     ``true`` and ``"72"`` is not ``72``.  ``ValueError`` names the first
     field that does not parse, differs, is missing, is extra or is given
     twice (in a nested object too); a line that is no JSON, or nests too deep
-    for the decoder, is a ``malformed JSON record``.
+    for the decoder, is a ``malformed JSON record``, and a line that is not
+    a ``str`` is refused by name.
     """
+    if not isinstance(line, str):
+        raise ValueError(f"a JSON record line must be a str, got {type(line).__name__}")
     match = _JSON_KEY_PREFIX.match(line)
     key = match and _key_from_fields(*match.groups())
     if key and len(line) >= _room(key):
@@ -503,7 +487,7 @@ def export_records(
     for i in [iota] if iota is not None else range(1, iota_max + 1):
         for series_id in series_ids:
             for key in _iter_eta(series_id, i):
-                fields = _fields(key)
+                fields = _values(key, matrix_from_eta(key))
                 sink.write((",".join(_csv_row(key, *fields)) if as_csv else _json_text(key, *fields)) + "\n")
                 n += 1
     return n
@@ -620,8 +604,7 @@ class _Index:
     """One (rho, iota) of the scan: its surfaces, its bounds, its explicit KE keys and its shared oracle values.
 
     The explicit KE keys are listed on first use.  The polygon and solve oracles and the series form of
-    the degree run once per distinct input of the index, and their values are dropped with it.  Every
-    matrix of the index has been checked once, by its surface's record, so the oracles run unchecked.
+    the degree run once per distinct input of the index, and their values are dropped with it.
     """
 
     def __init__(self, rho: int, iota: int) -> None:
@@ -632,10 +615,10 @@ class _Index:
 
     def centroid(self, m: DefiningMatrix, kappa: int) -> tuple[Fraction, Fraction]:
         """``barycenter_oracle(m, kappa)``, once per polygon: the oracle reads nothing but the polygon's vertices."""
-        polygon = _polygon(m, kappa)
+        polygon = degeneration_polygon(m, kappa)
         value = self.centroids.get(polygon)
         if value is None:
-            value = self.centroids[polygon] = _barycenter_oracle(m, kappa)
+            value = self.centroids[polygon] = barycenter_oracle(m, kappa)
         return value
 
     def cone_index(self, m: DefiningMatrix, which: str) -> int:
@@ -645,7 +628,7 @@ class _Index:
         cone = (which, t[i], t[j], t[k])
         value = self.cone_indices.get(cone)
         if value is None:
-            value = self.cone_indices[cone] = _local_gorenstein_oracle(m, which)
+            value = self.cone_indices[cone] = local_gorenstein_oracle(m, which)
         return value
 
     def degree(self, key: SeriesKey) -> Fraction:
@@ -665,7 +648,7 @@ class _Index:
 
 
 class _Surface:
-    """One surface of the scan, checked and classified once; its closed-form barycenters are evaluated on first use."""
+    """One surface of the scan, classified once; its closed-form barycenters are evaluated on first use."""
 
     __slots__ = ("index", "key", "m", "rec", "_bcs")
 
@@ -675,7 +658,7 @@ class _Surface:
     @property
     def bcs(self) -> list[Barycenter]:
         if self._bcs is None:
-            self._bcs = _barycenters(self.m)
+            self._bcs = barycenters(self.m)
         return self._bcs
 
 
@@ -697,7 +680,7 @@ def _chain_determinants_match(s: _Surface) -> bool:
 # polygon and solve oracles and the series form of the degree go through the surface's
 # _Index, which shares their values.
 _SURFACE_CLAIMS: tuple[tuple[str, int, Callable[[_Surface], bool]], ...] = (
-    ("class group formula = smith oracle", 30, lambda s: s.rec.class_group == _class_group_oracle(s.m)),
+    ("class group formula = smith oracle", 30, lambda s: s.rec.class_group == class_group_oracle(s.m)),
     ("local gorenstein formula = solve oracle", 30,
      lambda s: s.rec.key.iota_plus == s.index.cone_index(s.m, "plus")
      and s.rec.key.iota_minus == s.index.cone_index(s.m, "minus")),
@@ -735,8 +718,7 @@ def verify_claims(iota_max: int) -> VerifyReport:
     to 50.  A claim counts the surfaces that fail it.  The census totals are checked whenever
     iota_max >= 200 (computed at 200).
 
-    Each surface's matrix is checked once, by its record; the oracles run unchecked.  The polygon and
-    solve oracles and the series form of the degree run once per distinct input of each index (see
+    Each surface's matrix is checked once, when it is made.  The polygon and solve oracles and the series form of the degree run once per distinct input of each index (see
     ``_Index``); every surface's closed form is compared with that shared value, and no value outlives
     the call.
     """

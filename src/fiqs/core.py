@@ -88,6 +88,8 @@ class IntMatrix:
             raise ValueError(f"IntMatrix field {name!r} must be an int, got {getattr(self, name)!r}")
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
+        if not isinstance(self.entries, tuple):  # a list would make an unhashable value
+            raise ValueError(f"IntMatrix field 'entries' must be a tuple, got {self.entries!r}")
         if len(self.entries) != self.rows * self.cols:
             raise ValueError(f"expected {self.rows * self.cols} entries, got {len(self.entries)}")
         if not {int}.issuperset(map(type, self.entries)):  # one pass; a bool is not an int

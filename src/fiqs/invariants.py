@@ -24,18 +24,15 @@ the key and the orders fix both, so ``SurfaceRecord.local`` and
 ``.resolution`` build them when read, and code in this package reads
 ``orders`` instead.
 
-Field types are checked when a key or matrix is made, the rest once, at
-the boundary: each public closed form checks its matrix
-(:func:`fiqs.canon.validate`) or its key (the series predicate), raising
-``ValueError`` on failure, and then calls an unchecked kernel, one
-per field, written in the local class group orders.  One field kernel,
+A :class:`~fiqs.series.DefiningMatrix` is a normal form by construction (it
+checks the inequalities when it is made), so no function here re-checks a
+matrix; a function of a key checks the series predicate, through
+:func:`~fiqs.series.matrix_from_eta` or :func:`~fiqs.canon.classify`, and
+raises ``ValueError`` on failure.  The closed forms are kernels, one per
+field, written in the local class group orders.  One field kernel,
 ``_values``, calls them for every record and exported line and returns
 (m, local orders, values); ``_record`` assembles a record from that triple,
-and the encoders of :mod:`fiqs.census` write a line from it.  The two
-matrix oracles are split the same way: ``class_group_oracle`` and
-``local_gorenstein_oracle`` check the matrix and call ``_class_group_oracle``
-and ``_local_gorenstein_oracle``, which ``verify_claims`` calls on matrices
-it has checked once.
+and the encoders of :mod:`fiqs.census` write a line from it.
 """
 
 from __future__ import annotations
@@ -44,7 +41,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 
-from .canon import ARM_COLUMNS, _checked, classify
+from .canon import ARM_COLUMNS, classify
 from .core import IntMatrix, smith_normal_form, solve3, value_class
 from .kaehler import _ke_rule
 from .series import FIRST_TWO_ROWS, DefiningMatrix, SeriesKey, _orders, matrix_from_eta
@@ -181,16 +178,11 @@ def _resolution(rho: int, o: tuple[int, ...]) -> ResolutionGraph:
 
 
 def _values(key: SeriesKey, m: DefiningMatrix) -> tuple:
-    """The field kernel: (m, local orders, values) of a key and its checked matrix; no other code computes the values."""
+    """The field kernel: (m, local orders, values) of a key and its matrix; no other code computes the values."""
     rho, o = m.rho, _orders(m)
     torsion = _torsion(rho, o)
     deg, eps = _degree(rho, o[0], o[1]), _log_canonicity(rho, o[1])
     return m, o, (key.iota, torsion, deg, eps, _picard_index(o, torsion), _ke_rule(key))
-
-
-def _fields(key: SeriesKey) -> tuple:
-    """The field kernel of a key, checked as :func:`surface_record` checks one."""
-    return _values(key, _checked(matrix_from_eta(key)))
 
 
 def _record(key: SeriesKey, m: DefiningMatrix, o: tuple[int, ...], values: tuple) -> SurfaceRecord:
@@ -201,16 +193,11 @@ def _record(key: SeriesKey, m: DefiningMatrix, o: tuple[int, ...], values: tuple
 
 def class_group(m: DefiningMatrix) -> ClassGroup:
     """Divisor class group: free of rank rho, torsion by the gcd formula."""
-    return _class_group(m.rho, _torsion(m.rho, _orders(_checked(m))))
+    return _class_group(m.rho, _torsion(m.rho, _orders(m)))
 
 
 def class_group_oracle(m: DefiningMatrix) -> ClassGroup:
     """Divisor class group as the cokernel Z^(rho+3) / im(P^T), via Smith form."""
-    return _class_group_oracle(_checked(m))
-
-
-def _class_group_oracle(m: DefiningMatrix) -> ClassGroup:
-    """:func:`class_group_oracle` of a matrix already checked."""
     # P itself: it has the invariant factors of its transpose
     r1, r2 = FIRST_TWO_ROWS[m.rho]
     n = m.rho + 3
@@ -220,7 +207,7 @@ def _class_group_oracle(m: DefiningMatrix) -> ClassGroup:
 
 def local_orders(m: DefiningMatrix) -> dict[str, int]:
     """Local class group orders of the fixed points (determinant formulas)."""
-    return dict(zip(POINT_LABELS[m.rho], _orders(_checked(m))))
+    return dict(zip(POINT_LABELS[m.rho], _orders(m)))
 
 
 def local_gorenstein(m: DefiningMatrix) -> tuple[int, int]:
@@ -236,11 +223,6 @@ def local_gorenstein_oracle(m: DefiningMatrix, which: str) -> int:
     alpha_i is the anticanonical coefficient (0 on the elliptic column, 1 on
     the others); the index is the lcm of the denominators of u.
     """
-    return _local_gorenstein_oracle(_checked(m), which)
-
-
-def _local_gorenstein_oracle(m: DefiningMatrix, which: str) -> int:
-    """:func:`local_gorenstein_oracle` of a matrix already checked."""
     if which not in ("plus", "minus"):
         raise ValueError(f"which must be 'plus' or 'minus', got {which!r}")
     i, j, k = SIGMA_RAY_COLUMNS[m.rho][which]
@@ -265,7 +247,7 @@ def gorenstein_index(m: DefiningMatrix) -> int:
 
 def degree(m: DefiningMatrix) -> Fraction:
     """Anticanonical self-intersection from the matrix parameters."""
-    return _degree(m.rho, *_orders(_checked(m))[:2])
+    return _degree(m.rho, *_orders(m)[:2])
 
 
 # Per-series numerators of the degree summands n+/iota+ + n-/iota- (for
@@ -288,12 +270,12 @@ def degree_from_eta(key: SeriesKey) -> Fraction:
 
 def log_canonicity(m: DefiningMatrix) -> Fraction:
     """One plus the minimal discrepancy; attained on the sink side by slope ordering."""
-    return _log_canonicity(m.rho, _orders(_checked(m))[1])
+    return _log_canonicity(m.rho, _orders(m)[1])
 
 
 def picard_index(m: DefiningMatrix) -> int:
     """Picard index by Springer's formula: product of the local orders over the torsion order."""
-    o = _orders(_checked(m))
+    o = _orders(m)
     return _picard_index(o, _torsion(m.rho, o))
 
 
@@ -339,7 +321,7 @@ def resolution_graph(key: SeriesKey) -> ResolutionGraph:
     chain of length one less than its local class group order.  Points of
     local class group order one are smooth: empty chain.
     """
-    return _resolution(key.rho, _orders(_checked(matrix_from_eta(key))))
+    return _resolution(key.rho, _orders(matrix_from_eta(key)))
 
 
 def chain_determinant(chain: tuple[int, ...]) -> int:
@@ -358,12 +340,11 @@ def surface_record(key: SeriesKey, matrix: DefiningMatrix | None = None) -> Surf
     """Assemble the full invariant bundle for one series member.
 
     The input is checked once.  A key alone must satisfy its series
-    predicate, and the matrix it expands to must be a valid normal form; a
-    key given with a matrix must be what :func:`classify` returns for that
-    matrix.  A failed check raises ``ValueError``.
+    predicate; a key given with a matrix must be what :func:`classify`
+    returns for that matrix.  A failed check raises ``ValueError``.
     """
     if matrix is None:
-        return _record(key, *_fields(key))
+        return _record(key, *_values(key, matrix_from_eta(key)))
     if classify(matrix) != key:
         raise ValueError(f"matrix {matrix} is not the normal form of {key}")
     return _record(key, *_values(key, matrix))

@@ -14,13 +14,12 @@ forms obtained by carrying out the dual-centroid computation symbolically;
 coordinates, exact, so the two paths check each other.  The oracle reads
 the matrix only through :func:`degeneration_polygon`, so its value is a
 function of the polygon's vertices alone, and ``verify_claims`` evaluates it
-once per distinct polygon of a Gorenstein index.  Each public function checks
-its matrix and hands it to an unchecked kernel (``_polygon``,
-``_barycenter_oracle``, ``_barycenters``), which ``verify_claims`` calls
-directly on matrices it has checked once.  The criterion
-itself is one helper, applied to a list of closed-form barycenters, so
-``verify_claims`` evaluates them once per surface for both the criterion and
-the comparison with the polygons; the oracle never reads the closed forms.
+once per distinct polygon of a Gorenstein index.  No function here checks
+its matrix: a :class:`~fiqs.series.DefiningMatrix` is a normal form when it
+is made.  The criterion itself is one helper, applied to a list of
+closed-form barycenters, so ``verify_claims`` evaluates them once per
+surface for both the criterion and the comparison with the polygons; the
+oracle never reads the closed forms.
 
 At the family level the criterion collapses to a finite description:
 no rho=2 surface is Kaehler-Einstein (its single barycenter lies on the
@@ -40,9 +39,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable
 
-from .canon import _checked
 from .core import value_class
-from .series import _WEIGHTS, DefiningMatrix, SeriesKey, series_membership
+from .series import _WEIGHTS, DefiningMatrix, SeriesKey, _check_kappa, series_membership
 
 __all__ = [
     "SPECIAL_KAPPAS",
@@ -73,15 +71,9 @@ def degeneration_polygon(m: DefiningMatrix, kappa: int) -> tuple[tuple[int, int]
 
     Degeneration kappa merges the two arms other than arm kappa into one
     row of vertices, with the slopes of arm kappa on the opposite row.
-    ValueError if the matrix is not a normal form or kappa is not special.
+    ValueError if kappa is not special (an int: True is not 1).
     """
-    return _polygon(_checked(m), kappa)
-
-
-def _polygon(m: DefiningMatrix, kappa: int) -> tuple[tuple[int, int], ...]:
-    """:func:`degeneration_polygon` of a matrix already checked."""
-    if kappa not in SPECIAL_KAPPAS[m.rho]:
-        raise ValueError(f"kappa={kappa!r} is not special for rho={m.rho}")
+    _check_kappa(m.rho, kappa, SPECIAL_KAPPAS[m.rho])
     a, b = m.a, m.b
     if m.rho == 1:
         return ((1, -2), (1 + 2 * a, 2), (1 + 2 * b, 2))
@@ -178,21 +170,11 @@ def barycenter_oracle(m: DefiningMatrix, kappa: int) -> tuple[Fraction, Fraction
     Integer homogeneous coordinates, exact; a single ``Fraction`` per final
     coordinate.  Independent of the closed forms of :func:`barycenters`.
     """
-    return _barycenter_oracle(_checked(m), kappa)
-
-
-def _barycenter_oracle(m: DefiningMatrix, kappa: int) -> tuple[Fraction, Fraction]:
-    """:func:`barycenter_oracle` of a matrix already checked."""
-    return _centroid_homogeneous(_dual_homogeneous(_polygon(m, kappa)))
+    return _centroid_homogeneous(_dual_homogeneous(degeneration_polygon(m, kappa)))
 
 
 def barycenters(m: DefiningMatrix) -> list[Barycenter]:
     """Closed-form barycenters for the special degenerations of the matrix."""
-    return _barycenters(_checked(m))
-
-
-def _barycenters(m: DefiningMatrix) -> list[Barycenter]:
-    """:func:`barycenters` of a matrix already checked."""
     a, b = m.a, m.b
     if m.rho == 1:
         x = Fraction(-(a + b + 2), 3 * (1 + a) * (1 + b))

@@ -12,21 +12,24 @@ matrix
     rho=2: [[-1,-1,1,1,0], [-1,-1,0,0,2], [a,b,0,c,1]]
     rho=3: [[-1,-1,1,1,0,0], [-1,-1,0,0,1,1], [a,b,0,c,0,d]]
 
-whose third-row parameters satisfy per-rho normal-form inequalities (see
-:func:`fiqs.canon.validate`).  The two digits of a series tag record a
+whose third-row parameters satisfy per-rho normal-form inequalities
+(``_INEQUALITIES``; :func:`fiqs.canon.validate` names the ones a parameter
+tuple violates).  The two digits of a series tag record a
 divisibility case at each of the two elliptic fixed points: the local
 Gorenstein index there lies in an index class (a set of residues mod 12),
 and the local class group order is w * iota with a series weight w.  This
 module is the one home of that fact (``_DIGITS``, read back from the orders
 by ``_digit``); the exact predicates are in :func:`series_membership`.
 Keys and matrices check their field types when made (``_check_params``, a
-bool refused), and every index argument goes through ``_check_index``.
+bool refused), and every index argument goes through ``_check_index``.  A
+:class:`DefiningMatrix` is a normal form: it checks the inequalities when it
+is made, so no other code re-checks a matrix.
 """
 
 from __future__ import annotations
 
 from math import lcm
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import IntMatrix, value_class
 
@@ -66,8 +69,14 @@ def _check_index(name: str, value: int) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
-def _check_params(obj: SeriesKey | DefiningMatrix, rho: int, x: int, y: int, c: int | None, d: int | None) -> None:
-    """ValueError naming the first bad field of a new key or matrix: rho, the c/d shape, then x, y, c, d not an int."""
+def _check_kappa(rho: int, kappa: int, special: tuple[int, ...]) -> None:
+    """ValueError naming a degeneration kappa that is not one of the special ones of rho (a bool is not an int)."""
+    if type(kappa) is not int or kappa not in special:
+        raise ValueError(f"kappa={kappa!r} is not special for rho={rho}")
+
+
+def _check_params(cls: type, rho: int, x: int, y: int, c: int | None, d: int | None) -> None:
+    """ValueError naming the first bad field of a new cls (key or matrix): rho, the c/d shape, then x, y, c, d not an int."""
     if type(rho) is not int or rho not in (1, 2, 3):  # the test of _check_rho, inline: one call per key or matrix
         _check_rho(rho)
     if (c is not None) != (rho >= 2):
@@ -76,9 +85,9 @@ def _check_params(obj: SeriesKey | DefiningMatrix, rho: int, x: int, y: int, c: 
         raise ValueError(f"d must be present exactly for rho = 3 (rho={rho})")
     if type(x) is int and type(y) is int and (c is None or type(c) is int) and (d is None or type(d) is int):
         return
-    for name, value in zip(obj.__slots__[1:], (x, y, c, d)):
+    for name, value in zip(cls.__slots__[1:], (x, y, c, d)):
         if not (type(value) is int or value is None and name in ("c", "d")):
-            raise ValueError(f"{type(obj).__name__} field {name!r} must be an int, got {value!r}")
+            raise ValueError(f"{cls.__name__} field {name!r} must be an int, got {value!r}")
 
 
 @value_class(order=True)
@@ -123,7 +132,7 @@ class SeriesKey:
     def __post_init__(self) -> None:
         if type(self.series) is not SeriesId:
             raise ValueError(f"SeriesKey field 'series' must be a SeriesId, got {self.series!r}")
-        _check_params(self, self.series.rho, self.iota_plus, self.iota_minus, self.c, self.d)
+        _check_params(SeriesKey, self.series.rho, self.iota_plus, self.iota_minus, self.c, self.d)
         if self.iota_plus < 1 or self.iota_minus < 1:
             name = "iota_plus" if self.iota_plus < 1 else "iota_minus"
             raise ValueError(f"SeriesKey field {name!r} must be positive, got {getattr(self, name)}")
@@ -141,9 +150,33 @@ class SeriesKey:
         return tuple(v for v in (self.iota_plus, self.iota_minus, self.c, self.d) if v is not None)
 
 
+# The normal-form inequalities of the parameters (a, b[, c[, d]]) per rho,
+# each written once, as the Python expression it is reported under.
+_INEQUALITIES = {
+    1: ("b <= -2", "0 <= a", "a <= -b-2"),
+    2: ("b < a", "c < 0", "a >= 0", "b+c <= -1", "a-b <= -c", "a <= -b-c-1"),
+    3: ("a > b", "0 > c", "0 > d", "a-b >= -c", "-c >= -d", "b+c+d < 0", "0 < a", "a <= -b-c-d"),
+}
+
+
+def _predicate(expression: str) -> Callable[..., bool]:
+    """``lambda a, b, c=None, d=None: expression``, compiled from its text."""
+    return eval(f"lambda a, b, c=None, d=None: {expression}", {})
+
+
+# Per rho: whether all inequalities hold, as one short-circuit test (run by
+# every new DefiningMatrix and by the orbit filter of canon.canonicalize), and
+# each inequality with its own test, run only to name the failures.
+_HOLDS = {rho: _predicate(" and ".join(texts)) for rho, texts in _INEQUALITIES.items()}
+_CHECKS = {rho: tuple((text, _predicate(text)) for text in texts) for rho, texts in _INEQUALITIES.items()}
+
+
 @value_class(order=True)
 class DefiningMatrix:
-    """Normal-form defining matrix, stored by its free third-row parameters."""
+    """Normal-form defining matrix, stored by its free third-row parameters.
+
+    Made only in normal form: ValueError naming the violated inequalities otherwise.
+    """
 
     rho: int
     a: int
@@ -152,7 +185,11 @@ class DefiningMatrix:
     d: int | None = None
 
     def __post_init__(self) -> None:
-        _check_params(self, self.rho, self.a, self.b, self.c, self.d)
+        rho, a, b, c, d = self.rho, self.a, self.b, self.c, self.d
+        _check_params(DefiningMatrix, rho, a, b, c, d)
+        if not _HOLDS[rho](a, b, c, d):
+            bad = ", ".join(text for text, holds in _CHECKS[rho] if not holds(a, b, c, d))
+            raise ValueError(f"matrix is not in normal form, violated: {bad}")
 
     def params(self) -> tuple[int, ...]:
         return tuple(v for v in (self.a, self.b, self.c, self.d) if v is not None)

@@ -19,13 +19,12 @@ from fiqs import (
     canonicalize,
     classify,
     enumerate_all,
-    is_valid,
     matrix_from_eta,
     raw_from_matrix,
     validate,
 )
-from fiqs.canon import _HOLDS, ARM_COLUMNS, SWAPPABLE_ARM_PAIRS, _violations, parameter_orbit, reduce_raw
-from fiqs.series import FIRST_TWO_ROWS, SERIES_IDS
+from fiqs.canon import ARM_COLUMNS, SWAPPABLE_ARM_PAIRS, parameter_orbit, reduce_raw
+from fiqs.series import _HOLDS, FIRST_TWO_ROWS, SERIES_IDS
 
 from conftest import up_to
 
@@ -82,17 +81,36 @@ def reference_orbit(rho: int, params: tuple[int, ...]) -> frozenset[tuple[int, .
 
 class TestValidate:
     def test_minimal_instance_ok(self):
-        assert validate(DefiningMatrix(1, 0, -2)) == ()
+        assert validate(1, 0, -2) == ()
+        assert DefiningMatrix(1, 0, -2).params() == (0, -2)
 
     def test_names_violated_inequality(self):
-        assert validate(DefiningMatrix(1, 1, -2)) == ("a <= -b-2",)
+        assert validate(1, 1, -2) == ("a <= -b-2",)
+        with pytest.raises(ValueError, match=r"^matrix is not in normal form, violated: a <= -b-2$"):
+            DefiningMatrix(1, 1, -2)
 
     def test_rho3_ok(self):
-        assert validate(DefiningMatrix(3, 3, 1, -2, -2)) == ()
+        assert validate(3, 3, 1, -2, -2) == ()
 
     def test_multiple_violations_all_reported(self):
-        bad = validate(DefiningMatrix(2, -1, 3, 2))
+        bad = validate(2, -1, 3, 2)
         assert "b < a" in bad and "c < 0" in bad and "a >= 0" in bad
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ((0, 1, -2), "rho must be 1, 2 or 3, got 0"),
+            ((1, 0, -2, -1), "c must be present exactly for rho >= 2 (rho=1)"),
+            ((3, 3, 1, -2), "d must be present exactly for rho = 3 (rho=3)"),
+            ((1, 0.0, -2), "DefiningMatrix field 'a' must be an int, got 0.0"),
+            ((2, 1, 0, True), "DefiningMatrix field 'c' must be an int, got True"),
+        ],
+    )
+    def test_parameters_are_checked_as_a_matrix_checks_its_fields(self, params, message):
+        for make in (validate, DefiningMatrix):
+            with pytest.raises(ValueError) as info:
+                make(*params)
+            assert str(info.value) == message
 
 
 class TestApplyOp:
@@ -186,7 +204,7 @@ class TestCanonicalize:
     def test_orbit_example_rho2(self):
         orbit = parameter_orbit(2, (1, 0, -2))
         assert orbit == {(1, 0, -2), (1, -1, -1)}
-        valid = [p for p in orbit if validate(DefiningMatrix(2, *p)) == ()]
+        valid = [p for p in orbit if validate(2, *p) == ()]
         assert valid == [(1, 0, -2)]
 
     def test_orbit_sizes_bounded(self, surfaces_by_rho):
@@ -263,7 +281,8 @@ class TestClassify:
         )
 
     def test_rejects_invalid(self):
-        with pytest.raises(ValueError):
+        """No invalid matrix reaches classify: the constructor refuses it."""
+        with pytest.raises(ValueError, match="not in normal form"):
             classify(DefiningMatrix(1, 5, -2))
 
     def test_round_trip_small(self):
@@ -275,11 +294,9 @@ class TestClassify:
 
 
 def reference_canonicalize(m: RawMatrix) -> DefiningMatrix:
-    """The orbit filter that builds and validates a DefiningMatrix per orbit element."""
+    """The orbit filter that validates each orbit element by name."""
     params = reduce_raw(m)
-    passing = [
-        p for p in sorted(parameter_orbit(m.rho, params)) if is_valid(DefiningMatrix(m.rho, *p))
-    ]
+    passing = [p for p in sorted(parameter_orbit(m.rho, params)) if not validate(m.rho, *p)]
     if len(passing) != 1:
         raise NormalFormError(
             f"expected exactly one normal form in the orbit, found {len(passing)} "
@@ -492,9 +509,14 @@ def is_complete_fan(m: RawMatrix) -> bool:
 
 def assert_checks_match_reference(rho, params):
     want = reference_violations(rho, *params)
-    assert _violations(rho, *params) == want, (rho, params)
+    assert validate(rho, *params) == want, (rho, params)
     assert _HOLDS[rho](*params) is (not want), (rho, params)  # the orbit filter of canonicalize
-    assert validate(DefiningMatrix(rho, *params)) == want, (rho, params)
+    if want:  # the constructor refuses exactly the tuples the ladder fails, naming the failures
+        with pytest.raises(ValueError) as info:
+            DefiningMatrix(rho, *params)
+        assert str(info.value) == f"matrix is not in normal form, violated: {', '.join(want)}", (rho, params)
+    else:
+        assert DefiningMatrix(rho, *params).params() == params
 
 
 @given(st.integers(1, 3).flatmap(lambda rho: st.tuples(st.just(rho), st.tuples(*[_PARAM] * (rho + 1)))))

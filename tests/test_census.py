@@ -53,8 +53,8 @@ from fiqs.census import (
     record_to_obj,
 )
 from fiqs.cli import main
-from fiqs.invariants import _fields
-from fiqs.series import _DIGITS, _WEIGHTS, SERIES_IDS, _lcm_pairs, enumerate_eta, series_membership
+from fiqs.invariants import _values
+from fiqs.series import _DIGITS, _WEIGHTS, SERIES_IDS, _lcm_pairs, enumerate_eta, matrix_from_eta, series_membership
 
 from conftest import reference_pair_ok
 
@@ -412,7 +412,7 @@ def member_keys(draw, bound=10**6):
 def test_text_kernels_equal_dict_form_at_large_orders(key):
     """The text kernels equal the dict form at local orders up to about 10**6, far past the export tests."""
     obj = record_to_obj(surface_record(key))
-    fields = _fields(key)
+    fields = _values(key, matrix_from_eta(key))
     try:
         assert _json_text(key, *fields) == json.dumps(obj, separators=(",", ":"))
         assert _csv_row(key, *fields) == csv_row_from_obj(obj)
@@ -421,23 +421,23 @@ def test_text_kernels_equal_dict_form_at_large_orders(key):
 
 
 def test_field_kernel_keeps_the_checks(monkeypatch):
-    """The field kernel behind export checks a key as surface_record does, with the same error."""
+    """The path behind export checks a key as surface_record does, with the same error."""
     outside = SeriesKey(SeriesId(1, "s12"), 1, 3)  # s12 needs 4 | iota-
     with pytest.raises(ValueError) as want:
         surface_record(outside)
     with pytest.raises(ValueError) as got:
-        _fields(outside)
+        _values(outside, matrix_from_eta(outside))
     assert str(got.value) == str(want.value) == f"key does not satisfy its series predicate: {outside}"
 
     # Every member key expands to a normal form, so make one inequality fail for all of rho 3.
-    texts = (*fiqs.canon._INEQUALITIES[3], "a < 0")
-    monkeypatch.setitem(fiqs.canon._HOLDS, 3, fiqs.canon._predicate(" and ".join(texts)))
-    monkeypatch.setitem(fiqs.canon._CHECKS, 3, tuple((t, fiqs.canon._predicate(t)) for t in texts))
+    texts = (*fiqs.series._INEQUALITIES[3], "a < 0")
+    monkeypatch.setitem(fiqs.series._HOLDS, 3, fiqs.series._predicate(" and ".join(texts)))
+    monkeypatch.setitem(fiqs.series._CHECKS, 3, tuple((t, fiqs.series._predicate(t)) for t in texts))
     key = SeriesKey(SeriesId(3, "s11"), 3, 3, -2, -2)
     with pytest.raises(ValueError) as want:
         surface_record(key)
     with pytest.raises(ValueError) as got:
-        _fields(key)
+        _values(key, matrix_from_eta(key))
     assert str(got.value) == str(want.value) == "matrix is not in normal form, violated: a < 0"
 
 
@@ -532,6 +532,9 @@ def _csv_with(column, value, rec=_GOOD_REC):
             "malformed JSON record",
         ),
         (record_from_json_line, json.dumps({**record_to_obj(_RHO1_REC), "c": 0}), "'c'"),
+        # a line that is no str is named, not a bare TypeError from the prefix pattern
+        (record_from_json_line, record_to_json_line(_GOOD_REC).encode(), "must be a str, got bytes"),
+        (record_from_json_line, None, "must be a str, got NoneType"),
         (record_from_csv_row, _csv_with("degree", "16/6"), "'degree'"),
         (record_from_csv_row, _csv_with("rho", "03"), "'rho'"),
         (record_from_csv_row, _csv_with("d", ""), "'d'"),
@@ -656,7 +659,7 @@ _INTERIOR_SHARE = {1: 4, 2: 2, 3: 1}
 
 
 def _assert_room(key):
-    fields = _fields(key)
+    fields = _values(key, matrix_from_eta(key))
     rho, o = key.rho, fields[1]
     wp, wm = _WEIGHTS[rho][key.series.tag]
     assert sum(o[2:]) * _INTERIOR_SHARE[rho] == wp * key.iota_plus + wm * key.iota_minus, key
@@ -824,15 +827,15 @@ def test_verify_catches_a_broken_oracle(monkeypatch, capsys, mutant):
     assert f"FAIL {claim}" in capsys.readouterr().out
 
 
-# Each claim whose oracle sees the surface's matrix or index, with that oracle in
-# fiqs.census (the unchecked kernel of a matrix oracle) and the Gorenstein index it is applied to.
+# Each claim whose oracle sees the surface's matrix or index, with that oracle's name in
+# fiqs.census and the Gorenstein index it is applied to.
 _SCOPED_ORACLES = {
-    "class group formula = smith oracle": ("_class_group_oracle", lambda out, m: fiqs.invariants.gorenstein_index(m)),
+    "class group formula = smith oracle": ("class_group_oracle", lambda out, m: fiqs.invariants.gorenstein_index(m)),
     "local gorenstein formula = solve oracle": (
-        "_local_gorenstein_oracle", lambda out, m, which: fiqs.invariants.gorenstein_index(m),
+        "local_gorenstein_oracle", lambda out, m, which: fiqs.invariants.gorenstein_index(m),
     ),
     "barycenters = polygon dual centroids": (
-        "_barycenter_oracle", lambda out, m, kappa: fiqs.invariants.gorenstein_index(m),
+        "barycenter_oracle", lambda out, m, kappa: fiqs.invariants.gorenstein_index(m),
     ),
     "canonicalize fixes canonical raw form": ("canonicalize", lambda out, raw: fiqs.invariants.gorenstein_index(out)),
     "ke explicit ranges = ke inequality predicate": ("_ke_explicit_ranges", lambda out, rho, iota: iota),
@@ -912,12 +915,14 @@ _MEMBER = DefiningMatrix(3, 1, -3, -3, -3)
         (lambda: emit_plot_data(3, 12.0, io.StringIO()), "iota_max must be an int, got 12.0"),
         (lambda: verify_claims(3.0), "iota_max must be an int, got 3.0"),
         (lambda: fiqs.kaehler.barycenter_oracle(_MEMBER, "0"), "kappa='0' is not special for rho=3"),
+        (lambda: fiqs.kaehler.barycenter_oracle(_MEMBER, True), "kappa=True is not special for rho=3"),
+        (lambda: fiqs.kaehler.degeneration_polygon(_MEMBER, 1.0), "kappa=1.0 is not special for rho=3"),
         (lambda: enumerate_all(3, 12.0), "iota must be an int, got 12.0"),
         (lambda: enumerate_eta(SERIES_IDS[3, "s11"], "12"), "iota must be an int, got '12'"),
         (lambda: count(3, True), "iota_max must be an int, got True"),
     ],
     ids=["count_ke", "count_exact float", "count_exact str", "count", "emit_plot_data", "verify_claims",
-         "barycenter_oracle", "enumerate_all", "enumerate_eta", "count bool"],
+         "barycenter_oracle", "barycenter_oracle bool", "degeneration_polygon float", "enumerate_all", "enumerate_eta", "count bool"],
 )
 def test_bad_index_arguments_are_named(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -953,7 +958,7 @@ def _distinct_oracle_inputs(iota_max: int) -> tuple[int, int, int]:
 
 def test_verify_evaluates_each_oracle_input_once_per_call(monkeypatch):
     """Each distinct polygon, cone and degree input of an index is evaluated once per verify run, and not kept."""
-    calls = {"_barycenter_oracle": 0, "_local_gorenstein_oracle": 0, "degree_from_eta": 0}
+    calls = {"barycenter_oracle": 0, "local_gorenstein_oracle": 0, "degree_from_eta": 0}
     for name in calls:
         oracle = getattr(fiqs.census, name)
 
@@ -968,21 +973,22 @@ def test_verify_evaluates_each_oracle_input_once_per_call(monkeypatch):
     for _ in range(2):
         calls.update(dict.fromkeys(calls, 0))
         assert verify_claims(12).ok
-        assert calls == {"_barycenter_oracle": polygons, "_local_gorenstein_oracle": cones, "degree_from_eta": etas}
+        assert calls == {"barycenter_oracle": polygons, "local_gorenstein_oracle": cones, "degree_from_eta": etas}
 
 
 def test_verify_checks_each_surface_once(monkeypatch):
-    """One normal-form check per surface: its record's classification; every oracle after it runs unchecked."""
+    """One normal-form check per matrix made: each surface's, by enumerate_all, and the canonicalize claim's result."""
     calls = [0]
-    validate = fiqs.canon.validate
+    post_init = DefiningMatrix.__post_init__
 
     def counted(m):
         calls[0] += 1
-        return validate(m)
+        post_init(m)
 
-    monkeypatch.setattr(fiqs.canon, "validate", counted)
+    monkeypatch.setattr(DefiningMatrix, "__post_init__", counted)
     assert verify_claims(6).ok
-    assert calls[0] == sum(count(rho, 6).total for rho in (1, 2, 3))
+    surfaces = sum(count(rho, 6).total for rho in (1, 2, 3))
+    assert calls[0] == surfaces + surfaces  # the canonicalize claim runs to iota 30
 
 
 def _failures(report):
@@ -1002,13 +1008,13 @@ def _seen_earlier(iota, m, input_of):
 def test_verify_compares_a_surface_whose_polygon_was_shared(monkeypatch):
     """A wrong closed form is caught on a surface whose polygon an earlier surface of its index gave."""
     assert _seen_earlier(9, _MEMBER, lambda m: fiqs.kaehler.degeneration_polygon(m, 0))
-    correct = fiqs.census._barycenters
+    correct = fiqs.census.barycenters
 
     def off_y0(m):
         bcs = correct(m)
         return [replace(bcs[0], y=bcs[0].y + 1), *bcs[1:]] if m == _MEMBER else bcs
 
-    monkeypatch.setattr(fiqs.census, "_barycenters", off_y0)
+    monkeypatch.setattr(fiqs.census, "barycenters", off_y0)
     assert _failures(verify_claims(9)) == {"barycenters = polygon dual centroids": 1}
 
 

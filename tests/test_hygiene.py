@@ -16,7 +16,11 @@ no module tests a value's type against int outside a ``__post_init__`` or
 a ``series._check_*`` function: keys and matrices check their fields when
 they are made, and ``series._check_index`` checks every index argument, and
 no class is decorated with bare ``dataclass``: every value class goes through
-``core.value_class``, whose ``__init__`` stores through the slots.
+``core.value_class``, whose ``__init__`` stores through the slots, and no
+module re-checks a normal form: a ``DefiningMatrix`` checks the inequalities
+when it is made, so there is no ``_checked``, and the one test of them all,
+``series._HOLDS``, runs only in ``DefiningMatrix.__post_init__``, ``validate``
+and ``canonicalize``.
 """
 
 from __future__ import annotations
@@ -488,3 +492,58 @@ def test_bare_dataclass_is_caught():
         "def f():\n    return dataclass(type('F', (), {}))\n"
     )
     assert bare_dataclasses(source) == [(4, "A"), (7, "B"), (10, "C")]
+
+
+# The functions that may run the normal-form test: the constructor, the report and the orbit filter.
+_HOLDS_USERS = {"DefiningMatrix.__post_init__", "validate", "canonicalize"}
+
+
+def normal_form_rechecks(source: str) -> list[tuple[int, str]]:
+    """Each definition, import or use of ``_checked``, and each read of ``_HOLDS`` outside ``_HOLDS_USERS``, with its line."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name == "_checked":
+                found.append((node.lineno, "def _checked"))
+            scope = f"{scope}.{node.name}" if scope else node.name
+        elif isinstance(node, ast.alias) and node.name == "_checked":
+            found.append((node.lineno, "import _checked"))
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name == "_checked":
+                found.append((node.lineno, ast.unparse(node)))
+            elif name == "_HOLDS" and isinstance(node.ctx, ast.Load) and scope not in _HOLDS_USERS:
+                found.append((node.lineno, f"{ast.unparse(node)} in {scope or 'the module'}"))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", ALL_MODULES)
+def test_no_normal_form_recheck(name):
+    found = normal_form_rechecks((PACKAGE / f"{name}.py").read_text())
+    assert not found, f"fiqs.{name} re-checks a normal form outside the DefiningMatrix constructor (line, use): {found}"
+
+
+def test_normal_form_recheck_is_caught():
+    source = (
+        "from .canon import _checked, validate\n"
+        "_HOLDS = {}\n"
+        "class DefiningMatrix:\n    def __post_init__(self):\n        assert _HOLDS[self.rho](self.a, self.b)\n"
+        "def validate(rho, a, b):\n    return _HOLDS[rho](a, b)\n"
+        "def canonicalize(m):\n    holds = _HOLDS[m.rho]\n"
+        "def _checked(m):\n    return m\n"
+        "def degree(m):\n    return _checked(m).a if series._HOLDS[m.rho](m.a, m.b) else 0\n"
+        "class Other:\n    def __post_init__(self):\n        _HOLDS[1](0, -2)\n"
+        "ok = _HOLDS_USERS and _check_params\n"
+    )
+    assert normal_form_rechecks(source) == [
+        (1, "import _checked"),
+        (10, "def _checked"),
+        (13, "_checked"),
+        (13, "series._HOLDS in degree"),
+        (16, "_HOLDS in Other.__post_init__"),
+    ]

@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
-import fiqs.canon
 import fiqs.census
 import fiqs.invariants
 from fiqs import (
@@ -28,7 +28,6 @@ from fiqs import (
     gorenstein_index,
     is_ke_family,
     is_ke_oracle,
-    is_valid,
     local_data,
     local_gorenstein,
     local_gorenstein_oracle,
@@ -47,8 +46,7 @@ from fiqs import (
     surface_record,
     validate,
 )
-from fiqs.canon import _checked
-from fiqs.invariants import POINT_LABELS, _fields, _record
+from fiqs.invariants import POINT_LABELS, _record, _values
 from fiqs.series import SERIES_IDS, _WEIGHTS
 
 from conftest import up_to
@@ -280,10 +278,14 @@ class TestSurfaceRecord:
         ],
     )
     def test_every_closed_form_rejects_invalid_matrices(self, closed_form):
+        """No closed form sees an invalid matrix: the constructor refuses it, naming the violated inequalities."""
+        for m in (M1, M2, M3):
+            closed_form(m)
         # one violated normal-form inequality per rho (b <= -2, c < 0, 0 < a)
-        for m in (DefiningMatrix(1, 0, -1), DefiningMatrix(2, 1, 0, 2), DefiningMatrix(3, 0, -1, -1, -1)):
-            with pytest.raises(ValueError):
-                closed_form(m)
+        for params in ((1, 0, -1), (2, 1, 0, 2), (3, 0, -1, -1, -1)):
+            message = f"matrix is not in normal form, violated: {', '.join(validate(*params))}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                closed_form(DefiningMatrix(*params))
 
     def test_key_with_foreign_matrix_rejected(self):
         (k1, _), (_, m2) = enumerate_all(3, 6)[:2]
@@ -315,7 +317,8 @@ class TestSurfaceRecord:
                 assert surface_record(key, m) == rec == record_from_matrix(m)
 
     def test_each_path_checks_once(self, monkeypatch):
-        calls = {"validate": 0, "classify": 0, "matrix_from_eta": 0}
+        """A normal-form check runs once per matrix made: a key's own, none for a matrix that is given."""
+        calls = {"check": 0, "classify": 0, "matrix_from_eta": 0}
 
         def counting(name, fn):
             def wrapper(*args):
@@ -324,21 +327,20 @@ class TestSurfaceRecord:
 
             return wrapper
 
-        monkeypatch.setattr(fiqs.canon, "validate", counting("validate", fiqs.canon.validate))
+        monkeypatch.setattr(DefiningMatrix, "__post_init__", counting("check", DefiningMatrix.__post_init__))
         monkeypatch.setattr(fiqs.invariants, "classify", counting("classify", fiqs.invariants.classify))
         monkeypatch.setattr(
             fiqs.invariants, "matrix_from_eta", counting("matrix_from_eta", fiqs.invariants.matrix_from_eta)
         )
         key = classify(M3)
-        calls.update(validate=0)
         surface_record(key)
-        assert calls == {"validate": 1, "classify": 0, "matrix_from_eta": 1}
-        calls.update(validate=0, matrix_from_eta=0)
+        assert calls == {"check": 1, "classify": 0, "matrix_from_eta": 1}
+        calls.update(check=0, matrix_from_eta=0)
         surface_record(key, M3)
-        assert calls == {"validate": 1, "classify": 1, "matrix_from_eta": 0}
-        calls.update(validate=0, classify=0)
+        assert calls == {"check": 0, "classify": 1, "matrix_from_eta": 0}
+        calls.update(classify=0)
         record_from_matrix(M3)
-        assert calls == {"validate": 1, "classify": 1, "matrix_from_eta": 0}
+        assert calls == {"check": 0, "classify": 1, "matrix_from_eta": 0}
 
 
 class TestRecordLayout:
@@ -428,11 +430,10 @@ class TestSharedValues:
             degree(DefiningMatrix(2, 1.0, -1, -2))
 
 
-# Every public function that takes a matrix and checks it, plus record_from_matrix.
+# Every public function that takes a matrix, plus record_from_matrix; validate takes the parameters.
 _MATRIX_FUNCTIONS = (
-    validate, is_valid, _checked, classify, local_orders, local_data, local_gorenstein, gorenstein_index,
-    class_group, class_group_oracle, degree, log_canonicity, picard_index, barycenters, is_ke_oracle,
-    record_from_matrix,
+    classify, local_orders, local_data, local_gorenstein, gorenstein_index, class_group, class_group_oracle,
+    degree, log_canonicity, picard_index, barycenters, is_ke_oracle, record_from_matrix,
 )
 
 
@@ -442,9 +443,11 @@ def test_float_field_is_named(fn, field):
     """A float parameter is rejected with the ValueError that names it, never a wrong value or a bare TypeError."""
     params = dict(a=3, b=1, c=-2, d=-2)
     fn(DefiningMatrix(3, **params))  # the int matrix passes
+    assert validate(3, **params) == ()
     params[field] = float(params[field])
-    with pytest.raises(ValueError, match=f"^DefiningMatrix field '{field}' must be an int, got {params[field]}$"):
-        fn(DefiningMatrix(3, **params))
+    for call in (lambda: fn(DefiningMatrix(3, **params)), lambda: validate(3, **params)):
+        with pytest.raises(ValueError, match=f"^DefiningMatrix field '{field}' must be an int, got {params[field]}$"):
+            call()
 
 
 @pytest.mark.parametrize(
@@ -466,7 +469,7 @@ class TestOneKernel:
     def test_every_record_path_equals_the_kernel(self, surfaces_by_rho):
         for rho in (1, 2, 3):
             for key, m in up_to(surfaces_by_rho[rho], 12):
-                fields = _fields(key)
+                fields = _values(key, matrix_from_eta(key))
                 rec = _record(key, *fields)
                 assert rec == surface_record(key) == surface_record(key, m) == record_from_matrix(m)
                 assert fiqs.census._record_fields(surface_record(key)) == fields
@@ -484,12 +487,12 @@ class TestOneKernel:
         for name in calls:
             monkeypatch.setattr(fiqs.invariants, name, counting(name, getattr(fiqs.invariants, name)))
         key = classify(M3)
-        for path in (lambda: _fields(key), lambda: surface_record(key), lambda: surface_record(key, M3),
+        for path in (lambda: _values(key, M3), lambda: surface_record(key), lambda: surface_record(key, M3),
                      lambda: record_from_matrix(M3)):
             calls.update(_torsion=0, _ke_rule=0)
             path()
             assert calls == {"_torsion": 1, "_ke_rule": 1}
-        fields = _fields(key)
+        fields = _values(key, M3)
         calls.update(_torsion=0, _ke_rule=0)
         _record(key, *fields)
         assert calls == {"_torsion": 0, "_ke_rule": 0}

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -154,12 +155,13 @@ class TestPolygons:
         ids=("degeneration_polygon", "barycenter_oracle", "barycenters"),
     )
     def test_matrix_is_checked(self, fn):
-        """The polygon oracle and the closed forms take only normal forms; their unchecked kernels serve verify."""
-        fn(DefiningMatrix(3, 3, 1, -2, -2), 0)
+        """The polygon oracle and the closed forms take only normal forms: no other matrix can be made."""
+        m = DefiningMatrix(3, 3, 1, -2, -2)
+        fn(m, 0)
         with pytest.raises(ValueError, match="^matrix is not in normal form, violated: -c >= -d$"):
-            fn(DefiningMatrix(3, 3, 1, -2, -7), 0)
+            fn(replace(m, d=-7), 0)
         with pytest.raises(ValueError, match="^DefiningMatrix field 'a' must be an int, got 3.0$"):
-            fn(DefiningMatrix(3, 3.0, 1, -2, -2), 0)
+            fn(replace(m, a=3.0), 0)
         with pytest.raises(ValueError, match="^matrix is not in normal form, violated: a <= -b-2$"):
             fn(DefiningMatrix(1, 5, -2), 1)
 

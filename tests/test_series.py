@@ -9,15 +9,13 @@ from fiqs import (
     SeriesKey,
     enumerate_all,
     enumerate_eta,
-    is_valid,
     matrix_from_eta,
     series_membership,
+    validate,
 )
 from fiqs.census import _ke_explicit_ranges
-from fiqs.kaehler import _barycenter_oracle, _polygon, barycenter_oracle
+from fiqs.kaehler import barycenter_oracle, degeneration_polygon
 from fiqs.invariants import (
-    _class_group_oracle,
-    _local_gorenstein_oracle,
     class_group_oracle,
     degree_from_eta,
     local_gorenstein_oracle,
@@ -84,7 +82,7 @@ def test_enumerate_rejects_nonpositive_iota():
 def test_every_enumerated_matrix_validates(surfaces_by_rho):
     for rho in (1, 2, 3):
         for key, m in up_to(surfaces_by_rho[rho], 30):
-            assert is_valid(m), (key, m)
+            assert not validate(rho, *m.params()), (key, m)
             assert series_membership(key)
 
 
@@ -135,16 +133,14 @@ def test_series_cover_all_valid_matrices():
     for a in range(0, 8):
         for b in range(-10, a):
             for c in range(-10, 0):
-                m = DefiningMatrix(2, a, b, c)
-                if is_valid(m):
-                    check(m)
+                if not validate(2, a, b, c):
+                    check(DefiningMatrix(2, a, b, c))
     for a in range(1, 7):
         for b in range(-8, a):
             for c in range(-8, 0):
                 for d in range(-8, 0):
-                    m = DefiningMatrix(3, a, b, c, d)
-                    if is_valid(m):
-                        check(m)
+                    if not validate(3, a, b, c, d):
+                        check(DefiningMatrix(3, a, b, c, d))
 
 
 def test_key_field_arity_enforced():
@@ -193,11 +189,8 @@ def test_oracles_do_not_read_series_tables():
         picard_index_from_eta,
         _ke_explicit_ranges,
         barycenter_oracle,
+        degeneration_polygon,
         class_group_oracle,
         local_gorenstein_oracle,
-        _barycenter_oracle,
-        _polygon,
-        _class_group_oracle,
-        _local_gorenstein_oracle,
     ):
         assert not series_tables & set(fn.__code__.co_names), fn.__name__

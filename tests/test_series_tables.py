@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from fiqs import SERIES_TAGS, DefiningMatrix, SeriesKey, classify, enumerate_all, matrix_from_eta, series_membership
-from fiqs.canon import _checked
+from fiqs.canon import validate
 from fiqs.kaehler import _ke_rule
 from fiqs.series import SERIES_IDS, _WEIGHTS, _digit, _pair_ok
 
@@ -21,7 +21,7 @@ from conftest import reference_pair_ok
 
 def reference_classify(m: DefiningMatrix) -> SeriesKey:
     """The ladder classify replaced: a rho = 1 case, then weights 1 and p = 3 / 2."""
-    _checked(m)
+    assert not validate(m.rho, *m.params()), m
     if m.rho == 1:
         i, ip = ("1", m.a + 1) if m.a % 2 == 0 else ("2", 2 * m.a + 2)
         j, im = ("1", -m.b - 1) if m.b % 2 == 0 else ("2", -2 * m.b - 2)

@@ -212,13 +212,15 @@ def test_record_path_under_python(version):
         (lambda: IntMatrix(True, 2, (4, 6)), "IntMatrix field 'rows' must be an int, got True"),
         (lambda: IntMatrix(1, 2.0, (4, 6)), "IntMatrix field 'cols' must be an int, got 2.0"),
         (lambda: IntMatrix(1, 2, (4, True)), "entry 2 of row 1 must be an int, got True"),
+        (lambda: IntMatrix(1, 2, [4, 6]), "IntMatrix field 'entries' must be a tuple, got [4, 6]"),
+        (lambda: IntMatrix(0, 0, ""), "IntMatrix field 'entries' must be a tuple, got ''"),
     ],
 )
 def test_non_int_fields_are_named(call, message):
     """A key, matrix or series id names a field that is not an int when it is made, as RawMatrix does.
 
     No float or bool record comes out, and no bare TypeError from the residue tables.  A series that is no
-    SeriesId and a third row that is no tuple (a list would make an unhashable value) are named the same way.
+    SeriesId and a third row or entries that are no tuple (a list would make an unhashable value) are named the same way.
     """
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
