@@ -17,12 +17,12 @@ once, when :func:`~fiqs.series.enumerate_all` makes its matrix: a
 :class:`~fiqs.series.DefiningMatrix` checks the normal-form inequalities
 when it is made, so no oracle re-checks it.  Surfaces of one Gorenstein
 index share degeneration polygons, cones and (series, iota+, iota-), so
-verify evaluates the polygon oracle once per polygon, the
-exact solve once per cone and the series form of the degree once per
-(series, iota+, iota-) of an index, keyed by the oracle's whole input,
-compares every surface's closed form with that value, and drops the values
-when the index is done: for the 2 875 surfaces of index <= 12 that is 1 530
-polygon evaluations, 1 244 solves and 132 degrees.
+each index holds one memo, ``_Index.once(oracle, key, *args)``, over one
+dict keyed by (oracle, key), where the key is all the oracle reads: the
+polygon for the polygon oracle, the third-row entries at the cone's
+columns for the exact solve and (series, iota+, iota-) for the series form
+of the degree.  Every surface's closed form is compared with the shared
+value, and the values are dropped when the index is done.
 
 Record export uses a fixed JSONL / CSV schema; exact rationals travel as
 "numerator/denominator" strings.  The key determines every field, so export
@@ -444,14 +444,22 @@ def record_from_csv_row(row: list[str]) -> SurfaceRecord:
     Only the key columns are parsed; the record is rebuilt with
     :func:`~fiqs.invariants.surface_record` and accepted only if
     :func:`record_to_csv_row` gives the row back.  ``ValueError`` names the
-    first column that does not parse, differs, is missing or is extra.
+    first column that does not parse, differs, is missing, is extra or is
+    not a ``str``, and a row that is not a list or tuple is refused by name.
     """
+    if not isinstance(row, (list, tuple)):
+        raise ValueError(f"a CSV record row must be a list or tuple of str, got {type(row).__name__}")
     n = len(CSV_COLUMNS)
     if len(row) > n:
         raise ValueError(f"extra column after {CSV_COLUMNS[-1]!r}: {row[n]!r}")
     if len(row) < n:
         raise ValueError(f"missing column {CSV_COLUMNS[len(row)]!r}")
-    rec = _rebuild(_key_from_fields(*row[:6]), len(",".join(row)))
+    try:
+        length = len(",".join(row))  # the one type pass: join takes only str cells
+    except TypeError:
+        name, cell = next((name, cell) for name, cell in zip(CSV_COLUMNS, row) if not isinstance(cell, str))
+        raise ValueError(f"column {name!r} must be a str, got {cell!r}") from None
+    rec = _rebuild(_key_from_fields(*row[:6]), length)
     want = record_to_csv_row(rec)
     if want != row:
         for name, got, text in zip(CSV_COLUMNS, row, want):
@@ -539,42 +547,24 @@ class VerifyReport:
 # the log canonicity bound eps <= k/sqrt(iota), and the Picard index.
 _UPPER_BOUNDS: dict[int, Callable[[int], tuple[Fraction, int, Fraction | int]]] = {
     1: lambda iota: (1 + Fraction(4, iota), 4, 8 * iota * iota),
-    2: lambda iota: (
-        Fraction(9, 2) + Fraction(9, 2 * iota),
-        9,
-        Fraction(27, 2) * iota**3 * (3 * iota - 1),
-    ),
+    2: lambda iota: (Fraction(9, 2) + Fraction(9, 2 * iota), 9, Fraction(27, 2) * iota**3 * (3 * iota - 1)),
     3: lambda iota: (4 + Fraction(4, iota), 4, 2 * iota**2 * (4 * iota - 1) ** 2 * (2 * iota - 1)),
 }
 
 
-def _index_bounds(rho: int, iota: int) -> tuple:
-    """The bounds of Gorenstein index iota for one rho, built once per index.
+def _within_bounds(rho: int, iota: int) -> Callable[[Fraction, Fraction, int], bool]:
+    """The bound claim of Gorenstein index iota for one rho, as a predicate of (degree, log canonicity, Picard index).
 
-    (iota, degree lower, degree upper, log canonicity lower, k^2, Picard upper):
-    the lower bounds are (rho+1)/iota on the degree, 1/iota on the log
-    canonicity and iota on the Picard index.
+    The lower bounds are (rho+1)/iota on the degree, 1/iota on the log canonicity and iota on the Picard
+    index; the upper ones are read from ``_UPPER_BOUNDS`` when the predicate is made, once per index.
     """
+    deg_lo, eps_lo = Fraction(rho + 1, iota), Fraction(1, iota)
     deg_hi, k2, pic_hi = _UPPER_BOUNDS[rho](iota)
-    return iota, Fraction(rho + 1, iota), deg_hi, Fraction(1, iota), k2, pic_hi
-
-
-def _bounds_violations(bounds: tuple, key: SeriesKey, deg: Fraction, eps: Fraction, pic: int) -> list[str]:
-    """Bound checks on a surface's degree, log canonicity and Picard index.
-
-    ``bounds`` is :func:`_index_bounds` of the surface's rho and index.
-    """
-    iota, deg_lo, deg_hi, eps_lo, k2, pic_hi = bounds
-    bad = []
-    if not deg_lo <= deg <= deg_hi:
-        bad.append(f"degree bound at {key}")
-    # upper bound eps <= k/sqrt(iota) tested by squaring, on the reduced
-    # numerator and denominator of eps: num^2 * iota <= k^2 * den^2
-    if not (eps_lo <= eps and eps.numerator**2 * iota <= k2 * eps.denominator**2):
-        bad.append(f"log canonicity bound at {key}")
-    if not iota <= pic <= pic_hi:
-        bad.append(f"picard bound at {key}")
-    return bad
+    # eps <= k/sqrt(iota) is tested by squaring, on the reduced numerator and
+    # denominator of eps: num^2 * iota <= k^2 * den^2
+    return lambda deg, eps, pic: deg_lo <= deg <= deg_hi and iota <= pic <= pic_hi and (
+        eps_lo <= eps and eps.numerator**2 * iota <= k2 * eps.denominator**2
+    )
 
 
 def _ke_explicit_ranges(rho: int, iota: int) -> list[SeriesKey]:
@@ -601,42 +591,21 @@ def _ke_explicit_ranges(rho: int, iota: int) -> list[SeriesKey]:
 
 
 class _Index:
-    """One (rho, iota) of the scan: its surfaces, its bounds, its explicit KE keys and its shared oracle values.
+    """One (rho, iota) of the scan: its surfaces, its bound claim, its explicit KE keys and its shared oracle values.
 
-    The explicit KE keys are listed on first use.  The polygon and solve oracles and the series form of
-    the degree run once per distinct input of the index, and their values are dropped with it.
+    The explicit KE keys are listed on first use.  :meth:`once` runs an oracle once per distinct input of the
+    index, and its values are dropped with the index.
     """
 
     def __init__(self, rho: int, iota: int) -> None:
-        self.rho, self.iota, self.bounds, self.pairs = rho, iota, _index_bounds(rho, iota), enumerate_all(rho, iota)
-        self.centroids: dict[tuple[tuple[int, int], ...], tuple[Fraction, Fraction]] = {}
-        self.cone_indices: dict[tuple, int] = {}
-        self.degrees: dict[tuple, Fraction] = {}
+        self.rho, self.iota, self.pairs, self.values = rho, iota, enumerate_all(rho, iota), {}
+        self.within_bounds = _within_bounds(rho, iota)
 
-    def centroid(self, m: DefiningMatrix, kappa: int) -> tuple[Fraction, Fraction]:
-        """``barycenter_oracle(m, kappa)``, once per polygon: the oracle reads nothing but the polygon's vertices."""
-        polygon = degeneration_polygon(m, kappa)
-        value = self.centroids.get(polygon)
+    def once(self, oracle: Callable, key: tuple, *args: object) -> object:
+        """``oracle(*args)``, once per (oracle, key): the key is what the oracle reads of its arguments."""
+        value = self.values.get((oracle, key))
         if value is None:
-            value = self.centroids[polygon] = barycenter_oracle(m, kappa)
-        return value
-
-    def cone_index(self, m: DefiningMatrix, which: str) -> int:
-        """``local_gorenstein_oracle(m, which)``, once per cone: of m, it reads the third row at the cone's columns."""
-        t = m.third_row()
-        i, j, k = SIGMA_RAY_COLUMNS[self.rho][which]
-        cone = (which, t[i], t[j], t[k])
-        value = self.cone_indices.get(cone)
-        if value is None:
-            value = self.cone_indices[cone] = local_gorenstein_oracle(m, which)
-        return value
-
-    def degree(self, key: SeriesKey) -> Fraction:
-        """``degree_from_eta(key)``, once per (series, iota+, iota-): the series form reads nothing else of the key."""
-        eta = (key.series, key.iota_plus, key.iota_minus)
-        value = self.degrees.get(eta)
-        if value is None:
-            value = self.degrees[eta] = degree_from_eta(key)
+            value = self.values[oracle, key] = oracle(*args)
         return value
 
     @cached_property
@@ -669,6 +638,16 @@ def _canonical_form_fixed(s: _Surface) -> bool:
         return False
 
 
+def _local_indices(s: _Surface) -> tuple[int, int]:
+    """(iota+, iota-) by ``local_gorenstein_oracle``, once per cone: of s.m, the oracle reads the third row
+    at the cone's columns.
+    """
+    t, cones, index = s.m.third_row(), SIGMA_RAY_COLUMNS[s.index.rho], s.index
+    (i, j, k), (u, v, w) = cones["plus"], cones["minus"]
+    return (index.once(local_gorenstein_oracle, ("plus", t[i], t[j], t[k]), s.m, "plus"),
+            index.once(local_gorenstein_oracle, ("minus", t[u], t[v], t[w]), s.m, "minus"))
+
+
 def _chain_determinants_match(s: _Surface) -> bool:
     chains = _resolution(s.key.rho, s.rec.orders).chains.values()
     return all(chain_determinant(chain) == n for chain, n in zip(chains, s.rec.orders))
@@ -677,25 +656,26 @@ def _chain_determinants_match(s: _Surface) -> bool:
 # The claims checked surface by surface, in report order: the claim, the largest
 # Gorenstein index it is checked to, and its test on one surface (true when the
 # surface satisfies the claim).  The tests look their oracles up when called; the
-# polygon and solve oracles and the series form of the degree go through the surface's
-# _Index, which shares their values.
+# polygon and solve oracles and the series form of the degree go through _Index.once,
+# keyed by the polygon, the cone's third-row entries and (series, iota+, iota-).
 _SURFACE_CLAIMS: tuple[tuple[str, int, Callable[[_Surface], bool]], ...] = (
     ("class group formula = smith oracle", 30, lambda s: s.rec.class_group == class_group_oracle(s.m)),
     ("local gorenstein formula = solve oracle", 30,
-     lambda s: s.rec.key.iota_plus == s.index.cone_index(s.m, "plus")
-     and s.rec.key.iota_minus == s.index.cone_index(s.m, "minus")),
+     lambda s: (s.rec.key.iota_plus, s.rec.key.iota_minus) == _local_indices(s)),
     ("local gorenstein divides local order", 50, lambda s: s.rec.orders[0] % s.rec.key.iota_plus == 0
      and s.rec.orders[1] % s.rec.key.iota_minus == 0),
     ("gorenstein index = lcm of local indices", 50,
      lambda s: lcm(s.rec.key.iota_plus, s.rec.key.iota_minus) == s.index.iota),
-    ("degree matrix form = series form", 50, lambda s: s.rec.degree == s.index.degree(s.key)),
+    ("degree matrix form = series form", 50,
+     lambda s: s.rec.degree == s.index.once(degree_from_eta, (s.key.series, s.key.iota_plus, s.key.iota_minus), s.key)),
     ("picard matrix form = series form", 50, lambda s: s.rec.picard_index == picard_index_from_eta(s.key)),
     ("ke family rule = barycenter test", 30, lambda s: s.rec.ke == _ke_criterion(s.bcs)),
-    ("barycenters = polygon dual centroids", 20,
-     lambda s: all((bc.x, bc.y) == s.index.centroid(s.m, bc.kappa) for bc in s.bcs)),
+    ("barycenters = polygon dual centroids", 20, lambda s: all(
+        (bc.x, bc.y) == s.index.once(barycenter_oracle, degeneration_polygon(s.m, bc.kappa), s.m, bc.kappa)
+        for bc in s.bcs)),
     ("chain determinant = local order", 30, _chain_determinants_match),
     ("degree, log canonicity, picard bounds", 50,
-     lambda s: not _bounds_violations(s.index.bounds, s.key, s.rec.degree, s.rec.log_canonicity, s.rec.picard_index)),
+     lambda s: s.index.within_bounds(s.rec.degree, s.rec.log_canonicity, s.rec.picard_index)),
     ("gorenstein index divides picard index", 50, lambda s: s.rec.picard_index % s.index.iota == 0),
     ("positivity: degree > 0, 0 < eps <= 1", 50, lambda s: s.rec.degree > 0 and 0 < s.rec.log_canonicity <= 1),
     ("classify inverts matrix_from_eta", 50, lambda s: s.key.iota == s.index.iota and s.rec.key == s.key),
@@ -718,9 +698,9 @@ def verify_claims(iota_max: int) -> VerifyReport:
     to 50.  A claim counts the surfaces that fail it.  The census totals are checked whenever
     iota_max >= 200 (computed at 200).
 
-    Each surface's matrix is checked once, when it is made.  The polygon and solve oracles and the series form of the degree run once per distinct input of each index (see
-    ``_Index``); every surface's closed form is compared with that shared value, and no value outlives
-    the call.
+    Each surface's matrix is checked once, when it is made.  The polygon and solve oracles and the
+    series form of the degree run once per distinct input of each index (see ``_Index.once``); every
+    surface's closed form is compared with that shared value, and no value outlives the call.
     """
     _check_index("iota_max", iota_max)
     failures = [0] * len(_SURFACE_CLAIMS)

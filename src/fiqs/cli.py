@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--eta", help="RHO,SERIES,IOTA+,IOTA-[,C[,D]]")
     group.add_argument("--matrix", help="comma-separated third row (needs --rho)")
     p_inv.add_argument("--rho", type=int, choices=(1, 2, 3))
-    p_inv.add_argument("--format", choices=("jsonl",), default="jsonl")
 
     p_cls = sub.add_parser("classify", help="canonicalize a raw third row and name its series")
     p_cls.add_argument("--rho", type=int, choices=(1, 2, 3), required=True)

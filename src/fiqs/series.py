@@ -364,11 +364,9 @@ def enumerate_all(rho: int, iota: int) -> list[tuple[SeriesKey, DefiningMatrix]]
     """All surfaces of Gorenstein index exactly iota, in deterministic order.
 
     Series tags in the fixed order s11, s12, s21, s22, keys ascending within
-    each series.
+    each series (the order of :func:`enumerate_eta`).  The arguments are
+    checked once, rho first.
     """
     _check_rho(rho)
-    out = []
-    for tag in SERIES_TAGS:
-        for key in enumerate_eta(SERIES_IDS[rho, tag], iota):
-            out.append((key, matrix_from_eta(key)))
-    return out
+    _check_index("iota", iota)
+    return [(key, matrix_from_eta(key)) for tag in SERIES_TAGS for key in _iter_eta(SERIES_IDS[rho, tag], iota)]

@@ -41,15 +41,14 @@ from fiqs import (
 )
 from fiqs.census import (
     CSV_COLUMNS,
-    _bounds_violations,
     _cd_count,
     _csv_row,
     _end_chain_text,
-    _index_bounds,
     _ke_explicit_ranges,
     _json_text,
     _room,
     _triangle_count,
+    _within_bounds,
     record_to_obj,
 )
 from fiqs.cli import main
@@ -479,6 +478,7 @@ def test_csv_round_trip_of_short_chains():
         csv.writer(buf, lineterminator="\n").writerow(record_to_csv_row(rec))
         (row,) = csv.reader(io.StringIO(buf.getvalue()))
         assert record_from_csv_row(row) == rec
+        assert record_from_csv_row(tuple(row)) == rec  # a tuple of str is a row too
 
 
 _GOOD_REC = surface_record(SeriesKey(SeriesId(3, "s11"), 3, 3, -2, -2))
@@ -540,6 +540,15 @@ def _csv_with(column, value, rec=_GOOD_REC):
         (record_from_csv_row, _csv_with("d", ""), "'d'"),
         (record_from_csv_row, _csv_with("c", "0", _RHO1_REC), "'c'"),
         (record_from_csv_row, _csv_with("local_x1", "1", _RHO1_REC), "'local_x1'"),
+        # a row that is no list or tuple of str is named, not a bare TypeError or a column count
+        (record_from_csv_row, 5, "^a CSV record row must be a list or tuple of str, got int$"),
+        (record_from_csv_row, ",".join(record_to_csv_row(_GOOD_REC)), "must be a list or tuple of str, got str$"),
+        (record_from_csv_row, ",".join(record_to_csv_row(_GOOD_REC)).encode(), "tuple of str, got bytes$"),
+        (record_from_csv_row, None, "must be a list or tuple of str, got NoneType$"),
+        (record_from_csv_row, [3, *record_to_csv_row(_GOOD_REC)[1:]], "^column 'rho' must be a str, got 3$"),
+        (record_from_csv_row, [int(c) if c.isdigit() else c for c in record_to_csv_row(_GOOD_REC)], "'rho' must be a str"),
+        (record_from_csv_row, _csv_with("degree", None), "^column 'degree' must be a str, got None$"),
+        (record_from_csv_row, _csv_with("resolution_x2", b"-2"), "^column 'resolution_x2' must be a str, got b'-2'$"),
         # a repeated field is rejected, not judged by its last (here correct) copy
         (record_from_json_line, _json_with(picard_index=73)[:-1] + ', "picard_index": 72}', "duplicate field 'picard_index'"),
         (record_from_json_line, record_to_json_line(_GOOD_REC).replace('"x0":2', '"x0":3,"x0":2', 1), "duplicate field 'x0'"),
@@ -1063,10 +1072,14 @@ def reference_bounds_violations(rho, key, deg, eps, pic):
 
 
 def test_bounds_violations_match_reference():
-    """Every surface with iota <= 30 as computed; about 20 per rho and iota pushed past each bound."""
+    """The bound predicate holds exactly where the reference finds no violation.
+
+    Every surface with iota <= 30 as computed; about 20 per rho and iota pushed past each bound.
+    """
     flagged = set()
     for rho in (1, 2, 3):
         for iota in range(1, 31):
+            within = _within_bounds(rho, iota)
             surfaces = enumerate_all(rho, iota)
             for i, (key, m) in enumerate(surfaces):
                 rec = surface_record(key, m)
@@ -1079,9 +1092,9 @@ def test_bounds_violations_match_reference():
                         (Fraction(rho + 1, iota), 3 * eps, 0),
                     ]
                 for args in cases:
-                    got = _bounds_violations(_index_bounds(rho, iota), key, *args)
-                    assert got == reference_bounds_violations(rho, key, *args), (key, args)
-                    flagged.update((rho, msg.split(" at ")[0]) for msg in got)
+                    want = reference_bounds_violations(rho, key, *args)
+                    assert within(*args) == (not want), (key, args)
+                    flagged.update((rho, msg.split(" at ")[0]) for msg in want)
     # the pushed values cross every bound of every rho
     kinds = ("degree bound", "log canonicity bound", "picard bound")
     assert flagged == {(rho, k) for rho in (1, 2, 3) for k in kinds}

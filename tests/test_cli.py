@@ -119,6 +119,9 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["count", "--rho", "1"])
     assert exc.value.code == 1
+    with pytest.raises(SystemExit) as exc:  # invariants prints one JSONL line and takes no --format
+        main(["invariants", "--eta", "3,s11,3,3,-2,-2", "--format", "jsonl"])
+    assert exc.value.code == 1
 
 
 def test_bad_matrix_input_exit_code(capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import fiqs.series
 from fiqs import (
     SERIES_TAGS,
     DefiningMatrix,
@@ -70,6 +71,29 @@ def test_enumerate_all_small_counts():
         ("s12", (1, 1, -1)),
         ("s22", (1, 1, -2)),
     ]
+
+
+def test_enumerate_all_checks_iota_once(monkeypatch):
+    """One index check per call, and the keys of enumerate_eta series by series, each with its matrix."""
+    calls = [0]
+    check = fiqs.series._check_index
+
+    def counted(name, value):
+        calls[0] += 1
+        check(name, value)
+
+    monkeypatch.setattr(fiqs.series, "_check_index", counted)
+    for rho in (1, 2, 3):
+        for iota in range(1, 13):
+            calls[0] = 0
+            pairs = enumerate_all(rho, iota)
+            assert calls[0] == 1
+            keys = [key for tag in SERIES_TAGS for key in enumerate_eta(SeriesId(rho, tag), iota)]
+            assert pairs == [(key, matrix_from_eta(key)) for key in keys]
+    with pytest.raises(ValueError, match=r"^rho must be 1, 2 or 3, got 4$"):
+        enumerate_all(4, 0)  # rho is named before the index
+    with pytest.raises(ValueError, match=r"^iota must be positive, got 0$"):
+        enumerate_all(3, 0)
 
 
 def test_enumerate_rejects_nonpositive_iota():

@@ -15,13 +15,24 @@ one, so the test proves the expressions of ``fiqs.census`` themselves, not a
 copy.  A sum over lo..hi is the polynomial sympy gives only when
 hi >= lo - 1, which each piece checks for every k >= 1; k = 0 and the split
 into pieces are checked against the partitions themselves on small values.
+
+The degree has two forms: the series form n+/(d iota+) + n-/(d iota-), with
+the numerators of ``_DEGREE_NUMERATORS`` and d = 2 for rho = 2, else 1, and
+the matrix form p (o+ + o-) / (q o+ o-) of ``_ORDER_FORMS`` in the local
+orders o+- = w+- iota+- of ``_WEIGHTS``.  Per series, sympy proves the two
+equal as rational functions of iota+ and iota-, so the verify claim that
+compares them holds at every index, not only at the indices it runs.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from fiqs.census import _cd_count, _count_ke, _triangle_count
+from fiqs.invariants import _DEGREE_NUMERATORS, _ORDER_FORMS, _orders, degree, degree_from_eta
+from fiqs.series import _WEIGHTS, SERIES_IDS, SERIES_TAGS, enumerate_eta, matrix_from_eta
 
 sympy = pytest.importorskip("sympy")
 
@@ -140,3 +151,41 @@ def test_count_ke_is_the_s11_and_s22_triangles(r):
 def test_kpoly_refuses_an_inexact_floor():
     with pytest.raises(AssertionError):
         KPoly(3 * k + 1) // 2
+
+
+iota_plus, iota_minus = sympy.symbols("iota_plus iota_minus", positive=True, integer=True)
+
+
+def series_degree(rho, tag, ip, im):
+    """n+/(d iota+) + n-/(d iota-), the numerators by the tag's digits, d = 2 for rho = 2, else 1."""
+    d = 2 if rho == 2 else 1
+    numerators = _DEGREE_NUMERATORS[rho]
+    return sympy.Rational(numerators[tag[1]], d) / ip + sympy.Rational(numerators[tag[2]], d) / im
+
+
+def matrix_degree(rho, op, om):
+    """p (o+ + o-) / (q o+ o-), with (p, q) of _ORDER_FORMS."""
+    p, q = _ORDER_FORMS[rho][:2]
+    return sympy.Integer(p) * (op + om) / (q * op * om)
+
+
+def _fraction(value):
+    value = sympy.Rational(value)
+    return Fraction(int(value.p), int(value.q))
+
+
+@pytest.mark.parametrize("rho, tag", [(rho, tag) for rho in (1, 2, 3) for tag in SERIES_TAGS])
+def test_degree_series_form_is_matrix_form(rho, tag):
+    """One rational identity per series in iota+ and iota-; each side is tied to the code on the members of iota <= 12."""
+    wp, wm = _WEIGHTS[rho][tag]
+    series_form = series_degree(rho, tag, iota_plus, iota_minus)
+    assert sympy.cancel(series_form - matrix_degree(rho, wp * iota_plus, wm * iota_minus)) == 0
+    members = [key for iota in range(1, 13) for key in enumerate_eta(SERIES_IDS[rho, tag], iota)]
+    assert members
+    for key in members:
+        m = matrix_from_eta(key)
+        op, om = _orders(m)[:2]
+        assert (op, om) == (wp * key.iota_plus, wm * key.iota_minus), key
+        at_key = {iota_plus: key.iota_plus, iota_minus: key.iota_minus}
+        assert _fraction(series_form.subs(at_key)) == degree_from_eta(key), key
+        assert _fraction(matrix_degree(rho, op, om)) == degree(m), key
