@@ -30,15 +30,21 @@ builds no record: ``fiqs.invariants._values`` of each key and its matrix
 (:func:`~fiqs.series.matrix_from_eta`, which checks the key as
 :func:`~fiqs.invariants.surface_record` does) gives the field kernel's
 (m, local orders, values), which one text kernel per format (``_json_text``,
-``_csv_row``) writes.  Records share only degree, log canonicity and class
-group; only the x+/x- chain texts, of at most three weights, come from a
-memo.  The record encoders pass the same triple, read back by
-``_record_fields``.  ``_json_text`` is the one statement of the JSON
-schema: :func:`record_to_obj` is the parsed line of
+``_csv_text``) writes.  A kernel does one memo lookup and one ``%`` format:
+it fills in the frame of the key's block (series, iota+, iota-), the line
+with a ``%s`` for each field that varies inside the block (c, d, b, torsion,
+degree, log canonicity, Picard index, ke, the interior orders and chains).
+A frame (``_json_frame``, ``_csv_frame``) is memoised by (rho, tag, iota+,
+iota-, a, iota, o+, o-), ints and a tag, no ``Fraction``, and embeds only
+these and the x+/x- chain texts, of at most three weights: a record that
+disagrees with its block still writes its own values, and a frame does not
+grow with the interior orders.  The record encoders pass the same triple,
+read back by ``_record_fields``.  ``_json_frame`` is the one statement of
+the JSON schema: :func:`record_to_obj` is the parsed line of
 :func:`record_to_json_line`.  CSV rows are the fields joined by commas,
 unquoted: each field is an integer, a series tag, "n/d", true / false, a ";"-joined
-chain, empty or a column name, so none needs quoting and ``csv.writer`` writes
-the same line.
+chain, empty or a column name, so none needs quoting, ``csv.writer`` writes
+the same line and :func:`record_to_csv_row` is the text split at its commas.
 
 The key (rho, series, iota+, iota-[, c[, d]]) determines every other
 field, so the readers parse only the key, rebuild the record with
@@ -243,57 +249,75 @@ def record_to_obj(rec: SurfaceRecord) -> dict:
     return json.loads(record_to_json_line(rec))
 
 
-@lru_cache(maxsize=1024)
-def _end_chain_text(rho: int, order: int, sep: str) -> str:
-    """The x+/x- chain joined by sep, memoised by its order; it holds at most three weights."""
-    return sep.join(map(str, _end_chain(rho, order)))
+def _end_texts(rho: int, op: int, om: int, sep: str) -> tuple[str, str]:
+    """The x+ and x- chain texts of local orders o+ and o-, the weights joined by sep."""
+    return sep.join(map(str, _end_chain(rho, op))), sep.join(map(str, _end_chain(rho, om)))
 
 
-def _chain_texts(rho: int, o: tuple[int, ...], sep: str) -> list[str]:
-    """Each point's chain text: x+/x- from the memo, the n-1 weights -2 of an interior point repeated."""
-    return [
-        _end_chain_text(rho, o[0], sep), _end_chain_text(rho, o[1], sep),
-        *(("-2" + sep) * (n - 2) + "-2" if n > 1 else "" for n in o[2:]),
-    ]
-
-
-# Per rho, the local_orders and resolution members of a JSON line, with a %s per point.
-_JSON_POINTS = {
-    rho: (",".join(f'"{p}":%s' for p in labels), ",".join(f'"{p}":[%s]' for p in labels))
+# Per rho, the interior points' members of a JSON line's local_orders and resolution objects, a %s each.
+_JSON_INNER = {
+    rho: ("".join(f',"{p}":%s' for p in labels[2:]), "".join(f',"{p}":[%s]' for p in labels[2:]))
     for rho, labels in POINT_LABELS.items()
 }
+
+_MEMO_SIZE = 4096  # entries per frame memo: a frame is a few hundred characters
+
+# A frame is the line of one block (series, iota+, iota-) with a %s for each field that varies inside it:
+# c[, d], b, torsion, degree, log canonicity, Picard index, ke, the interior orders and the interior chains.
+# It embeds only its own arguments and the x+/x- chain texts of o+ and o-, so it is a pure function of its
+# memo key, which holds no Fraction (hashing one is slow), and its size does not grow with the orders.  The
+# memo is typed: a record with a float order or index writes it as str() does and leaves the int frame alone.
+
+
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _json_frame(rho: int, tag: str, ip: int, im: int, a: int, iota: int, op: int, om: int) -> str:
+    """The JSONL frame of a block."""
+    plus, minus = _end_texts(rho, op, om, ",")
+    cd = ('"c":null,"d":null', '"c":%s,"d":null', '"c":%s,"d":%s')[rho - 1]
+    local, resolution = _JSON_INNER[rho]
+    return (
+        f'{{"rho":{rho},"series":"{tag}","iota_plus":{ip},"iota_minus":{im},{cd},"a":{a},"b":%s,'
+        f'"gorenstein_index":{iota},"cl_rank":{rho},"cl_torsion":%s,"degree":"%s/%s","log_canonicity":"%s/%s",'
+        f'"picard_index":%s,"ke":%s,"local_orders":{{"x+":{op},"x-":{om}{local}}},'
+        f'"resolution":{{"x+":[{plus}],"x-":[{minus}]{resolution}}}}}'
+    )
+
+
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
+def _csv_frame(rho: int, tag: str, ip: int, im: int, a: int, iota: int, op: int, om: int) -> str:
+    """The CSV frame of a block, with the placeholders of :func:`_json_frame`; points the rho lacks are empty."""
+    plus, minus = _end_texts(rho, op, om, ";")
+    cd = (",", "%s,", "%s,%s")[rho - 1]
+    inner = ",%s" * rho + "," * (3 - rho)  # rho interior points, then an empty cell for each of the 3 - rho absent
+    return f"{rho},{tag},{ip},{im},{cd},{a},%s,{iota},{rho},%s,%s/%s,%s/%s,%s,%s,{op},{om}{inner},{plus},{minus}{inner}"
+
+
+def _fill(key: SeriesKey, m: DefiningMatrix, o: tuple[int, ...], values: tuple, link: str) -> tuple:
+    """What a frame leaves to fill in, in its order.
+
+    The chain text of an interior point of order n is n - 1 links (a separator and the weight -2) less the
+    first separator.
+    """
+    iota, torsion, deg, eps, pic, ke = values
+    inner = o[2:]
+    return (
+        *(key.c, key.d)[: key.series.rho - 1], m.b, torsion, deg.numerator, deg.denominator,
+        eps.numerator, eps.denominator, pic, "true" if ke else "false", *inner, *[(link * (n - 1))[1:] for n in inner],
+    )
 
 
 def _json_text(key: SeriesKey, m: DefiningMatrix, o: tuple[int, ...], values: tuple) -> str:
     """The JSONL text kernel: a key's line from the field kernel's (m, local orders o, values)."""
-    rho = key.series.rho
-    iota, torsion, deg, eps, pic, ke = values
-    local, resolution = _JSON_POINTS[rho]
-    chains = tuple(_chain_texts(rho, o, ","))
-    c, d = key.c, key.d
-    return (
-        f'{{"rho":{rho},"series":"{key.series.tag}","iota_plus":{key.iota_plus},'
-        f'"iota_minus":{key.iota_minus},"c":{"null" if c is None else c},'
-        f'"d":{"null" if d is None else d},"a":{m.a},"b":{m.b},'
-        f'"gorenstein_index":{iota},"cl_rank":{rho},"cl_torsion":{torsion},'
-        f'"degree":"{deg.numerator}/{deg.denominator}","log_canonicity":"{eps.numerator}/{eps.denominator}",'
-        f'"picard_index":{pic},"ke":{"true" if ke else "false"},'
-        f'"local_orders":{{{local % o}}},"resolution":{{{resolution % chains}}}}}'
-    )
+    series = key.series
+    frame = _json_frame(series.rho, series.tag, key.iota_plus, key.iota_minus, m.a, values[0], o[0], o[1])
+    return frame % _fill(key, m, o, values, ",-2")
 
 
-def _csv_row(key: SeriesKey, m: DefiningMatrix, o: tuple[int, ...], values: tuple) -> list[str]:
-    """The CSV text kernel: a key's row from what :func:`_json_text` takes; points the rho lacks are empty."""
-    rho = key.series.rho
-    iota, torsion, deg, eps, pic, ke = values
-    c, d = key.c, key.d
-    absent = [""] * (len(POINT_LABELS[3]) - len(o))
-    return [
-        str(rho), key.series.tag, str(key.iota_plus), str(key.iota_minus),
-        "" if c is None else str(c), "" if d is None else str(d), str(m.a), str(m.b), str(iota), str(rho), str(torsion),
-        f"{deg.numerator}/{deg.denominator}", f"{eps.numerator}/{eps.denominator}", str(pic), "true" if ke else "false",
-        *map(str, o), *absent, *_chain_texts(rho, o, ";"), *absent,
-    ]
+def _csv_text(key: SeriesKey, m: DefiningMatrix, o: tuple[int, ...], values: tuple) -> str:
+    """The CSV text kernel: a key's comma-joined row from what :func:`_json_text` takes."""
+    series = key.series
+    frame = _csv_frame(series.rho, series.tag, key.iota_plus, key.iota_minus, m.a, values[0], o[0], o[1])
+    return frame % _fill(key, m, o, values, ";-2")
 
 
 def _record_fields(rec: SurfaceRecord) -> tuple:
@@ -434,8 +458,11 @@ def record_from_json_line(line: str) -> SurfaceRecord:
 
 
 def record_to_csv_row(rec: SurfaceRecord) -> list[str]:
-    """The CSV_COLUMNS fields of a record, by the text kernel; points the rho lacks are empty."""
-    return _csv_row(rec.key, *_record_fields(rec))
+    """The CSV_COLUMNS fields of a record, by the text kernel; points the rho lacks are empty.
+
+    No cell holds a comma (chains are ";"-joined), so the row is the text split at its commas.
+    """
+    return _csv_text(rec.key, *_record_fields(rec)).split(",")
 
 
 def record_from_csv_row(row: list[str]) -> SurfaceRecord:
@@ -455,14 +482,14 @@ def record_from_csv_row(row: list[str]) -> SurfaceRecord:
     if len(row) < n:
         raise ValueError(f"missing column {CSV_COLUMNS[len(row)]!r}")
     try:
-        length = len(",".join(row))  # the one type pass: join takes only str cells
+        joined = ",".join(row)  # the one type pass: join takes only str cells
     except TypeError:
         name, cell = next((name, cell) for name, cell in zip(CSV_COLUMNS, row) if not isinstance(cell, str))
         raise ValueError(f"column {name!r} must be a str, got {cell!r}") from None
-    rec = _rebuild(_key_from_fields(*row[:6]), length)
-    want = record_to_csv_row(rec)
-    if want != row:
-        for name, got, text in zip(CSV_COLUMNS, row, want):
+    rec = _rebuild(_key_from_fields(*row[:6]), len(joined))
+    want = _csv_text(rec.key, *_record_fields(rec))
+    if want != joined:  # the row has n cells and no cell of want holds a comma, so the texts differ iff a cell does
+        for name, got, text in zip(CSV_COLUMNS, row, want.split(",")):
             if got != text:
                 raise ValueError(f"column {name!r} is {got!r}, expected {text!r}")
     return rec
@@ -496,7 +523,7 @@ def export_records(
         for series_id in series_ids:
             for key in _iter_eta(series_id, i):
                 fields = _values(key, matrix_from_eta(key))
-                sink.write((",".join(_csv_row(key, *fields)) if as_csv else _json_text(key, *fields)) + "\n")
+                sink.write((_csv_text if as_csv else _json_text)(key, *fields) + "\n")
                 n += 1
     return n
 

@@ -77,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_inv.add_mutually_exclusive_group(required=True)
     group.add_argument("--eta", help="RHO,SERIES,IOTA+,IOTA-[,C[,D]]")
     group.add_argument("--matrix", help="comma-separated third row (needs --rho)")
-    p_inv.add_argument("--rho", type=int, choices=(1, 2, 3))
+    p_inv.add_argument("--rho", type=int, choices=(1, 2, 3), help="rho of --matrix; with --eta, must be its rho")
 
     p_cls = sub.add_parser("classify", help="canonicalize a raw third row and name its series")
     p_cls.add_argument("--rho", type=int, choices=(1, 2, 3), required=True)
@@ -114,6 +114,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_invariants(args) -> int:
     if args.eta is not None:
         key = _parse_eta(args.eta)
+        if args.rho is not None and args.rho != key.rho:
+            raise ValueError(f"--rho {args.rho} does not match the rho {key.rho} of --eta")
         rec = surface_record(key)
     else:
         if args.rho is None:

@@ -42,9 +42,10 @@ from fiqs import (
 from fiqs.census import (
     CSV_COLUMNS,
     _cd_count,
-    _csv_row,
-    _end_chain_text,
+    _csv_frame,
+    _csv_text,
     _ke_explicit_ranges,
+    _json_frame,
     _json_text,
     _room,
     _triangle_count,
@@ -336,10 +337,13 @@ def test_direct_encoders_match_dict_form(rho):
             assert record_to_csv_row(rec) == csv_row_from_obj(obj)
 
 
+_RHO3_JSONL_SHA256 = "e19de7e553479783c0d67fad46ed92fe397cb658b9ecee33eed6ef10b1e87568"
+
+
 @pytest.mark.parametrize(
     "rho, iota_max, fmt, digest",
     [
-        (3, 8, "jsonl", "e19de7e553479783c0d67fad46ed92fe397cb658b9ecee33eed6ef10b1e87568"),
+        (3, 8, "jsonl", _RHO3_JSONL_SHA256),
         (2, 20, "csv", "151c80ee1e0f17a5ce8fc638cd18217b963e3b026976c334df49bd2bfe93fc08"),
     ],
 )
@@ -412,11 +416,56 @@ def test_text_kernels_equal_dict_form_at_large_orders(key):
     """The text kernels equal the dict form at local orders up to about 10**6, far past the export tests."""
     obj = record_to_obj(surface_record(key))
     fields = _values(key, matrix_from_eta(key))
-    try:
-        assert _json_text(key, *fields) == json.dumps(obj, separators=(",", ":"))
-        assert _csv_row(key, *fields) == csv_row_from_obj(obj)
-    finally:
-        _end_chain_text.cache_clear()
+    assert _json_text(key, *fields) == json.dumps(obj, separators=(",", ":"))
+    assert _csv_text(key, *fields).split(",") == csv_row_from_obj(obj)
+
+
+# The twins of a genuine record in its own block: each changes one field the block does not fix, and gives
+# that field's text in the dict form.
+_TWINS = (
+    ("degree", {"degree": Fraction(7, 5)}, "7/5"),
+    ("log_canonicity", {"log_canonicity": Fraction(3, 11)}, "3/11"),
+    ("cl_torsion", {"class_group": fiqs.invariants.ClassGroup(3, 7)}, 7),
+    ("picard_index", {"picard_index": 12345}, 12345),
+    ("gorenstein_index", {"gorenstein_index": 3.0}, 3.0),  # the frame memo is typed: 3.0 is not the int 3
+)
+
+
+@pytest.mark.parametrize("rho, tag, eta", [(1, "s11", (3, 3)), (2, "s12", (1, 3, -4)), (3, "s11", (3, 3, -2, -2))])
+def test_frames_write_each_records_own_values(monkeypatch, rho, tag, eta):
+    """A frame holds only what its key names: after a genuine record, twins of its block write their own values.
+
+    No value is computed on the way: the closed forms are broken while the lines are written.
+    """
+    rec = surface_record(SeriesKey(SERIES_IDS[rho, tag], *eta))
+    line, row = record_to_json_line(rec), record_to_csv_row(rec)  # the block's frames are built and memoised
+    genuine = json.loads(line)
+    for name in ("_torsion", "_degree", "_log_canonicity", "_picard_index", "_ke_rule"):
+        monkeypatch.setattr(fiqs.invariants, name, None)
+    for field, change, value in (*_TWINS, ("ke", {"ke": not rec.ke}, not rec.ke)):
+        obj = {**genuine, field: value}
+        twin = replace(rec, **change)
+        assert record_to_json_line(twin) == json.dumps(obj, separators=(",", ":")), field
+        assert record_to_csv_row(twin) == csv_row_from_obj(obj), field
+    assert (record_to_json_line(rec), record_to_csv_row(rec)) == (line, row)
+
+
+def test_export_digest_with_cold_and_warm_frames():
+    """The pinned export is the same whether its frames are built during the run or were built before it."""
+    _json_frame.cache_clear()
+    for state in ("cold", "warm"):
+        sink = io.StringIO()
+        export_records(3, 8, "jsonl", sink)
+        assert hashlib.sha256(sink.getvalue().encode("ascii")).hexdigest() == _RHO3_JSONL_SHA256, state
+
+
+@settings(max_examples=25, deadline=None)
+@given(member_keys(bound=10**5))
+def test_frames_hold_no_interior_chain(key):
+    """A frame's size is bounded whatever the interior orders: only the fill-in holds their chains."""
+    m, o, values = _values(key, matrix_from_eta(key))
+    args = (key.rho, key.series.tag, key.iota_plus, key.iota_minus, m.a, values[0], o[0], o[1])
+    assert len(_json_frame(*args)) < 400 and len(_csv_frame(*args)) < 200, key
 
 
 def test_field_kernel_keeps_the_checks(monkeypatch):
@@ -673,7 +722,7 @@ def _assert_room(key):
     wp, wm = _WEIGHTS[rho][key.series.tag]
     assert sum(o[2:]) * _INTERIOR_SHARE[rho] == wp * key.iota_plus + wm * key.iota_minus, key
     assert len(_json_text(key, *fields)) >= _room(key), key
-    assert len(",".join(_csv_row(key, *fields))) >= _room(key), key
+    assert len(_csv_text(key, *fields)) >= _room(key), key
 
 
 @pytest.mark.parametrize("rho", [1, 2, 3])
@@ -688,10 +737,7 @@ def test_every_genuine_line_and_row_has_room(rho):
 @settings(max_examples=25, deadline=None)
 @given(member_keys(bound=10**5))
 def test_large_genuine_lines_and_rows_have_room(key):
-    try:
-        _assert_room(key)
-    finally:
-        _end_chain_text.cache_clear()
+    _assert_room(key)
 
 
 @settings(max_examples=25, deadline=None)

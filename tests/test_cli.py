@@ -48,6 +48,16 @@ def test_invariants_matrix_requires_rho(capsys):
     assert main(["invariants", "--matrix", "0,-2,1,1"]) == 1
 
 
+def test_invariants_eta_refuses_another_rho(capsys):
+    """--rho with --eta must agree with the eta's rho: this once printed the rho = 3 record."""
+    assert main(["invariants", "--eta", "3,s11,3,3,-2,-2", "--rho", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "fiqs: error: --rho 1 does not match the rho 3 of --eta\n"
+    assert captured.out == ""
+    assert main(["invariants", "--eta", "3,s11,3,3,-2,-2", "--rho", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["rho"] == 3
+
+
 def test_enumerate_jsonl_stdout(capsys):
     assert main(["enumerate", "--rho", "2", "--iota", "1"]) == 0
     captured = capsys.readouterr()
