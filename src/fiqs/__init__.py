@@ -65,7 +65,6 @@ from .kaehler import (
 )
 from .census import (
     CountTable,
-    VerifyReport,
     count,
     count_exact,
     count_ke,
@@ -75,7 +74,7 @@ from .census import (
     record_from_json_line,
     record_to_csv_row,
     record_to_json_line,
-    verify_claims,
 )
+from .verify import VerifyReport, verify_claims
 
 __version__ = "0.1.0"

@@ -16,15 +16,10 @@ import sys
 from contextlib import nullcontext
 
 from .canon import NormalFormError, RawMatrix, canonicalize, classify
-from .census import (
-    _key_from_fields,
-    count,
-    export_records,
-    record_to_json_line,
-    verify_claims,
-)
+from .census import _key_from_fields, count, export_records, record_to_json_line
 from .invariants import record_from_matrix, surface_record
 from .series import SERIES_TAGS, SeriesKey, _check_index, _check_rho
+from .verify import verify_claims
 
 
 class _Parser(argparse.ArgumentParser):

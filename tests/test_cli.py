@@ -17,8 +17,8 @@ from fiqs import (
     record_to_json_line,
     surface_record,
 )
-from fiqs.census import ClaimResult, VerifyReport
 from fiqs.cli import main
+from fiqs.verify import ClaimResult, VerifyReport
 
 
 def test_classify_scrambled_matrix(capsys):

@@ -20,7 +20,9 @@ no class is decorated with bare ``dataclass``: every value class goes through
 module re-checks a normal form: a ``DefiningMatrix`` checks the inequalities
 when it is made, so there is no ``_checked``, and the one test of them all,
 ``series._HOLDS``, runs only in ``DefiningMatrix.__post_init__``, ``validate``
-and ``canonicalize``.
+and ``canonicalize``, and ``census`` imports from ``core``, ``series`` and
+``invariants`` only, and no oracle or series form: verification lives in
+``verify``.
 """
 
 from __future__ import annotations
@@ -366,6 +368,64 @@ def test_rho_branch_is_caught():
         "z = len(row) == m.rho + 3 or rho in (1, 2) or m.arm == 1\n"
     )
     assert rho_branches(source) == [(1, "m.rho == 2"), (3, "rho != 3"), (4, "3 < self.rho")]
+
+
+# Counting and the codec need no verification code: census imports from these modules only,
+# and none of the oracles or series forms that verify compares the closed forms with.
+_CENSUS_SOURCES = {"core", "series", "invariants"}
+
+
+def census_reach(source: str) -> list[tuple[int, str]]:
+    """Each fiqs module outside ``_CENSUS_SOURCES`` that the source imports, each name ending in ``_oracle``
+    and each series form of an invariant (a name of ``invariants`` ending in ``_from_eta``), with its line.
+
+    A name imported from the package itself (``from . import kaehler``) counts as its module.
+    ``series.matrix_from_eta`` is the closed form export writes from, not a series form of an invariant.
+    """
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imports = [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            package = "fiqs" + (f".{node.module}" if node.module else "") if node.level else node.module
+            imports = [
+                (f"{package}.{alias.name}", None) if package == "fiqs" else (package, alias.name) for alias in node.names
+            ]
+        else:
+            continue
+        for module, name in imports:
+            if module.startswith("fiqs.") and module.split(".")[1] not in _CENSUS_SOURCES:
+                found.add((node.lineno, module))
+            if name is not None and (
+                name.endswith("_oracle") or module == "fiqs.invariants" and name.endswith("_from_eta")
+            ):
+                found.add((node.lineno, name))
+    return sorted(found)
+
+
+def test_census_imports_no_verification_code():
+    found = census_reach((PACKAGE / "census.py").read_text())
+    assert not found, f"fiqs.census imports verification code (line, module or name): {found}"
+
+
+def test_census_reach_is_caught():
+    source = (
+        "import json\nfrom functools import lru_cache\n"
+        "from .core import value_class\nfrom . import series\n"
+        "from .canon import canonicalize, raw_from_matrix\n"
+        "from .invariants import class_group_oracle, surface_record, degree_from_eta\n"
+        "from . import kaehler, invariants\n"
+        "import fiqs.verify\n"
+        "from fiqs.series import matrix_from_eta, _iter_eta, enumeration_oracle\n"
+    )
+    assert census_reach(source) == [
+        (5, "fiqs.canon"),
+        (6, "class_group_oracle"),
+        (6, "degree_from_eta"),
+        (7, "fiqs.kaehler"),
+        (8, "fiqs.verify"),
+        (9, "enumeration_oracle"),
+    ]
 
 
 def derived_record_reads(source: str) -> list[tuple[int, str]]:

@@ -14,7 +14,6 @@ from fiqs import (
     series_membership,
     validate,
 )
-from fiqs.census import _ke_explicit_ranges
 from fiqs.kaehler import barycenter_oracle, degeneration_polygon
 from fiqs.invariants import (
     class_group_oracle,
@@ -25,6 +24,7 @@ from fiqs.invariants import (
     resolution_graph,
 )
 from fiqs.series import _WEIGHTS, _pair_ok
+from fiqs.verify import _ke_explicit_ranges
 
 from conftest import reference_pair_ok, up_to
 

@@ -40,9 +40,10 @@ from fiqs import (
     count,
     surface_record,
 )
-from fiqs.census import ClaimResult, CountRow, VerifyReport
+from fiqs.census import CountRow
 from fiqs.core import value_class
 from fiqs.series import SERIES_IDS
+from fiqs.verify import ClaimResult, VerifyReport
 
 _KEY = SeriesKey(SeriesId(3, "s11"), 3, 3, -2, -2)
 _REC = surface_record(_KEY)
@@ -260,6 +261,11 @@ def test_positional_and_keyword_construction_store_every_field(name):
         (lambda: SeriesKey(series=SERIES_IDS[1, "s11"], iota_plus=3, iota_minus=3, c=-2), "c must be present exactly"),
         (lambda: DefiningMatrix(3, 3, 1, -2, "-2"), "DefiningMatrix field 'd' must be an int, got '-2'"),
         (lambda: DefiningMatrix(rho=2, a=1, b=-1), "c must be present exactly for rho >= 2 (rho=2)"),
+        (lambda: AdmissibleOp("spin"), "unknown op kind 'spin'"),
+        (lambda: IntMatrix(-1, 0, ()), "matrix dimensions must be nonnegative"),
+        (lambda: IntMatrix(2, 2, (1, 2, 3)), "expected 4 entries, got 3"),
+        (lambda: IntMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
+        (lambda: SmithForm((1, 2), 1), "rank does not match number of nonzero factors"),
     ],
 )
 def test_construction_runs_post_init(call, message):
