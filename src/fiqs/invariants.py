@@ -9,11 +9,12 @@ paired with an independent oracle where the derivation allows it:
   linear solve on the rays of the elliptic fixed point cones,
 * degree and Picard index: matrix-parameter expressions vs the tabulated
   forms in the local Gorenstein indices,
-* resolution graphs: tabulated chains, checked downstream by the
+* resolution graphs: chains given by one closed form per point in its
+  local class group order (``_end_chain`` at x+/x-, whose orders are
+  w+ iota+ and w- iota-; n - 1 weights -2 at an interior point of order n),
+  reading no table and no series, and checked downstream by the
   determinant law (the negated intersection matrix of each chain has
-  determinant equal to the local class group order).  The chains are read
-  from the local class group orders: those of x+/x- are w+ iota+ and
-  w- iota-, so the chain centres need no series table.
+  determinant equal to the local class group order).
 
 Records share only three values: the degree and log canonicity come from
 bounded memos keyed by the local orders they read (typed, so a float order
@@ -315,11 +316,12 @@ def picard_index_from_eta(key: SeriesKey) -> int:
 def resolution_graph(key: SeriesKey) -> ResolutionGraph:
     """Weighted resolution chains over the possibly singular fixed points.
 
-    The elliptic points x+/x- get a central vertex (weight tabulated per
-    series in the local Gorenstein index) with 2 / 1 / 0 flanking (-2)
-    vertices for rho = 1 / 2 / 3; each interior point gets a pure (-2)
-    chain of length one less than its local class group order.  Points of
-    local class group order one are smooth: empty chain.
+    The elliptic points x+/x- get a central vertex, whose weight is one
+    closed form per rho in the point's local class group order
+    (``_end_chain``), with 2 / 1 / 0 flanking (-2) vertices for
+    rho = 1 / 2 / 3; each interior point gets a pure (-2) chain of length
+    one less than its local class group order.  Points of local class
+    group order one are smooth: empty chain.
     """
     return _resolution(key.rho, _orders(matrix_from_eta(key)))
 

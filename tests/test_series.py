@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+import re
+
 import pytest
 
 import fiqs.series
@@ -49,12 +52,22 @@ def test_enumerate_rho3_s11_iota3_contains_diagonal():
     assert (3, 3, -2, -2) in [k.eta() for k in keys]
 
 
+def _drawn_matrix(m: DefiningMatrix) -> list[list[int]]:
+    """The matrix the ``series`` module docstring draws for the rho of m, with the parameters of m put in."""
+    drawn = re.search(rf"rho={m.rho}: (\[.*\])", fiqs.series.__doc__).group(1)
+    params = dict(zip("abcd", m.params()))
+    return ast.literal_eval(re.sub("[abcd]", lambda name: str(params[name.group()]), drawn))
+
+
 def test_matrix_tables():
-    assert matrix_from_eta(SeriesKey(SeriesId(1, "s11"), 1, 1)) == DefiningMatrix(1, 0, -2)
-    assert matrix_from_eta(SeriesKey(SeriesId(2, "s22"), 1, 1, -2)) == DefiningMatrix(2, 1, 0, -2)
-    assert matrix_from_eta(SeriesKey(SeriesId(3, "s11"), 3, 3, -2, -2)) == DefiningMatrix(
-        3, 3, 1, -2, -2
-    )
+    tables = {
+        SeriesKey(SeriesId(1, "s11"), 1, 1): DefiningMatrix(1, 0, -2),
+        SeriesKey(SeriesId(2, "s22"), 1, 1, -2): DefiningMatrix(2, 1, 0, -2),
+        SeriesKey(SeriesId(3, "s11"), 3, 3, -2, -2): DefiningMatrix(3, 3, 1, -2, -2),
+    }
+    for key, m in tables.items():
+        assert matrix_from_eta(key) == m
+        assert m.expand().to_lists() == _drawn_matrix(m)
 
 
 def test_matrix_from_eta_rejects_nonmembers():

@@ -41,7 +41,12 @@ def test_verify_report_text_shape():
 
 @pytest.mark.parametrize(
     "name, claim",
-    [("_degree", "degree matrix form = series form"), ("_picard_index", "picard matrix form = series form")],
+    [
+        ("_degree", "degree matrix form = series form"),
+        ("_picard_index", "picard matrix form = series form"),
+        ("_picard_index", "gorenstein index divides picard index"),
+        ("_log_canonicity", "positivity: degree > 0, 0 < eps <= 1"),
+    ],
 )
 def test_verify_catches_a_broken_closed_form(monkeypatch, capsys, name, claim):
     """A wrong closed form in the record is caught by its oracle, and fiqs verify exits 2."""
@@ -353,20 +358,36 @@ _CENSUS_ROWS = [
 
 
 def test_verify_checks_the_census_at_full_scale(monkeypatch):
-    """At iota_max >= 200 the census rows are checked; a KE count off by one fails exactly its three rows.
+    """At iota_max >= 200 the census rows are checked, and each can fail.
 
-    One surface claim, capped at index 1, keeps the surface scan to a handful of surfaces.
+    A KE count off by one fails exactly its three rows, an exact count off by one its four, and a
+    claimed count off by one its own row and the claim arithmetic.  One surface claim, capped at
+    index 1, keeps the surface scan to a handful of surfaces.
     """
     name, _, test = fiqs.verify._SURFACE_CLAIMS[0]
     monkeypatch.setattr(fiqs.verify, "_SURFACE_CLAIMS", ((name, 1, test),))
     report = verify_claims(200)
     assert report.ok, report.to_text()
     assert report.to_text().splitlines()[1:9] == _CENSUS_ROWS
-    correct = fiqs.census._count_ke
-    monkeypatch.setattr(fiqs.census, "_count_ke", lambda rho, iota: correct(rho, iota) + 1)
-    failed = {r.claim: r.computed for r in verify_claims(200).results if not r.passed}
-    assert failed == {
-        "rho=1 KE count at iota <= 200": 350,
-        "rho=2 KE count at iota <= 200": 200,
-        "rho=3 KE count at iota <= 200": 1006833,
+    for kernel, failed in (
+        ("_count_ke", {
+            "rho=1 KE count at iota <= 200": 350,
+            "rho=2 KE count at iota <= 200": 200,
+            "rho=3 KE count at iota <= 200": 1006833,
+        }),
+        ("_count_exact", {
+            "rho=1 count at iota <= 200": 1083,
+            "rho=2 count at iota <= 200": 71398,
+            "rho=3 count at iota <= 200": 15466458,
+            "total count at iota <= 200": 15538939,
+        }),
+    ):
+        with monkeypatch.context() as mp:
+            correct = getattr(fiqs.census, kernel)
+            mp.setattr(fiqs.census, kernel, lambda rho, iota: correct(rho, iota) + 1)
+            assert _failures(verify_claims(200)) == failed
+    monkeypatch.setitem(fiqs.verify.CENSUS_CLAIMS, 2, (71199, 0))
+    assert _failures(verify_claims(200)) == {
+        "census claim arithmetic 883 + 71199 + 15466258": 15538340,
+        "rho=2 count at iota <= 200": 71198,
     }
