@@ -36,11 +36,11 @@ chain, empty or a column name, so none needs quoting, ``csv.writer`` writes
 the same line and :func:`record_to_csv_row` is the text split at its commas.
 
 The key (rho, series, iota+, iota-[, c[, d]]) determines every other
-field, so the readers parse only the key, rebuild the record with
-:func:`~fiqs.invariants.surface_record` and accept the input only if it
-is that record's encoding; otherwise they raise ``ValueError`` naming the
-first field that does not parse, differs, is missing or is extra, or the
-resolution, before the record is built, if the input is too short for it.
+field, so the readers parse only the key, build the record from its matrix
+and accept the input only if it is that record's encoding; otherwise they
+raise ``ValueError`` naming the first field that does not parse, differs,
+is missing or is extra, or the resolution, before the record is built, if
+the input is too short for the matrix's interior chains (``_room``).
 """
 
 from __future__ import annotations
@@ -51,18 +51,18 @@ from functools import lru_cache
 from typing import TextIO
 
 from .core import value_class
-from .invariants import POINT_LABELS, SurfaceRecord, _end_chain, _values, surface_record
+from .invariants import POINT_LABELS, SurfaceRecord, _end_chain, _record, _values
 from .series import (
     SERIES_IDS,
     SERIES_TAGS,
     DefiningMatrix,
     SeriesKey,
     _CLASS_WEIGHTS,
-    _WEIGHTS,
     _check_index,
     _check_rho,
     _iter_eta,
     _lcm_pairs_unordered,
+    _orders,
     _series_id,
     matrix_from_eta,
 )
@@ -259,13 +259,17 @@ def _fill(key: SeriesKey, m: DefiningMatrix, o: tuple[int, ...], values: tuple, 
     """What a frame leaves to fill in, in its order.
 
     The chain text of an interior point of order n is n - 1 links (a separator and the weight -2) less the
-    first separator.
+    first separator.  ValueError naming the resolution, before any text is made, if n - 1 links exceed a str.
     """
     iota, torsion, deg, eps, pic, ke = values
     inner = o[2:]
+    try:
+        chains = [(link * (n - 1))[1:] for n in inner]
+    except OverflowError:
+        raise ValueError(f"field 'resolution' of {key} is too long to write: {max(inner) - 1} weights") from None
     return (
         *(key.c, key.d)[: key.series.rho - 1], m.b, torsion, deg.numerator, deg.denominator,
-        eps.numerator, eps.denominator, pic, "true" if ke else "false", *inner, *[(link * (n - 1))[1:] for n in inner],
+        eps.numerator, eps.denominator, pic, "true" if ke else "false", *inner, *chains,
     )
 
 
@@ -309,7 +313,7 @@ def _key_from_fields(
 
     c is read only for rho >= 2 and d only for rho = 3.  A field that does
     not parse raises ``ValueError`` naming it; the series predicate is left
-    to :func:`~fiqs.invariants.surface_record`.
+    to :func:`~fiqs.series.matrix_from_eta`.
     """
     rho = _key_int("rho", rho)
     _check_rho(rho)
@@ -326,21 +330,18 @@ def _key_from_fields(
     )
 
 
-def _room(key: SeriesKey) -> int:
-    """A lower bound on a key's line or row length: three characters per interior weight -2, with its separator.
-
-    An interior point of order n has n - 1 weights, and the interior orders of a member key add up to s/4, s/2
-    and s for rho = 1, 2 and 3, with s = w+ iota+ + w- iota-.
-    """
-    wp, wm = _WEIGHTS[key.series.rho][key.series.tag]
-    return 3 * ((wp * key.iota_plus + wm * key.iota_minus) // (4, 2, 1)[key.series.rho - 1] - key.series.rho)
+def _room(m: DefiningMatrix) -> int:
+    """A lower bound on the length of a matrix's line or row: three characters per interior weight -2, with its
+    separator; an interior point of order n has n - 1 weights."""
+    return 3 * (sum(_orders(m)[2:]) - m.rho)
 
 
 def _rebuild(key: SeriesKey, length: int) -> SurfaceRecord:
     """The record of a key read from input of this length; ValueError, before its chains are built, if too short."""
-    if length < _room(key):
-        raise ValueError(f"field 'resolution' of {key} needs at least {_room(key)} characters, got {length}")
-    return surface_record(key)
+    m = matrix_from_eta(key)
+    if length < _room(m):
+        raise ValueError(f"field 'resolution' of {key} needs at least {_room(m)} characters, got {length}")
+    return _record(key, *_values(key, m))
 
 
 # The key fields at the start of a line written by record_to_json_line.
@@ -378,8 +379,8 @@ def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
 def record_from_json_line(line: str) -> SurfaceRecord:
     """The record of a JSONL line's key, if the line encodes that record.
 
-    Only the key fields are parsed; :func:`~fiqs.invariants.surface_record`
-    rebuilds the record.  A line as :func:`record_to_json_line` writes it is
+    Only the key fields are parsed; the record is rebuilt from the key's
+    matrix.  A line as :func:`record_to_json_line` writes it is
     accepted by one string comparison, its key read from the line's prefix.
     Any other JSON object is compared with :func:`record_to_obj` field by
     field, by JSON text: spacing and key order may differ, but ``1`` is not
@@ -393,8 +394,9 @@ def record_from_json_line(line: str) -> SurfaceRecord:
         raise ValueError(f"a JSON record line must be a str, got {type(line).__name__}")
     match = _JSON_KEY_PREFIX.match(line)
     key = match and _key_from_fields(*match.groups())
-    if key and len(line) >= _room(key):
-        rec = surface_record(key)
+    m = key and matrix_from_eta(key)
+    if m and len(line) >= _room(m):
+        rec = _record(key, *_values(key, m))
         if record_to_json_line(rec) == line:
             return rec
     try:
@@ -431,8 +433,8 @@ def record_to_csv_row(rec: SurfaceRecord) -> list[str]:
 def record_from_csv_row(row: list[str]) -> SurfaceRecord:
     """The record of a CSV row's key, if the row is that record's row of text cells.
 
-    Only the key columns are parsed; the record is rebuilt with
-    :func:`~fiqs.invariants.surface_record` and accepted only if
+    Only the key columns are parsed; the record is rebuilt from the key's
+    matrix and accepted only if
     :func:`record_to_csv_row` gives the row back.  ``ValueError`` names the
     first column that does not parse, differs, is missing, is extra or is
     not a ``str``, and a row that is not a list or tuple is refused by name.

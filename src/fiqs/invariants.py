@@ -27,9 +27,9 @@ the key and the orders fix both, so ``SurfaceRecord.local`` and
 
 A :class:`~fiqs.series.DefiningMatrix` is a normal form by construction (it
 checks the inequalities when it is made), so no function here re-checks a
-matrix; a function of a key checks the series predicate, through
-:func:`~fiqs.series.matrix_from_eta` or :func:`~fiqs.canon.classify`, and
-raises ``ValueError`` on failure.  The closed forms are kernels, one per
+matrix; a function of a key checks it through :func:`~fiqs.canon.classify`
+or :func:`~fiqs.series.matrix_from_eta` (its index classes, then its matrix)
+and raises ``ValueError`` on failure.  The closed forms are kernels, one per
 field, written in the local class group orders.  One field kernel,
 ``_values``, calls them for every record and exported line and returns
 (m, local orders, values); ``_record`` assembles a record from that triple,
@@ -183,7 +183,7 @@ def _values(key: SeriesKey, m: DefiningMatrix) -> tuple:
     rho, o = m.rho, _orders(m)
     torsion = _torsion(rho, o)
     deg, eps = _degree(rho, o[0], o[1]), _log_canonicity(rho, o[1])
-    return m, o, (key.iota, torsion, deg, eps, _picard_index(o, torsion), _ke_rule(key))
+    return m, o, (key.iota, torsion, deg, eps, _picard_index(o, torsion), _ke_rule(m))
 
 
 def _record(key: SeriesKey, m: DefiningMatrix, o: tuple[int, ...], values: tuple) -> SurfaceRecord:

@@ -21,16 +21,17 @@ closed-form barycenters, so ``verify_claims`` evaluates them once per
 surface for both the criterion and the comparison with the polygons; the
 oracle never reads the closed forms.
 
-At the family level the criterion collapses to a finite description:
+At the family level the criterion collapses to a rule in the normal form:
 no rho=2 surface is Kaehler-Einstein (its single barycenter lies on the
 line y = x/2, so y > 0 forces x != 0), and for rho=1, 3 exactly the members
-with equal local orders w+ iota+ = w- iota- (s11 and s22 with iota+ = iota-;
-weights from :mod:`fiqs.series`) and, for rho=3, a positive b survive.  At
+with equal local orders o+ = o- at x+ and x- (s11 and s22 with
+iota+ = iota-) and, for rho=3, a positive b survive.  In the matrix,
+a + b + 2 = (o+ - o-) / 4 at rho=1 and a + b + c + d = o+ - o- at rho=3.  At
 rho=3 the interior local orders (x0, x1, x2) = (a - b, -c, -d) are a
-partition of s = w+ iota+ + w- iota- into three parts, and on the slice
-a + b + c + d = 0 of equal orders b > 0 is the triangle inequality
-x0 < x1 + x2: the KE surfaces of such a block are the integer triangles of
-perimeter s, round(s^2 / 48) of them.
+partition of s = o+ + o- into three parts, and on the slice
+a + b + c + d = 0 the difference x1 + x2 - x0 is 2b, so b > 0 is the
+triangle inequality: the KE surfaces of such a block are the integer
+triangles of perimeter s, round(s^2 / 48) of them.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from math import lcm
 from typing import Iterable
 
 from .core import value_class
-from .series import _WEIGHTS, DefiningMatrix, SeriesKey, _check_kappa, series_membership
+from .series import DefiningMatrix, SeriesKey, _check_kappa, matrix_from_eta
 
 __all__ = [
     "SPECIAL_KAPPAS",
@@ -210,25 +211,16 @@ def is_ke_oracle(m: DefiningMatrix) -> bool:
 
 
 def is_ke_family(key: SeriesKey) -> bool:
-    """Kaehler-Einstein existence at the family level.
+    """Kaehler-Einstein existence at the family level: :func:`_ke_rule` of the key's matrix.
 
     rho=1: s11/s22 with iota+ = iota-.  rho=2: never.  rho=3: s11/s22 with
-    iota+ = iota- =: t and -2t <= 2c+d, c <= d <= -1, c+d <= -t-1 (resp.
-    the doubled bounds -4t <= 2c+d, c+d <= -2t-1 for s22).
+    iota+ = iota- and b > 0.  ValueError if the key is not a series member.
     """
-    if not series_membership(key):
-        raise ValueError(f"key does not satisfy its series predicate: {key}")
-    return _ke_rule(key)
+    return _ke_rule(matrix_from_eta(key))
 
 
-def _ke_rule(key: SeriesKey) -> bool:
-    """The rule of :func:`is_ke_family` for a key that satisfies its series predicate.
-
-    In the local orders o+ = w+ iota+ and o- = w- iota- of x+ and x-: o+ = o-
-    holds exactly for s11/s22 with iota+ = iota- (the index classes rule it out
-    for s12/s21), and the series predicate then gives c <= d <= -1 and 2c + d >= -2o+.
-    """
-    rho = key.series.rho
-    wp, wm = _WEIGHTS[rho][key.series.tag]
-    op = wp * key.iota_plus
-    return rho != 2 and op == wm * key.iota_minus and (rho == 1 or key.c + key.d < -op)
+def _ke_rule(m: DefiningMatrix) -> bool:
+    """The rule of :func:`is_ke_family` in the normal form: a + b = -2 (rho=1), a + b + c + d = 0 and b > 0 (rho=3)."""
+    if m.rho == 1:
+        return m.a + m.b == -2
+    return m.rho == 3 and m.a + m.b + m.c + m.d == 0 and m.b > 0

@@ -19,11 +19,13 @@ divisibility case at each of the two elliptic fixed points: the local
 Gorenstein index there lies in an index class (a set of residues mod 12),
 and the local class group order is w * iota with a series weight w.  This
 module is the one home of that fact (``_DIGITS``, read back from the orders
-by ``_digit``); the exact predicates are in :func:`series_membership`.
-Keys and matrices check their field types when made (``_check_params``, a
-bool refused), and every index argument goes through ``_check_index``.  A
+by ``_digit``) and the one module that turns a key into local orders.  Keys
+and matrices check their field types when made (``_check_params``, a bool
+refused), and every index argument goes through ``_check_index``.  A
 :class:`DefiningMatrix` is a normal form: it checks the inequalities when it
-is made, so no other code re-checks a matrix.
+is made, so no other code re-checks a matrix, and a key is a member of its
+series (:func:`series_membership`) when its index classes admit the series
+(``_pair_ok``, checked by :func:`matrix_from_eta`) and its matrix is made.
 """
 
 from __future__ import annotations
@@ -282,19 +284,12 @@ def _pair_ok(rho: int, tag: str, ip: int, im: int) -> bool:
 
 
 def series_membership(key: SeriesKey) -> bool:
-    """Whether eta satisfies the defining predicate of its series."""
-    rho, tag = key.series.rho, key.series.tag
-    ip, im = key.iota_plus, key.iota_minus
-    if not _pair_ok(rho, tag, ip, im):
+    """Whether eta satisfies the defining predicate of its series: :func:`matrix_from_eta` raises no ValueError."""
+    try:
+        matrix_from_eta(key)
+    except ValueError:
         return False
-    if rho == 1:
-        return True
-    wp, wm = _WEIGHTS[rho][tag]
-    s, c = wp * ip + wm * im, key.c
-    if rho == 2:
-        # 1 - s/2 <= c <= -s/4, both sides compared exactly over rationals
-        return c <= -1 and 2 - s <= 2 * c and 4 * c <= -s
-    return c <= key.d <= -1 and 2 * c + key.d >= -s
+    return True
 
 
 def enumerate_eta(series: SeriesId, iota: int) -> list[SeriesKey]:
@@ -331,11 +326,11 @@ def _iter_eta(series: SeriesId, iota: int) -> Iterator[SeriesKey]:
 
 
 def matrix_from_eta(key: SeriesKey) -> DefiningMatrix:
-    """The defining matrix P_eta of a series member."""
-    if not series_membership(key):
+    """The defining matrix P_eta of a series member; ValueError naming the key or the violated inequalities."""
+    rho, tag = key.series.rho, key.series.tag
+    if not _pair_ok(rho, tag, key.iota_plus, key.iota_minus):
         raise ValueError(f"key does not satisfy its series predicate: {key}")
-    rho = key.series.rho
-    wp, wm = _WEIGHTS[rho][key.series.tag]
+    wp, wm = _WEIGHTS[rho][tag]
     op, om = wp * key.iota_plus, wm * key.iota_minus  # local orders of x+, x-
     if rho == 1:
         return DefiningMatrix(1, op // 4 - 1, -(om // 4) - 1)

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,6 +150,41 @@ def test_even_column_is_named(capsys):
 def test_invariants_rejects_bad_eta(capsys):
     assert main(["invariants", "--eta", "1,s11,2,2"]) == 1
     assert main(["invariants", "--eta", "2,s99,1,1,-1"]) == 1
+
+
+def test_invariants_names_the_violated_inequalities(capsys):
+    """A key whose index classes admit its series but whose matrix is not a normal form."""
+    assert main(["invariants", "--eta", "3,s11,3,3,-1,-9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "fiqs: error: matrix is not in normal form, violated: a > b, a-b >= -c, -c >= -d\n"
+    assert captured.out == ""
+
+
+_HUGE = 10**30  # an interior point of a rho = 1 key of this index has more weights than a str can hold
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--eta", f"1,s11,{_HUGE + 1},{_HUGE + 1}"],  # s11 needs odd indices
+        ["enumerate", "--rho", "1", "--iota", str(_HUGE)],
+    ],
+    ids=["invariants", "enumerate"],
+)
+def test_a_resolution_too_long_to_write_is_named(capsys, argv):
+    """Exit 1 naming the resolution field, with no traceback and before the chain text is allocated."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("fiqs: error: field 'resolution' of SeriesKey(")
+    assert "is too long to write" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert peak < 1_000_000, f"peak of {peak} bytes"
 
 
 def test_invariants_rejects_eta_rho_out_of_range(capsys):

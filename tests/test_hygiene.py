@@ -22,7 +22,9 @@ when it is made, so there is no ``_checked``, and the one test of them all,
 ``series._HOLDS``, runs only in ``DefiningMatrix.__post_init__``, ``validate``
 and ``canonicalize``, and ``census`` imports from ``core``, ``series`` and
 ``invariants`` only, and no oracle or series form: verification lives in
-``verify``.
+``verify``, and no module but ``series`` reads the series weights
+(``_WEIGHTS``, ``_DIGITS``): ``series`` is the one module that turns a key
+into local orders, and other code reads them from the matrix.
 """
 
 from __future__ import annotations
@@ -607,3 +609,37 @@ def test_normal_form_recheck_is_caught():
         (13, "series._HOLDS in degree"),
         (16, "_HOLDS in Other.__post_init__"),
     ]
+
+
+# The tables that turn a key into local orders; only fiqs.series reads them.
+_SERIES_WEIGHT_TABLES = {"_WEIGHTS", "_DIGITS"}
+
+
+def series_weight_reads(source: str) -> list[tuple[int, str]]:
+    """Each import, name or attribute of a table in ``_SERIES_WEIGHT_TABLES``, with its line."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.alias) and node.name.split(".")[-1] in _SERIES_WEIGHT_TABLES:
+            found.add((node.lineno, f"import {node.name}"))
+        elif isinstance(node, ast.Name) and node.id in _SERIES_WEIGHT_TABLES:
+            found.add((node.lineno, node.id))
+        elif isinstance(node, ast.Attribute) and node.attr in _SERIES_WEIGHT_TABLES:
+            found.add((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("name", [name for name in ALL_MODULES if name != "series"])
+def test_only_series_reads_the_weights(name):
+    found = series_weight_reads((PACKAGE / f"{name}.py").read_text())
+    assert not found, f"fiqs.{name} reads the series weights, which only fiqs.series turns into orders (line, use): {found}"
+
+
+def test_series_weight_read_is_caught():
+    source = (
+        "from .series import _WEIGHTS, _CLASS_WEIGHTS, matrix_from_eta\n"
+        "from . import series\n"
+        "w = series._DIGITS[1]\n"
+        "def orders(key):\n    return _WEIGHTS[key.rho][key.series.tag]\n"
+        "ok = _CLASS_WEIGHTS and series._digit and matrix_from_eta\n"
+    )
+    assert series_weight_reads(source) == [(1, "import _WEIGHTS"), (3, "series._DIGITS"), (5, "_WEIGHTS")]

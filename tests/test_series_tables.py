@@ -1,12 +1,13 @@
 """classify and the KE family rule read the series weights from one table.
 
 The per-rho ladders they used to carry, each with its own weights and order
-formulas, are kept here as references.
+formulas, are kept here as references, and so is the c/d ladder of the
+series predicate, which is now the index classes plus the normal form.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -50,9 +51,41 @@ def reference_ke_rule(key: SeriesKey) -> bool:
     return -2 * w * t <= 2 * c + d and c <= d <= -1 and c + d <= -w * t - 1
 
 
+def reference_series_membership(key: SeriesKey) -> bool:
+    """The per-rho c/d ladder the series predicate carried after the index classes."""
+    rho, tag, ip, im = key.rho, key.series.tag, key.iota_plus, key.iota_minus
+    if not reference_pair_ok(rho, tag, ip, im):
+        return False
+    if rho == 1:
+        return True
+    wp, wm = _WEIGHTS[rho][tag]
+    s, c = wp * ip + wm * im, key.c
+    if rho == 2:
+        # 1 - s/2 <= c <= -s/4, both sides compared exactly over rationals
+        return c <= -1 and 2 - s <= 2 * c and 4 * c <= -s
+    return c <= key.d <= -1 and 2 * c + key.d >= -s
+
+
+@pytest.mark.parametrize("rho", (1, 2, 3))
+@pytest.mark.parametrize("tag", SERIES_TAGS)
+def test_series_membership_equals_the_ladder(rho, tag):
+    """Every key with iota+, iota- <= 8 and c, d from -(s + 1) to 1, members and not, on both sides of each bound."""
+    series, members = SERIES_IDS[rho, tag], 0
+    wp, wm = _WEIGHTS[rho][tag]
+    for ip in range(1, 9):
+        for im in range(1, 9):
+            span = range(-(wp * ip + wm * im + 1), 2)
+            for cd in product(span, repeat=rho - 1):
+                key = SeriesKey(series, ip, im, *cd)
+                member = reference_series_membership(key)
+                assert series_membership(key) == member, key
+                members += member
+    assert members > 0
+
+
 def assert_matches_references(key: SeriesKey, m: DefiningMatrix) -> None:
     assert classify(m) == reference_classify(m) == key
-    assert _ke_rule(key) == reference_ke_rule(key), key
+    assert _ke_rule(m) == reference_ke_rule(key), key
 
 
 @pytest.mark.parametrize("rho", (1, 2, 3))
@@ -61,7 +94,7 @@ def test_every_surface_to_iota_60_matches_the_ladders(rho, surfaces_by_rho):
     ke = 0
     for key, m in chain(surfaces_by_rho[rho], beyond_50):
         assert_matches_references(key, m)
-        ke += _ke_rule(key)
+        ke += _ke_rule(m)
     assert (ke > 0) == (rho != 2)
 
 

@@ -22,6 +22,15 @@ the matrix form p (o+ + o-) / (q o+ o-) of ``_ORDER_FORMS`` in the local
 orders o+- = w+- iota+- of ``_WEIGHTS``.  Per series, sympy proves the two
 equal as rational functions of iota+ and iota-, so the verify claim that
 compares them holds at every index, not only at the indices it runs.
+
+The Kaehler-Einstein family rule reads the normal form: a + b = -2 for
+rho = 1, a + b + c + d = 0 and b > 0 for rho = 3.  With the parameters of
+``matrix_from_eta`` in the local orders o+- and c, d as symbols, sympy
+proves a + b + 2 = (o+ - o-) / 4 and a + b + c + d = o+ - o-, and on the
+slice o+ = o- that x1 + x2 - x0 = 2b for the interior orders (a - b, -c, -d).
+So the rule is o+ = o- and, for rho = 3, the triangle inequality
+x0 < x1 + x2, which is the rule in the key (o+ = o-, c + d < -o+) at every
+index.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ import pytest
 
 from fiqs.census import _cd_count, _count_ke, _triangle_count
 from fiqs.invariants import _DEGREE_NUMERATORS, _ORDER_FORMS, _orders, degree, degree_from_eta
+from fiqs.kaehler import _ke_rule
 from fiqs.series import _WEIGHTS, SERIES_IDS, SERIES_TAGS, enumerate_eta, matrix_from_eta
 
 sympy = pytest.importorskip("sympy")
@@ -189,3 +199,30 @@ def test_degree_series_form_is_matrix_form(rho, tag):
         at_key = {iota_plus: key.iota_plus, iota_minus: key.iota_minus}
         assert _fraction(series_form.subs(at_key)) == degree_from_eta(key), key
         assert _fraction(matrix_degree(rho, op, om)) == degree(m), key
+
+
+o_plus, o_minus, c_sym, d_sym = sympy.symbols("o_plus o_minus c d", integer=True)
+
+# The parameters (a, b) of matrix_from_eta in the local orders o+- of x+- and c, d, for rho = 1 and 3.
+_KE_PARAMS = {1: (o_plus / 4 - 1, -o_minus / 4 - 1), 3: (o_plus, -o_minus - c_sym - d_sym)}
+
+
+def test_ke_rule_in_the_normal_form_is_the_rule_in_the_orders():
+    """Each identity holds as a polynomial; the parameters are tied to matrix_from_eta on the members of iota <= 12."""
+    a, b = _KE_PARAMS[1]
+    assert sympy.expand(a + b + 2 - (o_plus - o_minus) / 4) == 0
+    a, b = _KE_PARAMS[3]
+    assert sympy.expand(a + b + c_sym + d_sym - (o_plus - o_minus)) == 0
+    x0, x1, x2 = a - b, -c_sym, -d_sym
+    assert sympy.expand((x1 + x2 - x0 - 2 * b).subs(o_plus, o_minus)) == 0
+    for rho in (1, 3):
+        ke = 0
+        for tag in SERIES_TAGS:
+            wp, wm = _WEIGHTS[rho][tag]
+            for key in (key for iota in range(1, 13) for key in enumerate_eta(SERIES_IDS[rho, tag], iota)):
+                m, op, om = matrix_from_eta(key), wp * key.iota_plus, wm * key.iota_minus
+                at_key = {o_plus: op, o_minus: om, c_sym: key.c or 0, d_sym: key.d or 0}
+                assert (m.a, m.b) == tuple(value.subs(at_key) for value in _KE_PARAMS[rho]), key
+                assert _ke_rule(m) == (op == om and (rho == 1 or key.c + key.d < -op)), key
+                ke += _ke_rule(m)
+        assert ke > 0
