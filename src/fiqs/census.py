@@ -15,20 +15,26 @@ counters agree with brute enumeration (tested for small indices).
 
 Record export uses a fixed JSONL / CSV schema; exact rationals travel as
 "numerator/denominator" strings.  The key determines every field, so export
-builds no record: ``fiqs.invariants._values`` of each key and its matrix
-(:func:`~fiqs.series.matrix_from_eta`, which checks the key as
-:func:`~fiqs.invariants.surface_record` does) gives the field kernel's
-(m, local orders, values), which one text kernel per format (``_json_text``,
-``_csv_text``) writes.  A kernel does one memo lookup and one ``%`` format:
-it fills in the frame of the key's block (series, iota+, iota-), the line
-with a ``%s`` for each field that varies inside the block (c, d, b, torsion,
-degree, log canonicity, Picard index, ke, the interior orders and chains).
-A frame (``_json_frame``, ``_csv_frame``) is memoised by (rho, tag, iota+,
-iota-, a, iota, o+, o-), ints and a tag, no ``Fraction``, and embeds only
+builds no record.  It runs block by block (``fiqs.series._iter_blocks``): a
+block (series, iota+, iota-) fixes both local indices, its index classes are
+checked once, and only (c, d) varies inside it.  Export builds each block's
+frame once: the line with a ``%s`` for each field that varies inside the
+block (c, d, b, torsion, degree, log canonicity, Picard index, ke, the
+interior orders and chains).  For each key it makes the matrix
+(``fiqs.series._matrix``, a ``DefiningMatrix`` that checks its normal form),
+takes the field kernel's (m, local orders, values) from
+``fiqs.invariants._values``, fills in the frame (``_fill``) and gathers the
+line; the lines reach the sink in chunks of about ``_CHUNK_SIZE``
+characters, so memory stays flat in iota.  The record encoders write one
+line by a text kernel per format (``_json_text``, ``_csv_text``): one memo
+lookup and one ``%`` format.  Their frames (``_json_frame``, ``_csv_frame``)
+are memoised by (rho, tag, iota+, iota-, a, iota, o+, o-), ints and a tag,
+no ``Fraction``; export builds its frames with the unmemoised builders, so
+the memos serve only the encoders and the readers.  A frame embeds only
 these and the x+/x- chain texts, of at most three weights: a record that
 disagrees with its block still writes its own values, and a frame does not
-grow with the interior orders.  The record encoders pass the same triple,
-read back by ``_record_fields``.  ``_json_frame`` is the one statement of
+grow with the interior orders.  The record encoders pass the field kernel's
+triple, read back by ``_record_fields``.  ``_json_frame`` is the one statement of
 the JSON schema: :func:`record_to_obj` is the parsed line of
 :func:`record_to_json_line`.  CSV rows are the fields joined by commas,
 unquoted: each field is an integer, a series tag, "n/d", true / false, a ";"-joined
@@ -60,8 +66,9 @@ from .series import (
     _CLASS_WEIGHTS,
     _check_index,
     _check_rho,
-    _iter_eta,
+    _iter_blocks,
     _lcm_pairs_unordered,
+    _matrix,
     _orders,
     _series_id,
     matrix_from_eta,
@@ -224,6 +231,7 @@ _JSON_INNER = {
 }
 
 _MEMO_SIZE = 4096  # entries per frame memo: a frame is a few hundred characters
+_CHUNK_SIZE = 32 * 1024  # characters export gathers before one write to its sink
 
 # A frame is the line of one block (series, iota+, iota-) with a %s for each field that varies inside it:
 # c[, d], b, torsion, degree, log canonicity, Picard index, ke, the interior orders and the interior chains.
@@ -473,7 +481,9 @@ def export_records(
 
     ``iota`` exports a single Gorenstein index, otherwise everything up to
     ``iota_max``.  CSV output starts with a header row.  Bad arguments raise
-    ``ValueError`` before anything is written.
+    ``ValueError`` before anything is written.  Lines are written in chunks
+    of about ``_CHUNK_SIZE`` characters; an error writes the lines made
+    before it and propagates.
     """
     if fmt not in ("jsonl", "csv"):
         raise ValueError(f"format must be 'jsonl' or 'csv', got {fmt!r}")
@@ -481,15 +491,30 @@ def export_records(
     name, bound = ("iota_max", iota_max) if iota is None else ("iota", iota)
     _check_index(name, bound)
     as_csv = fmt == "csv"
-    if as_csv:
-        sink.write(",".join(CSV_COLUMNS) + "\n")
-    n = 0
-    for i in [iota] if iota is not None else range(1, iota_max + 1):
-        for series_id in series_ids:
-            for key in _iter_eta(series_id, i):
-                fields = _values(key, matrix_from_eta(key))
-                sink.write((_csv_text if as_csv else _json_text)(key, *fields) + "\n")
-                n += 1
+    build, link = (_csv_frame.__wrapped__, ";-2") if as_csv else (_json_frame.__wrapped__, ",-2")
+    lines = [",".join(CSV_COLUMNS) + "\n"] if as_csv else []
+    size = n = 0
+    try:
+        for i in [iota] if iota is not None else range(1, iota_max + 1):
+            for series_id in series_ids:
+                for op, om, keys in _iter_blocks(series_id, i):
+                    frame = None
+                    for key in keys:
+                        m, o, values = _values(key, _matrix(rho, op, om, key.c, key.d))
+                        if frame is None:  # the block's first key: (a, iota, o+, o-) are the block's
+                            frame = build(rho, series_id.tag, key.iota_plus, key.iota_minus, m.a, values[0], op, om)
+                            frame += "\n"
+                        line = frame % _fill(key, m, o, values, link)
+                        lines.append(line)
+                        n += 1
+                        size += len(line)
+                        if size >= _CHUNK_SIZE:
+                            text, size = "".join(lines), 0
+                            lines.clear()
+                            sink.write(text)
+    finally:
+        if lines:  # the last chunk, or after an error the lines made before it
+            sink.write("".join(lines))
     return n
 
 

@@ -26,6 +26,14 @@ refused), and every index argument goes through ``_check_index``.  A
 is made, so no other code re-checks a matrix, and a key is a member of its
 series (:func:`series_membership`) when its index classes admit the series
 (``_pair_ok``, checked by :func:`matrix_from_eta`) and its matrix is made.
+
+Enumeration runs block by block.  A block (series, iota+, iota-) fixes both
+local indices and only (c, d) varies inside it; ``_iter_blocks`` checks the
+index classes once per lcm pair and yields each admitted block's local
+orders (o+, o-) and its keys, made one at a time.  ``_matrix`` holds the
+only copy of the matrix formulas, in o+, o-, c and d: :func:`matrix_from_eta`
+calls it after its own per-key ``_pair_ok`` check, and :func:`enumerate_all`
+and export call it for the keys of a block.
 """
 
 from __future__ import annotations
@@ -295,48 +303,64 @@ def series_membership(key: SeriesKey) -> bool:
 def enumerate_eta(series: SeriesId, iota: int) -> list[SeriesKey]:
     """All keys of one series with Gorenstein index exactly iota.
 
-    Ascending lexicographic in (iota+, iota-, c, d).
+    Ascending lexicographic in (iota+, iota-, c, d).  The arguments are
+    checked once, the series first.
     """
+    if type(series) is not SeriesId:
+        raise ValueError(f"series must be a SeriesId, got {series!r}")
     _check_index("iota", iota)
-    return list(_iter_eta(series, iota))
+    return [key for _, _, keys in _iter_blocks(series, iota) for key in keys]
 
 
-def _iter_eta(series: SeriesId, iota: int) -> Iterator[SeriesKey]:
-    """The keys of :func:`enumerate_eta`, in its order, one at a time, for an index already checked."""
+def _iter_blocks(series: SeriesId, iota: int) -> Iterator[tuple[int, int, Iterator[SeriesKey]]]:
+    """The blocks (series, iota+, iota-) of index iota whose index classes admit the series, as (o+, o-, the
+    block's keys, made one at a time), for an index already checked.
+
+    The blocks run in ascending (iota+, iota-) and the keys of a block in ascending (c, d): the order of
+    :func:`enumerate_eta`.  ``_pair_ok`` runs once per lcm pair; a block may hold no key.
+    """
     rho, tag = series.rho, series.tag
+    wp, wm = _WEIGHTS[rho][tag]
     for ip, im in _lcm_pairs(iota):
-        if not _pair_ok(rho, tag, ip, im):
-            continue
-        if rho == 1:
-            yield SeriesKey(series, ip, im)
-            continue
-        wp, wm = _WEIGHTS[rho][tag]
-        s = wp * ip + wm * im
-        if rho == 2:
-            c_lo = 1 - s // 2  # s is even: both iota are odd and the weights match parity
-            c_hi = (-s) // 4  # floor of -s/4
-            for c in range(c_lo, c_hi + 1):
-                yield SeriesKey(series, ip, im, c)
-            continue
+        if _pair_ok(rho, tag, ip, im):
+            op, om = wp * ip, wm * im
+            yield op, om, _block_keys(series, ip, im, op + om)
+
+
+def _block_keys(series: SeriesId, ip: int, im: int, s: int) -> Iterator[SeriesKey]:
+    """The keys of the block (series, iota+, iota-) of local orders o+ + o- = s, ascending in (c, d)."""
+    rho = series.rho
+    if rho == 1:
+        yield SeriesKey(series, ip, im)
+    elif rho == 2:
+        c_lo = 1 - s // 2  # s is even: both iota are odd and the weights match parity
+        c_hi = (-s) // 4  # floor of -s/4
+        for c in range(c_lo, c_hi + 1):
+            yield SeriesKey(series, ip, im, c)
+    else:
         c_lo = -((s - 1) // 2)  # smallest c admitting some d
         for c in range(c_lo, 0):
-            d_lo = max(c, -s - 2 * c)
-            for d in range(d_lo, 0):
+            for d in range(max(c, -s - 2 * c), 0):
                 yield SeriesKey(series, ip, im, c, d)
+
+
+def _matrix(rho: int, op: int, om: int, c: int | None, d: int | None) -> DefiningMatrix:
+    """The defining matrix of local orders o+ = w+ iota+ and o- = w- iota- and interior parameters c, d."""
+    if rho == 1:
+        return DefiningMatrix(1, op // 4 - 1, -(om // 4) - 1)
+    if rho == 2:
+        return DefiningMatrix(2, (op - 1) // 2, -(om + 1) // 2 - c, c)
+    return DefiningMatrix(3, op, -om - c - d, c, d)
 
 
 def matrix_from_eta(key: SeriesKey) -> DefiningMatrix:
     """The defining matrix P_eta of a series member; ValueError naming the key or the violated inequalities."""
     rho, tag = key.series.rho, key.series.tag
-    if not _pair_ok(rho, tag, key.iota_plus, key.iota_minus):
+    ip, im = key.iota_plus, key.iota_minus
+    if not _pair_ok(rho, tag, ip, im):
         raise ValueError(f"key does not satisfy its series predicate: {key}")
     wp, wm = _WEIGHTS[rho][tag]
-    op, om = wp * key.iota_plus, wm * key.iota_minus  # local orders of x+, x-
-    if rho == 1:
-        return DefiningMatrix(1, op // 4 - 1, -(om // 4) - 1)
-    if rho == 2:
-        return DefiningMatrix(2, (op - 1) // 2, -(om + 1) // 2 - key.c, key.c)
-    return DefiningMatrix(3, op, -om - key.c - key.d, key.c, key.d)
+    return _matrix(rho, wp * ip, wm * im, key.c, key.d)
 
 
 def _orders(m: DefiningMatrix) -> tuple[int, ...]:
@@ -364,4 +388,9 @@ def enumerate_all(rho: int, iota: int) -> list[tuple[SeriesKey, DefiningMatrix]]
     """
     _check_rho(rho)
     _check_index("iota", iota)
-    return [(key, matrix_from_eta(key)) for tag in SERIES_TAGS for key in _iter_eta(SERIES_IDS[rho, tag], iota)]
+    return [
+        (key, _matrix(rho, op, om, key.c, key.d))
+        for tag in SERIES_TAGS
+        for op, om, keys in _iter_blocks(SERIES_IDS[rho, tag], iota)
+        for key in keys
+    ]

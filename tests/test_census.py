@@ -241,6 +241,55 @@ def test_export_streams_the_keys_of_an_index(fmt):
     assert high - low < 50_000, f"peak {low} bytes at iota 12, {high} at 24"
 
 
+@pytest.mark.parametrize("rho, iota_max", [(1, 200), (3, 12)])
+def test_export_leaves_the_frame_memos_alone(rho, iota_max):
+    """Export builds each block's frame once, unmemoised: the memos serve only the record encoders and readers."""
+    before = (_json_frame.cache_info(), _csv_frame.cache_info())
+    for fmt in ("jsonl", "csv"):
+        export_records(rho, iota_max, fmt, _Discard())
+    assert (_json_frame.cache_info(), _csv_frame.cache_info()) == before
+
+
+def test_export_runs_each_check_once(monkeypatch):
+    """One index-class check per (series, lcm pair) examined, and one key and one matrix made per record."""
+    calls = {"_pair_ok": 0, "SeriesKey": 0, "DefiningMatrix": 0}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(fiqs.series, "_pair_ok", counting("_pair_ok", fiqs.series._pair_ok))
+    for cls in (SeriesKey, DefiningMatrix):
+        monkeypatch.setattr(cls, "__post_init__", counting(cls.__name__, cls.__post_init__))
+    records = export_records(3, 12, "jsonl", _Discard())
+    pairs = len(SERIES_TAGS) * sum(len(_lcm_pairs(iota)) for iota in range(1, 13))
+    assert calls == {"_pair_ok": pairs, "SeriesKey": records, "DefiningMatrix": records}
+    assert records == count(3, 12).total
+
+
+@pytest.mark.parametrize("fmt, header", [("jsonl", 0), ("csv", 1)])
+def test_failing_export_writes_the_lines_before_the_error(monkeypatch, fmt, header):
+    """Lines are written in chunks, and an error still leaves exactly the lines made before it in the sink."""
+    whole = io.StringIO()
+    export_records(3, 12, fmt, whole)
+    values, made = fiqs.census._values, [0]
+
+    def failing(key, m):
+        made[0] += 1
+        if made[0] > 500:
+            raise RuntimeError("the 501st record fails")
+        return values(key, m)
+
+    monkeypatch.setattr(fiqs.census, "_values", failing)
+    sink = io.StringIO()
+    with pytest.raises(RuntimeError, match="501st"):
+        export_records(3, 12, fmt, sink)
+    assert sink.getvalue() == "".join(whole.getvalue().splitlines(keepends=True)[: header + 500])
+
+
 def test_export_csv_header_and_rows():
     sink = io.StringIO()
     assert export_records(2, 1, "csv", sink) == 2
@@ -809,10 +858,12 @@ _MEMBER = DefiningMatrix(3, 1, -3, -3, -3)
         (lambda: fiqs.kaehler.degeneration_polygon(_MEMBER, 1.0), "kappa=1.0 is not special for rho=3"),
         (lambda: enumerate_all(3, 12.0), "iota must be an int, got 12.0"),
         (lambda: enumerate_eta(SERIES_IDS[3, "s11"], "12"), "iota must be an int, got '12'"),
+        (lambda: enumerate_eta(("x",), 3), "series must be a SeriesId, got ('x',)"),
         (lambda: count(3, True), "iota_max must be an int, got True"),
     ],
     ids=["count_ke", "count_exact float", "count_exact str", "count", "emit_plot_data", "verify_claims",
-         "barycenter_oracle", "barycenter_oracle bool", "degeneration_polygon float", "enumerate_all", "enumerate_eta", "count bool"],
+         "barycenter_oracle", "barycenter_oracle bool", "degeneration_polygon float", "enumerate_all", "enumerate_eta",
+         "enumerate_eta series", "count bool"],
 )
 def test_bad_index_arguments_are_named(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -26,7 +26,7 @@ from fiqs.invariants import (
     picard_index_from_eta,
     resolution_graph,
 )
-from fiqs.series import _WEIGHTS, _pair_ok
+from fiqs.series import _WEIGHTS, SERIES_IDS, _iter_blocks, _orders, _pair_ok
 from fiqs.verify import _ke_explicit_ranges
 
 from conftest import reference_pair_ok, up_to
@@ -107,6 +107,24 @@ def test_enumerate_all_checks_iota_once(monkeypatch):
         enumerate_all(4, 0)  # rho is named before the index
     with pytest.raises(ValueError, match=r"^iota must be positive, got 0$"):
         enumerate_all(3, 0)
+
+
+def test_enumerate_all_equals_the_per_key_reference():
+    """enumerate_all is enumerate_eta's keys each with matrix_from_eta's matrix, and the (o+, o-) of each block
+    are the first two local orders of its keys' matrices by the determinant formulas."""
+    for rho in (1, 2, 3):
+        for iota in range(1, 21):
+            keys = [key for tag in SERIES_TAGS for key in enumerate_eta(SERIES_IDS[rho, tag], iota)]
+            assert enumerate_all(rho, iota) == [(key, matrix_from_eta(key)) for key in keys]
+            blocks = [
+                (op, om, key)
+                for tag in SERIES_TAGS
+                for op, om, block in _iter_blocks(SERIES_IDS[rho, tag], iota)
+                for key in block
+            ]
+            assert [key for _, _, key in blocks] == keys
+            for op, om, key in blocks:
+                assert (op, om) == _orders(matrix_from_eta(key))[:2], key
 
 
 def test_enumerate_rejects_nonpositive_iota():
