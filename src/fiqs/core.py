@@ -14,6 +14,7 @@ from __future__ import annotations
 import sys
 from dataclasses import MISSING, dataclass, fields
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Sequence
 
 __all__ = [
@@ -105,6 +106,9 @@ class IntMatrix:
         return cls(nrows, ncols, tuple(x for r in rows for x in r))
 
     def row(self, i: int) -> tuple[int, ...]:
+        """Row i, counted from 0; IndexError unless 0 <= i < rows."""
+        if not 0 <= i < self.rows:
+            raise IndexError(f"row {i} of a matrix with {self.rows} rows")
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def to_lists(self) -> list[list[int]]:
@@ -120,12 +124,22 @@ class SmithForm:
 
     def __post_init__(self) -> None:
         fac = self.invariant_factors
-        for x, y in zip(fac, fac[1:]):
-            if x == 0 and y != 0:
-                raise ValueError("zero factor followed by nonzero factor")
-            if x != 0 and y % x != 0:
+        if type(fac) is not tuple:  # a list would make an unhashable value
+            raise ValueError(f"SmithForm field 'invariant_factors' must be a tuple, got {fac!r}")
+        if not {int}.issuperset(map(type, fac)):  # a bool is not an int
+            x = next(x for x in fac if type(x) is not int)
+            raise ValueError(f"SmithForm field 'invariant_factors' must hold ints, got {x!r}")
+        if fac and min(fac) < 0:
+            raise ValueError(f"SmithForm field 'invariant_factors' must be nonnegative, got {fac!r}")
+        if type(self.rank) is not int:
+            raise ValueError(f"SmithForm field 'rank' must be an int, got {self.rank!r}")
+        nonzero = fac.index(0) if 0 in fac else len(fac)
+        for x, y in zip(fac, fac[1:nonzero]):
+            if y % x:
                 raise ValueError(f"divisibility chain violated: {x} does not divide {y}")
-        if self.rank != sum(1 for f in fac if f != 0):
+        if any(fac[nonzero:]):
+            raise ValueError("zero factor followed by nonzero factor")
+        if self.rank != nonzero:
             raise ValueError("rank does not match number of nonzero factors")
 
     @property
@@ -166,70 +180,73 @@ def solve3(m: IntMatrix, rhs: Sequence[int]) -> tuple[Fraction, Fraction, Fracti
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Smith normal form via elementary row/column operations.
+    """Smith normal form by one elimination loop over a shrinking list of rows.
 
     Returns the full diagonal of invariant factors (length min(rows, cols),
     zeros at the end for rank-deficient input), normalized nonnegative.
+
+    Each pass picks a pivot in what is left of the matrix, a unit (±1) if
+    there is one.  A unit pivot clears its column with one row operation per
+    other row; the column operations that would clear its row change no other
+    row, so its row and column are dropped, the rest is the Schur complement,
+    and the factor is 1 (a unit divides every entry).  A remainder of one row
+    or one column is one factor, the gcd of its entries.  Only a pivot of
+    least absolute value above 1 runs the remainder steps: an entry left in
+    its column or row (mod the pivot) becomes the next, smaller pivot, and a
+    row with an entry it does not divide is added to its row (the
+    divisibility chain); once neither happens its row and column are dropped
+    with the factor |pivot|, and every entry left is a multiple of it.
     """
-    a = m.to_lists()
-    nr, nc = m.rows, m.cols
-    n = min(nr, nc)
+    n, c = min(m.rows, m.cols), m.cols
+    a = [list(m.entries[i : i + c]) for i in range(0, m.rows * c, c)] if n else []
     factors: list[int] = []
-
-    for t in range(n):
-        while True:
-            # smallest nonzero entry of the trailing block becomes the pivot;
-            # none is below 1, so the scan stops at the first unit
-            best = pi = pj = 0
-            for i in range(t, nr):
-                row = a[i]
-                for j in range(t, nc):
-                    v = abs(row[j])
-                    if v and (not best or v < best):
-                        best, pi, pj = v, i, j
-                        if v == 1:
-                            break
-                if best == 1:
-                    break
-            if not best:
-                factors.extend([0] * (n - t))
-                return SmithForm(tuple(factors), len([f for f in factors if f != 0]))
-            if pi != t:
-                a[t], a[pi] = a[pi], a[t]
-            if pj != t:
-                for row in a:
-                    row[t], row[pj] = row[pj], row[t]
-            pivot_row = a[t]
-            p = pivot_row[t]
-
-            # reduce column t below the pivot, one row operation per row; a
-            # remainder left there is the next, smaller pivot
-            dirty = False
-            for i in range(t + 1, nr):
-                row = a[i]
-                if row[t] != 0:
-                    q = row[t] // p
-                    a[i] = row = [x - q * y for x, y in zip(row, pivot_row)]
-                    dirty = dirty or row[t] != 0
+    while a:
+        if len(a) == 1:
+            factors.append(gcd(*a[0]))
+            break
+        if len(a[0]) == 1:
+            factors.append(gcd(*(row[0] for row in a)))
+            break
+        for pi, pivot_row in enumerate(a):
+            if 1 in pivot_row:
+                p, pj = 1, pivot_row.index(1)
+                break
+            if -1 in pivot_row:
+                p, pj = -1, pivot_row.index(-1)
+                break
+        else:
+            nonzero = ((abs(x), i, j) for i, row in enumerate(a) for j, x in enumerate(row) if x)
+            p, pi, pj = min(nonzero, default=(0, 0, 0))
+            if not p:
+                break
+            pivot_row = a[pi]
+            p = pivot_row[pj]
+        # clear the pivot's column, one row operation per row; for a unit
+        # pivot the quotient x // p is exact and nothing is left
+        dirty = False
+        for i, row in enumerate(a):
+            v = row[pj]
+            if v and i != pi:
+                q = v // p
+                a[i] = row = [x - q * y for x, y in zip(row, pivot_row)]
+                dirty = dirty or row[pj] != 0
+        if p != 1 and p != -1:
             if dirty:
                 continue
-
-            # column t is zero below the pivot, so the column operations that
-            # reduce row t change row t alone: each entry becomes its remainder
-            # mod p, zero for a unit pivot
-            rest = [0] * (nc - t - 1) if best == 1 else [x % p for x in pivot_row[t + 1 :]]
-            pivot_row[t + 1 :] = rest
-            if any(rest):
+            # the column is clear, so the column operations that reduce the
+            # pivot's row change that row alone: each entry becomes its
+            # remainder mod p
+            a[pi] = pivot_row = [x % p for x in pivot_row]
+            pivot_row[pj] = p
+            if any(pivot_row[:pj]) or any(pivot_row[pj + 1 :]):
                 continue
-            if best == 1:
-                break  # a unit divides every entry: the divisibility chain holds
-
-            # enforce the divisibility chain: pivot must divide the rest
-            culprit = next((row for row in a[t + 1 :] if any(x % p for x in row[t + 1 :])), None)
-            if culprit is None:
-                break
-            a[t] = [x + y for x, y in zip(pivot_row, culprit)]
-
-        factors.append(abs(a[t][t]))
-
-    return SmithForm(tuple(factors), len([f for f in factors if f != 0]))
+            culprit = next((row for row in a if any(x % p for x in row)), None)
+            if culprit is not None:
+                a[pi] = [x + y for x, y in zip(pivot_row, culprit)]
+                continue
+        factors.append(abs(p))
+        del a[pi]
+        for row in a:
+            del row[pj]
+    factors.extend([0] * (n - len(factors)))
+    return SmithForm(tuple(factors), n - factors.count(0))

@@ -195,8 +195,8 @@ def barycenters(m: DefiningMatrix) -> list[Barycenter]:
 
 
 def _ke_criterion(bcs: list[Barycenter]) -> bool:
-    """The barycenter criterion: x = 0 and y > 0 for every special kappa."""
-    return all(bc.x == 0 and bc.y > 0 for bc in bcs)
+    """The barycenter criterion: x = 0 and y > 0 for every special kappa, read off the numerators."""
+    return all(bc.x.numerator == 0 and bc.y.numerator > 0 for bc in bcs)
 
 
 def is_ke_oracle(m: DefiningMatrix) -> bool:

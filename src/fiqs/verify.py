@@ -12,6 +12,13 @@ polygon for the polygon oracle, the third-row entries at the cone's
 columns for the exact solve and (series, iota+, iota-) for the series form
 of the degree.  Every surface's closed form is compared with the shared
 value, and the values are dropped when the index is done.
+
+Rationals are compared as integers.  A ``Fraction`` is stored reduced, with
+a positive denominator, so two are equal exactly when their numerators and
+denominators are (:func:`_equal`), a sign is the numerator's, and a bound is
+a cross-multiplication: deg <= n/d is deg.numerator * d <= n *
+deg.denominator.  No claim row, bound or note goes through ``Fraction``'s
+own comparisons, whose ``numbers.Rational`` check costs more than the test.
 """
 
 from __future__ import annotations
@@ -74,10 +81,11 @@ class VerifyReport:
 
 
 # Per rho, the upper bounds at Gorenstein index iota: the degree, k^2 for
-# the log canonicity bound eps <= k/sqrt(iota), and the Picard index.
-_UPPER_BOUNDS: dict[int, Callable[[int], tuple[Fraction, int, Fraction | int]]] = {
+# the log canonicity bound eps <= k/sqrt(iota), and the Picard index, an int
+# (at rho=2, 27/2 iota^3 (3 iota - 1), where iota^3 (3 iota - 1) is even).
+_UPPER_BOUNDS: dict[int, Callable[[int], tuple[Fraction, int, int]]] = {
     1: lambda iota: (1 + Fraction(4, iota), 4, 8 * iota * iota),
-    2: lambda iota: (Fraction(9, 2) + Fraction(9, 2 * iota), 9, Fraction(27, 2) * iota**3 * (3 * iota - 1)),
+    2: lambda iota: (Fraction(9, 2) + Fraction(9, 2 * iota), 9, 27 * iota**3 * (3 * iota - 1) // 2),
     3: lambda iota: (4 + Fraction(4, iota), 4, 2 * iota**2 * (4 * iota - 1) ** 2 * (2 * iota - 1)),
 }
 
@@ -87,14 +95,26 @@ def _within_bounds(rho: int, iota: int) -> Callable[[Fraction, Fraction, int], b
 
     The lower bounds are (rho+1)/iota on the degree, 1/iota on the log canonicity and iota on the Picard
     index; the upper ones are read from ``_UPPER_BOUNDS`` when the predicate is made, once per index.
+    Each bound is a cross-multiplication of numerators and denominators, and eps <= k/sqrt(iota) is
+    tested by squaring: num^2 * iota <= k^2 * den^2.
     """
-    deg_lo, eps_lo = Fraction(rho + 1, iota), Fraction(1, iota)
     deg_hi, k2, pic_hi = _UPPER_BOUNDS[rho](iota)
-    # eps <= k/sqrt(iota) is tested by squaring, on the reduced numerator and
-    # denominator of eps: num^2 * iota <= k^2 * den^2
-    return lambda deg, eps, pic: deg_lo <= deg <= deg_hi and iota <= pic <= pic_hi and (
-        eps_lo <= eps and eps.numerator**2 * iota <= k2 * eps.denominator**2
-    )
+    hi_num, hi_den = deg_hi.numerator, deg_hi.denominator
+
+    def within(deg: Fraction, eps: Fraction, pic: int) -> bool:
+        num, den, e_num, e_den = deg.numerator, deg.denominator, eps.numerator, eps.denominator
+        return (
+            (rho + 1) * den <= num * iota and num * hi_den <= hi_num * den
+            and iota <= pic <= pic_hi
+            and e_den <= e_num * iota and e_num * e_num * iota <= k2 * e_den * e_den
+        )
+
+    return within
+
+
+def _equal(p: Fraction, q: Fraction) -> bool:
+    """p == q, on reduced numerators and denominators."""
+    return p.numerator == q.numerator and p.denominator == q.denominator
 
 
 def _ke_explicit_ranges(rho: int, iota: int) -> list[SeriesKey]:
@@ -178,6 +198,14 @@ def _local_indices(s: _Surface) -> tuple[int, int]:
             index.once(local_gorenstein_oracle, ("minus", t[u], t[v], t[w]), s.m, "minus"))
 
 
+def _barycenters_match(s: _Surface) -> bool:
+    for bc in s.bcs:
+        x, y = s.index.once(barycenter_oracle, degeneration_polygon(s.m, bc.kappa), s.m, bc.kappa)
+        if not (_equal(bc.x, x) and _equal(bc.y, y)):
+            return False
+    return True
+
+
 def _chain_determinants_match(s: _Surface) -> bool:
     chains = _resolution(s.key.rho, s.rec.orders).chains.values()
     return all(chain_determinant(chain) == n for chain, n in zip(chains, s.rec.orders))
@@ -196,18 +224,17 @@ _SURFACE_CLAIMS: tuple[tuple[str, int, Callable[[_Surface], bool]], ...] = (
      and s.rec.orders[1] % s.rec.key.iota_minus == 0),
     ("gorenstein index = lcm of local indices", 50,
      lambda s: lcm(s.rec.key.iota_plus, s.rec.key.iota_minus) == s.index.iota),
-    ("degree matrix form = series form", 50,
-     lambda s: s.rec.degree == s.index.once(degree_from_eta, (s.key.series, s.key.iota_plus, s.key.iota_minus), s.key)),
+    ("degree matrix form = series form", 50, lambda s: _equal(
+        s.rec.degree, s.index.once(degree_from_eta, (s.key.series, s.key.iota_plus, s.key.iota_minus), s.key))),
     ("picard matrix form = series form", 50, lambda s: s.rec.picard_index == picard_index_from_eta(s.key)),
     ("ke family rule = barycenter test", 30, lambda s: s.rec.ke == _ke_criterion(s.bcs)),
-    ("barycenters = polygon dual centroids", 20, lambda s: all(
-        (bc.x, bc.y) == s.index.once(barycenter_oracle, degeneration_polygon(s.m, bc.kappa), s.m, bc.kappa)
-        for bc in s.bcs)),
+    ("barycenters = polygon dual centroids", 20, _barycenters_match),
     ("chain determinant = local order", 30, _chain_determinants_match),
     ("degree, log canonicity, picard bounds", 50,
      lambda s: s.index.within_bounds(s.rec.degree, s.rec.log_canonicity, s.rec.picard_index)),
     ("gorenstein index divides picard index", 50, lambda s: s.rec.picard_index % s.index.iota == 0),
-    ("positivity: degree > 0, 0 < eps <= 1", 50, lambda s: s.rec.degree > 0 and 0 < s.rec.log_canonicity <= 1),
+    ("positivity: degree > 0, 0 < eps <= 1", 50,
+     lambda s: s.rec.degree.numerator > 0 and 0 < s.rec.log_canonicity.numerator <= s.rec.log_canonicity.denominator),
     ("classify inverts matrix_from_eta", 50, lambda s: s.key.iota == s.index.iota and s.rec.key == s.key),
     ("canonicalize fixes canonical raw form", 30, _canonical_form_fixed),
     ("ke explicit ranges = ke inequality predicate", 30,
@@ -237,13 +264,15 @@ def verify_claims(iota_max: int) -> VerifyReport:
     low_eps = 0
     for rho in (1, 2, 3):
         for iota in range(1, min(iota_max, max(cap for _, cap, _ in _SURFACE_CLAIMS)) + 1):
-            index, eps_note = _Index(rho, iota), Fraction(2, iota)
+            index = _Index(rho, iota)
             tests = [(n, test) for n, (_, cap, test) in enumerate(_SURFACE_CLAIMS) if iota <= cap]
             for start in range(0, len(index.pairs), _BATCH):
                 surfaces = [_Surface(index, key, m) for key, m in index.pairs[start : start + _BATCH]]
                 for n, test in tests:
                     failures[n] += sum(map(not_, map(test, surfaces)))
-                low_eps += sum(s.rec.log_canonicity < eps_note for s in surfaces)
+                # eps < 2/iota, on the numerator and denominator of eps
+                low_eps += sum(s.rec.log_canonicity.numerator * iota < 2 * s.rec.log_canonicity.denominator
+                               for s in surfaces)
 
     checks = [(f"{name} (iota <= {min(iota_max, cap)})", 0, n) for (name, cap, _), n in zip(_SURFACE_CLAIMS, failures)]
     claimed = [n for n, _ in CENSUS_CLAIMS.values()]

@@ -8,7 +8,8 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fiqs import IntMatrix, SmithForm, smith_normal_form, solve3
+from fiqs import IntMatrix, SmithForm, enumerate_all, smith_normal_form, solve3
+from fiqs.series import FIRST_TWO_ROWS
 
 
 def det_by_permutation_expansion(m: IntMatrix) -> int:
@@ -71,6 +72,19 @@ def test_direct_construction_rejects_non_int_entries(shape, entries, message):
     with pytest.raises(ValueError) as info:
         IntMatrix(*shape, entries)
     assert str(info.value) == message
+
+
+class TestRow:
+    def test_rows_in_range(self):
+        m = IntMatrix(2, 3, (1, 2, 3, 4, 5, 6))
+        assert [m.row(0), m.row(1)] == [(1, 2, 3), (4, 5, 6)]
+        assert IntMatrix(2, 0, ()).row(1) == ()
+
+    @pytest.mark.parametrize("i", [-1, 2, 5])
+    def test_row_out_of_range_is_named(self, i):
+        with pytest.raises(IndexError) as info:
+            IntMatrix(2, 2, (1, 2, 3, 4)).row(i)
+        assert str(info.value) == f"row {i} of a matrix with 2 rows"
 
 
 def reference_smith_normal_form(m: IntMatrix) -> SmithForm:
@@ -140,17 +154,30 @@ def reference_smith_normal_form(m: IntMatrix) -> SmithForm:
     return SmithForm(tuple(factors), len([f for f in factors if f != 0]))
 
 
+_NON_UNITS = st.integers(-30, 30).filter(lambda x: abs(x) != 1)
+
+
 @st.composite
 def int_matrices(draw) -> IntMatrix:
-    """Matrices up to 4 x 5 with small entries: arbitrary, zero, scaled, or of rank below min(rows, cols).
+    """Matrices up to 4 x 5 with small entries: arbitrary, zero, scaled, unitless, late unit, or of low rank.
 
     A scaled matrix has entries that are multiples of some d in 2..6 but for one, prime to d and larger,
-    so the smallest entry is a non-unit pivot that leaves remainders or fails the divisibility chain.
+    so the smallest entry is a non-unit pivot that leaves remainders or fails the divisibility chain.  A
+    unitless matrix has no entry ±1, so any unit pivot appears only after an elimination step; a late-unit
+    matrix is a unitless one with a ±1 only in its last row or its last column.  A low-rank matrix has
+    rank below min(rows, cols).
     """
     nr, nc = draw(st.integers(0, 4)), draw(st.integers(0, 5))
-    kind = draw(st.sampled_from(["any", "zero", "scaled", "low rank"]))
+    kind = draw(st.sampled_from(["any", "zero", "scaled", "unitless", "late unit", "low rank"]))
     if kind == "zero":
         return IntMatrix(nr, nc, (0,) * (nr * nc))
+    if kind in ("unitless", "late unit"):
+        entries = draw(st.lists(_NON_UNITS, min_size=nr * nc, max_size=nr * nc))
+        if kind == "late unit" and entries:
+            last_row = [(nr - 1) * nc + j for j in range(nc)]
+            last_col = [i * nc + nc - 1 for i in range(nr)]
+            entries[draw(st.sampled_from(draw(st.sampled_from([last_row, last_col]))))] = draw(st.sampled_from([-1, 1]))
+        return IntMatrix(nr, nc, tuple(entries))
     if kind == "any":
         return IntMatrix(nr, nc, tuple(draw(st.lists(st.integers(-30, 30), min_size=nr * nc, max_size=nr * nc))))
     if kind == "scaled":
@@ -178,9 +205,30 @@ class TestSmith:
     @example(IntMatrix.from_rows([[4, 6], [8, 4]]))  # remainders in the pivot's row
     @example(IntMatrix.from_rows([[6, 9], [4, 2]]))  # remainders in the pivot's column
     @example(IntMatrix.from_rows([[2, 0], [0, 3]]))  # the divisibility chain fails
+    @example(IntMatrix.from_rows([[2, 4, 6], [4, 6, 8], [6, 9, -1]]))  # a unit only in the last row
+    @example(IntMatrix.from_rows([[4, 6, 1], [6, 8, 10], [10, 12, 14]]))  # a unit only in the last column
+    @example(IntMatrix.from_rows([[2, 3], [4, 9]]))  # the unit 3 mod 2 appears after a step
+    @example(IntMatrix.from_rows([[3, 5, 7], [6, 4, 2]]))  # no unit until the remainders
+    @example(IntMatrix.from_rows([[1, 0, 0, 0], [0, 2, 4, 6]]))  # a 1 x 3 remainder
+    @example(IntMatrix.from_rows([[1, 0], [0, 2], [0, 4], [0, 6]]))  # a 3 x 1 remainder
+    @example(IntMatrix.from_rows([[1, 1, 1], [1, 2, 3], [4, 6, 10]]))  # units clear to a 1 x 1 remainder
+    @example(IntMatrix.from_rows([[6, 10, 15], [10, 15, 6]]))  # no unit at all: the factors are 1, 1
+    @example(IntMatrix.from_rows([[2, 4], [6, 8]]))  # no unit, no unit factor
     def test_unit_pivot_scan_matches_full_scan(self, m):
         """The elimination gives the reference's Smith form; the reference scans the whole block, clearing entrywise."""
         assert smith_normal_form(m) == reference_smith_normal_form(m)
+
+    def test_defining_matrices_match_full_scan(self):
+        """On P of every surface with iota <= 12, the factors the class group oracle reads are the reference's."""
+        matrices = 0
+        for rho in (1, 2, 3):
+            r1, r2 = FIRST_TWO_ROWS[rho]
+            for iota in range(1, 13):
+                for _, dm in enumerate_all(rho, iota):
+                    m = IntMatrix(3, rho + 3, (*r1, *r2, *dm.third_row()))
+                    assert smith_normal_form(m) == reference_smith_normal_form(m), dm
+                    matrices += 1
+        assert matrices == 2875
 
     def test_zero_matrix(self):
         snf = smith_normal_form(IntMatrix.from_rows([[0, 0], [0, 0]]))

@@ -215,6 +215,11 @@ def test_record_path_under_python(version):
         (lambda: IntMatrix(1, 2, (4, True)), "entry 2 of row 1 must be an int, got True"),
         (lambda: IntMatrix(1, 2, [4, 6]), "IntMatrix field 'entries' must be a tuple, got [4, 6]"),
         (lambda: IntMatrix(0, 0, ""), "IntMatrix field 'entries' must be a tuple, got ''"),
+        (lambda: SmithForm((2.0, 4), 2), "SmithForm field 'invariant_factors' must hold ints, got 2.0"),
+        (lambda: SmithForm((1, True), 2), "SmithForm field 'invariant_factors' must hold ints, got True"),
+        (lambda: SmithForm([1, 2], 2), "SmithForm field 'invariant_factors' must be a tuple, got [1, 2]"),
+        (lambda: SmithForm((1, 2), True), "SmithForm field 'rank' must be an int, got True"),
+        (lambda: SmithForm((1, 2), 2.0), "SmithForm field 'rank' must be an int, got 2.0"),
     ],
 )
 def test_non_int_fields_are_named(call, message):
@@ -266,6 +271,8 @@ def test_positional_and_keyword_construction_store_every_field(name):
         (lambda: IntMatrix(2, 2, (1, 2, 3)), "expected 4 entries, got 3"),
         (lambda: IntMatrix.from_rows([[1, 2], [3]]), "ragged rows"),
         (lambda: SmithForm((1, 2), 1), "rank does not match number of nonzero factors"),
+        (lambda: SmithForm((1, 1, -7), 3), "SmithForm field 'invariant_factors' must be nonnegative, got (1, 1, -7)"),
+        (lambda: SmithForm((-2, 4), 2), "SmithForm field 'invariant_factors' must be nonnegative, got (-2, 4)"),
     ],
 )
 def test_construction_runs_post_init(call, message):

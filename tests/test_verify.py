@@ -5,9 +5,11 @@ from __future__ import annotations
 import hashlib
 from dataclasses import replace
 from fractions import Fraction
+from math import isqrt
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import fiqs.canon
 import fiqs.census
@@ -16,8 +18,9 @@ import fiqs.kaehler
 import fiqs.verify
 from fiqs import DefiningMatrix, SeriesKey, count, enumerate_all, surface_record, verify_claims
 from fiqs.cli import main
+from fiqs.kaehler import Barycenter, _ke_criterion
 from fiqs.series import SERIES_IDS
-from fiqs.verify import _within_bounds
+from fiqs.verify import _equal, _within_bounds
 
 _MEMBER = DefiningMatrix(3, 1, -3, -3, -3)
 
@@ -342,6 +345,99 @@ def test_bounds_violations_match_reference():
     # the pushed values cross every bound of every rho
     kinds = ("degree bound", "log canonicity bound", "picard bound")
     assert flagged == {(rho, k) for rho in (1, 2, 3) for k in kinds}
+
+
+def reference_within_bounds(rho, iota):
+    """``_within_bounds`` in Fraction comparisons: each bound compared as a rational, not cross-multiplied."""
+    deg_lo, eps_lo = Fraction(rho + 1, iota), Fraction(1, iota)
+    deg_hi, k2, pic_hi = fiqs.verify._UPPER_BOUNDS[rho](iota)
+    return lambda deg, eps, pic: deg_lo <= deg <= deg_hi and iota <= pic <= pic_hi and (
+        eps_lo <= eps and eps.numerator**2 * iota <= k2 * eps.denominator**2
+    )
+
+
+def reference_ke_criterion(bcs):
+    """``_ke_criterion`` in Fraction comparisons."""
+    return all(bc.x == 0 and bc.y > 0 for bc in bcs)
+
+
+_TINY = Fraction(1, 10**9)
+_RATIONALS = st.fractions(min_value=-20, max_value=20, max_denominator=1000)
+
+
+def _at_or_beside(value):
+    """value or just either side of it: 10**-9 for a rational, 1 for an int."""
+    step = 1 if isinstance(value, int) else _TINY
+    return st.sampled_from([value - step, value, value + step])
+
+
+@st.composite
+def bound_cases(draw):
+    """(rho, iota, degree, eps, Picard index): arbitrary, zero and negative values, and values at each bound.
+
+    The edges are (rho+1)/iota and the upper degree bound, 1/iota and, at a square iota = r^2, k/r for eps,
+    iota and the upper Picard bound.
+    """
+    rho = draw(st.sampled_from((1, 2, 3)))
+    iota = draw(st.one_of(st.integers(1, 60), st.integers(1, 8).map(lambda r: r * r)))
+    deg_hi, k2, pic_hi = fiqs.verify._UPPER_BOUNDS[rho](iota)
+    deg_edges = [Fraction(rho + 1, iota), deg_hi]
+    deg = draw(st.one_of(_RATIONALS, st.just(Fraction(0)), st.sampled_from(deg_edges).flatmap(_at_or_beside)))
+    eps_edges = [Fraction(1, iota)]
+    if isqrt(iota) ** 2 == iota:
+        eps_edges.append(Fraction(isqrt(k2), isqrt(iota)))
+    eps = draw(st.one_of(_RATIONALS, st.just(Fraction(0)), st.sampled_from(eps_edges).flatmap(_at_or_beside)))
+    pic_edges = [iota, pic_hi]
+    pic = draw(st.one_of(st.integers(-10, 10**7), st.sampled_from(pic_edges).flatmap(_at_or_beside)))
+    return rho, iota, deg, eps, pic
+
+
+@given(bound_cases())
+@example((2, 4, Fraction(3, 4), Fraction(3, 2), 4))  # eps = k/sqrt(iota) = 3/2
+@example((2, 1, Fraction(9), Fraction(1), 27))  # degree and Picard index at their upper bounds
+@example((1, 1, Fraction(-2), Fraction(-1), -1))
+def test_within_bounds_matches_the_fraction_form(case):
+    rho, iota, deg, eps, pic = case
+    assert _within_bounds(rho, iota)(deg, eps, pic) == reference_within_bounds(rho, iota)(deg, eps, pic)
+
+
+@given(st.lists(st.tuples(st.sampled_from((0, 1, 2)), st.one_of(_RATIONALS, st.just(Fraction(0))),
+                          st.one_of(_RATIONALS, st.just(Fraction(0)))), max_size=3))
+@example([(0, Fraction(0), Fraction(1, 3)), (1, Fraction(0), Fraction(0))])
+@example([(0, Fraction(0), Fraction(1, 3)), (1, Fraction(0), Fraction(2))])
+@example([(2, Fraction(-1, 5), Fraction(1))])
+def test_ke_criterion_matches_the_fraction_form(triples):
+    bcs = [Barycenter(kappa, x, y) for kappa, x, y in triples]
+    assert _ke_criterion(bcs) == reference_ke_criterion(bcs)
+
+
+@given(st.one_of(_RATIONALS, st.integers(-5, 5)), st.one_of(_RATIONALS, st.integers(-5, 5)))
+@example(Fraction(2, 4), Fraction(1, 2))
+@example(Fraction(3), 3)
+@example(Fraction(-1, 2), Fraction(1, -2))
+def test_equal_matches_the_fraction_form(p, q):
+    assert _equal(p, q) == (p == q)
+
+
+def test_verify_makes_no_fraction_comparison(monkeypatch):
+    """The claim rows, the bound predicate, the low-eps note and the KE criterion compare integers only."""
+    calls = dict.fromkeys(("__eq__", "__lt__", "__le__", "__gt__", "__ge__"), 0)
+
+    def counting(name, compare):
+        def wrapper(*args):
+            calls[name] += 1
+            return compare(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Fraction, name, counting(name, getattr(Fraction, name)))
+    half = Fraction(1, 2)
+    assert half < 1 and half <= 1 and half > 0 and half >= 0 and half == Fraction(2, 4)  # the counters count
+    assert calls == dict.fromkeys(calls, 1)
+    calls.update(dict.fromkeys(calls, 0))
+    assert verify_claims(4).ok
+    assert calls == dict.fromkeys(calls, 0)
 
 
 # The rows verify_claims adds at iota_max >= 200, after the surface claims.
