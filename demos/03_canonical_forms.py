@@ -3,8 +3,9 @@
 Admissible operations (row additions into the last row, column swaps
 within arms, arm-block swaps, last-row negation) never change the surface.
 canonicalize() undoes any combination of them: it reduces the third row,
-closes the parameters under the finite symmetry orbit and keeps the single
-element satisfying the normal-form inequalities.
+lists the finite symmetry orbit of the parameters and returns the first
+element satisfying the normal-form inequalities, which is the only one
+(proved in tests/test_normal_form.py).
 """
 
 import random

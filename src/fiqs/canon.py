@@ -14,18 +14,19 @@ row-reduce the stored third row arm by arm, reading the arm layout from
 ``ARM_COLUMNS`` (each one-column arm's entry becomes 1, each two-column
 arm's first entry 0 and its second negative), list the orbit of the reduced
 parameter tuple under the finite symmetry group of the arm swaps and the
-negation (one closed-form image per group element), and select the single
-orbit element passing the normal-form inequalities.  The orbit is checked on
-the parameter tuples themselves, by the one short-circuit test that a new
-matrix runs (``fiqs.series._HOLDS``); only the one passing tuple becomes a
-:class:`~fiqs.series.DefiningMatrix`, which runs it once more.  Zero or
-several passing elements indicate corrupted input and raise
-:class:`NormalFormError`.
+negation (one closed-form image per group element), and return the first
+orbit element that passes the one normal-form test a new matrix runs
+(``fiqs.series._HOLDS``).  ``tests/test_normal_form.py`` proves it the only
+one, and that one exists exactly when x+ and x- are elliptic: m+ > 0 > m-,
+with m+ (m-) the sum of the arms' largest (smallest) slopes t/l.  Otherwise
+:class:`NormalFormError` names the point that is not elliptic.
 :func:`classify` reads the series back from the local orders of x+ and x-
 (``fiqs.series._orders`` and ``_digit``).
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .core import value_class
 from .series import (
@@ -49,7 +50,7 @@ __all__ = [
 
 
 class NormalFormError(Exception):
-    """Canonicalization failed: no unique normal form in the symmetry orbit."""
+    """Canonicalization failed: two columns coincide, or x+ (x-) is not elliptic: m+ <= 0 (m- >= 0)."""
 
 
 # Column indices of the arms; the first arm holds the pair of columns with
@@ -226,22 +227,27 @@ _ORBITS = {1: _orbit1, 2: _orbit2, 3: _orbit3}
 def parameter_orbit(rho: int, params: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
     """Orbit of a slope-ordered parameter tuple under the symmetry maps.
 
-    At most 2 / 4 / 12 elements for rho = 1 / 2 / 3.
+    At most 2 / 4 / 12 elements for rho = 1 / 2 / 3; ValueError names a bad rho, length or entry.
     """
+    _check_rho(rho)
+    if type(params) is not tuple or len(params) != rho + 1:
+        raise ValueError(f"rho={rho} needs a tuple of {rho + 1} parameters, got {params!r}")
+    _check_params(DefiningMatrix, rho, *params, *(None,) * (3 - rho))
     return frozenset(_ORBITS[rho](params))
 
 
 def canonicalize(m: RawMatrix) -> DefiningMatrix:
-    """The unique normal form in the isomorphy class of a raw matrix."""
+    """The unique normal form in the isomorphy class of a raw matrix; NormalFormError says why there is none."""
     params = reduce_raw(m)
     holds = _HOLDS[m.rho]
-    passing = {p for p in _ORBITS[m.rho](params) if holds(*p)}
-    if len(passing) != 1:
-        raise NormalFormError(
-            f"expected exactly one normal form in the orbit, found {len(passing)} "
-            f"(rho={m.rho}, reduced={params})"
-        )
-    return DefiningMatrix(m.rho, *passing.pop())
+    for p in _ORBITS[m.rho](params):
+        if holds(*p):
+            return DefiningMatrix(m.rho, *p)
+    k = len(_SINGLE_COLUMNS[m.rho])
+    plus, minus = 2 * params[0] + k, 2 * sum(params[1:]) + k  # 2m+ and 2m-: one of them fails, as m+ > m-
+    reason = (f"x+ is not elliptic: m+ = {Fraction(plus, 2)} <= 0" if plus <= 0
+              else f"x- is not elliptic: m- = {Fraction(minus, 2)} >= 0")
+    raise NormalFormError(f"{reason} (rho={m.rho}, reduced={params})")
 
 
 def classify(m: DefiningMatrix) -> SeriesKey:

@@ -25,16 +25,16 @@ interior orders and chains).  For each key it makes the matrix
 takes the field kernel's (m, local orders, values) from
 ``fiqs.invariants._values``, fills in the frame (``_fill``) and gathers the
 line; the lines reach the sink in chunks of about ``_CHUNK_SIZE``
-characters, so memory stays flat in iota.  The record encoders write one
-line by a text kernel per format (``_json_text``, ``_csv_text``): one memo
-lookup and one ``%`` format.  Their frames (``_json_frame``, ``_csv_frame``)
-are memoised by (rho, tag, iota+, iota-, a, iota, o+, o-), ints and a tag,
-no ``Fraction``; export builds its frames with the unmemoised builders, so
-the memos serve only the encoders and the readers.  A frame embeds only
-these and the x+/x- chain texts, of at most three weights: a record that
-disagrees with its block still writes its own values, and a frame does not
-grow with the interior orders.  The record encoders pass the field kernel's
-triple, read back by ``_record_fields``.  ``_json_frame`` is the one statement of
+characters, so memory stays flat in iota.  The record encoders and the
+CSV reader write a record by one text kernel, ``_record_text``: one memo
+lookup of its block's frame (``_json_frame`` or ``_csv_frame``) and one
+``%`` format of the record's own values.  The frames are memoised by
+(rho, tag, iota+, iota-, a, iota, o+, o-), ints and a tag, no ``Fraction``;
+export builds its frames with the unmemoised builders, so the memos serve
+only the encoders and the readers.  A frame embeds only these and the x+/x-
+chain texts, of at most three weights: a record that disagrees with its
+block still writes its own values, and a frame does not grow with the
+interior orders.  ``_json_frame`` is the one statement of
 the JSON schema: :func:`record_to_obj` is the parsed line of
 :func:`record_to_json_line`.  CSV rows are the fields joined by commas,
 unquoted: each field is an integer, a series tag, "n/d", true / false, a ";"-joined
@@ -54,7 +54,7 @@ from __future__ import annotations
 import json
 import re
 from functools import lru_cache
-from typing import TextIO
+from typing import Callable, TextIO
 
 from .core import value_class
 from .invariants import POINT_LABELS, SurfaceRecord, _end_chain, _record, _values
@@ -281,29 +281,20 @@ def _fill(key: SeriesKey, m: DefiningMatrix, o: tuple[int, ...], values: tuple, 
     )
 
 
-def _json_text(key: SeriesKey, m: DefiningMatrix, o: tuple[int, ...], values: tuple) -> str:
-    """The JSONL text kernel: a key's line from the field kernel's (m, local orders o, values)."""
-    series = key.series
-    frame = _json_frame(series.rho, series.tag, key.iota_plus, key.iota_minus, m.a, values[0], o[0], o[1])
-    return frame % _fill(key, m, o, values, ",-2")
+def _record_text(rec: SurfaceRecord, frame: Callable[..., str], link: str) -> str:
+    """The text kernel: a record's line or row, its block's memoised frame filled in with the record's own values.
 
-
-def _csv_text(key: SeriesKey, m: DefiningMatrix, o: tuple[int, ...], values: tuple) -> str:
-    """The CSV text kernel: a key's comma-joined row from what :func:`_json_text` takes."""
-    series = key.series
-    frame = _csv_frame(series.rho, series.tag, key.iota_plus, key.iota_minus, m.a, values[0], o[0], o[1])
-    return frame % _fill(key, m, o, values, ";-2")
-
-
-def _record_fields(rec: SurfaceRecord) -> tuple:
-    """A record's (m, local orders, values), as the field kernel gives them: the inverse of ``_record``."""
-    values = (rec.gorenstein_index, rec.class_group.torsion_order, rec.degree, rec.log_canonicity, rec.picard_index, rec.ke)
-    return rec.matrix, rec.orders, values
+    frame is ``_json_frame`` or ``_csv_frame``, link the chain link of its format.
+    """
+    key, m, o, iota = rec.key, rec.matrix, rec.orders, rec.gorenstein_index
+    values = (iota, rec.class_group.torsion_order, rec.degree, rec.log_canonicity, rec.picard_index, rec.ke)
+    text = frame(key.series.rho, key.series.tag, key.iota_plus, key.iota_minus, m.a, iota, o[0], o[1])
+    return text % _fill(key, m, o, values, link)
 
 
 def record_to_json_line(rec: SurfaceRecord) -> str:
     """The record's JSONL line, compact, in ``_JSON_FIELDS`` order; the chains are written from the local orders."""
-    return _json_text(rec.key, *_record_fields(rec))
+    return _record_text(rec, _json_frame, ",-2")
 
 
 def _key_int(name: str, value: object) -> int:
@@ -435,7 +426,7 @@ def record_to_csv_row(rec: SurfaceRecord) -> list[str]:
 
     No cell holds a comma (chains are ";"-joined), so the row is the text split at its commas.
     """
-    return _csv_text(rec.key, *_record_fields(rec)).split(",")
+    return _record_text(rec, _csv_frame, ";-2").split(",")
 
 
 def record_from_csv_row(row: list[str]) -> SurfaceRecord:
@@ -460,7 +451,7 @@ def record_from_csv_row(row: list[str]) -> SurfaceRecord:
         name, cell = next((name, cell) for name, cell in zip(CSV_COLUMNS, row) if not isinstance(cell, str))
         raise ValueError(f"column {name!r} must be a str, got {cell!r}") from None
     rec = _rebuild(_key_from_fields(*row[:6]), len(joined))
-    want = _csv_text(rec.key, *_record_fields(rec))
+    want = _record_text(rec, _csv_frame, ";-2")
     if want != joined:  # the row has n cells and no cell of want holds a comma, so the texts differ iff a cell does
         for name, got, text in zip(CSV_COLUMNS, row, want.split(",")):
             if got != text:

@@ -293,16 +293,31 @@ class TestClassify:
                     assert matrix_from_eta(classify(m)) == m
 
 
+def reference_slope_sums(m: RawMatrix) -> tuple[Fraction, Fraction]:
+    """(m+, m-): the sums over the arms of the largest and of the smallest slope t/l of the full columns.
+
+    A column (r1, r2, t) lies on the arm of its leading signs, with l = max(|r1|, |r2|).
+    """
+    arms: dict[tuple[int, int], list[Fraction]] = {}
+    for r1, r2, t in zip(*FIRST_TWO_ROWS[m.rho], m.third_row):
+        sign = ((r1 > 0) - (r1 < 0), (r2 > 0) - (r2 < 0))
+        arms.setdefault(sign, []).append(Fraction(t, max(abs(r1), abs(r2))))
+    return sum(map(max, arms.values())), sum(map(min, arms.values()))
+
+
 def reference_canonicalize(m: RawMatrix) -> DefiningMatrix:
-    """The orbit filter that validates each orbit element by name."""
+    """The orbit filter that validates each orbit element by name and counts the passing ones."""
     params = reduce_raw(m)
     passing = [p for p in sorted(parameter_orbit(m.rho, params)) if not validate(m.rho, *p)]
-    if len(passing) != 1:
-        raise NormalFormError(
-            f"expected exactly one normal form in the orbit, found {len(passing)} "
-            f"(rho={m.rho}, reduced={params})"
-        )
-    return DefiningMatrix(m.rho, *passing[0])
+    if len(passing) == 1:
+        return DefiningMatrix(m.rho, *passing[0])
+    plus, minus = reference_slope_sums(m)
+    where = f"(rho={m.rho}, reduced={params})"
+    if passing or plus > 0 > minus:
+        raise NormalFormError(f"expected exactly one normal form in the orbit, found {len(passing)} {where}")
+    if plus <= 0:
+        raise NormalFormError(f"x+ is not elliptic: m+ = {plus} <= 0 {where}")
+    raise NormalFormError(f"x- is not elliptic: m- = {minus} >= 0 {where}")
 
 
 def canon_outcome(canon, raw: RawMatrix):
@@ -364,11 +379,31 @@ class TestCanonicalizeEqualsReference:
         accepted = not isinstance(canon_outcome(canonicalize, raw), str)
         assert accepted == is_complete_fan(raw), raw
 
+    @given(st.one_of(scrambled_raw(), arbitrary_raw(), arbitrary_raw(100)))
+    def test_every_refusal_names_its_reason(self, raw):
+        """A refusal names two coinciding columns or the fixed point that is not elliptic."""
+        outcome = canon_outcome(canonicalize, raw)
+        if isinstance(outcome, str):
+            assert _REFUSAL.fullmatch(outcome), outcome
+
     def test_no_normal_form_message(self):
-        raw = RawMatrix(1, (-3, -2, -3, -3))
-        with pytest.raises(NormalFormError, match="expected exactly one normal form in the orbit, found 0"):
-            canonicalize(raw)
-        assert canon_outcome(canonicalize, raw) == canon_outcome(reference_canonicalize, raw)
+        for raw, message in (
+            (RawMatrix(1, (-3, -2, -3, -3)), "x+ is not elliptic: m+ = -5 <= 0 (rho=1, reduced=(-6, -7))"),
+            (RawMatrix(3, (1, 2, 3, 4, 5, 6)), "x- is not elliptic: m- = 9 >= 0 (rho=3, reduced=(12, 11, -1, -1))"),
+            (RawMatrix(2, (-5, -4, 0, -1, 1)), "x+ is not elliptic: m+ = -7/2 <= 0 (rho=2, reduced=(-4, -5, -1))"),
+            (RawMatrix(2, (3, 1, 0, -1, 1)), "x- is not elliptic: m- = 1/2 >= 0 (rho=2, reduced=(3, 1, -1))"),
+        ):
+            with pytest.raises(NormalFormError) as info:
+                canonicalize(raw)
+            assert str(info.value) == message
+            assert canon_outcome(canonicalize, raw) == canon_outcome(reference_canonicalize, raw)
+
+
+_REFUSAL = re.compile(
+    r"NormalFormError: (columns \d and \d coincide"
+    r"|x\+ is not elliptic: m\+ = -?\d+(/2)? <= 0 \(rho=\d, reduced=\(.*\)\)"
+    r"|x- is not elliptic: m- = \d+(/2)? >= 0 \(rho=\d, reduced=\(.*\)\))"
+)
 
 
 @pytest.mark.parametrize("rho", (1, 2, 3))
@@ -388,6 +423,27 @@ _PARAM = st.integers(-6, 6) | st.integers(-10**6, 10**6)  # small values hit the
 def test_parameter_orbit_equals_closure(case):
     rho, params = case
     assert parameter_orbit(rho, params) == reference_orbit(rho, params)
+
+
+@pytest.mark.parametrize(
+    "rho, params, message",
+    [
+        (4, (1, 2), "rho must be 1, 2 or 3, got 4"),
+        (True, (1, 2), "rho must be 1, 2 or 3, got True"),
+        (1.0, (1, 2), "rho must be 1, 2 or 3, got 1.0"),
+        (1, (1, 2, 3), "rho=1 needs a tuple of 2 parameters, got (1, 2, 3)"),
+        (3, (1, -3, -1), "rho=3 needs a tuple of 4 parameters, got (1, -3, -1)"),
+        (2, [1, 0, -2], "rho=2 needs a tuple of 3 parameters, got [1, 0, -2]"),
+        (3, (1.5, -3, -1, -1), "DefiningMatrix field 'a' must be an int, got 1.5"),
+        (2, (1, 0, True), "DefiningMatrix field 'c' must be an int, got True"),
+        (1, (0, "-2"), "DefiningMatrix field 'b' must be an int, got '-2'"),
+    ],
+)
+def test_parameter_orbit_checks_its_arguments(rho, params, message):
+    """Each bad argument is a ValueError naming it as validate does: no KeyError, unpacking error or float orbit."""
+    with pytest.raises(ValueError) as info:
+        parameter_orbit(rho, params)
+    assert str(info.value) == message
 
 
 def test_parameter_orbit_equals_closure_on_normal_forms():

@@ -42,15 +42,13 @@ from fiqs.census import (
     CSV_COLUMNS,
     _cd_count,
     _csv_frame,
-    _csv_text,
     _json_frame,
-    _json_text,
     _room,
     _triangle_count,
     record_to_obj,
 )
 from fiqs.cli import main
-from fiqs.invariants import _values
+from fiqs.invariants import _record, _values
 from fiqs.verify import _ke_explicit_ranges
 from fiqs.series import _DIGITS, _WEIGHTS, SERIES_IDS, _lcm_pairs, enumerate_eta, matrix_from_eta, series_membership
 
@@ -462,9 +460,9 @@ def member_keys(draw, bound=10**6):
 def test_text_kernels_equal_dict_form_at_large_orders(key):
     """The text kernels equal the dict form at local orders up to about 10**6, far past the export tests."""
     obj = record_to_obj(surface_record(key))
-    fields = _values(key, matrix_from_eta(key))
-    assert _json_text(key, *fields) == json.dumps(obj, separators=(",", ":"))
-    assert _csv_text(key, *fields).split(",") == csv_row_from_obj(obj)
+    rec = _record(key, *_values(key, matrix_from_eta(key)))
+    assert record_to_json_line(rec) == json.dumps(obj, separators=(",", ":"))
+    assert record_to_csv_row(rec) == csv_row_from_obj(obj)
 
 
 # The twins of a genuine record in its own block: each changes one field the block does not fix, and gives
@@ -764,12 +762,12 @@ _INTERIOR_SHARE = {1: 4, 2: 2, 3: 1}
 
 
 def _assert_room(key):
-    fields = _values(key, matrix_from_eta(key))
-    rho, o = key.rho, fields[1]
+    rec = _record(key, *_values(key, matrix_from_eta(key)))
+    rho, o = key.rho, rec.orders
     wp, wm = _WEIGHTS[rho][key.series.tag]
     assert sum(o[2:]) * _INTERIOR_SHARE[rho] == wp * key.iota_plus + wm * key.iota_minus, key
-    assert len(_json_text(key, *fields)) >= _room(fields[0]), key
-    assert len(_csv_text(key, *fields)) >= _room(fields[0]), key
+    assert len(record_to_json_line(rec)) >= _room(rec.matrix), key
+    assert len(",".join(record_to_csv_row(rec))) >= _room(rec.matrix), key
 
 
 @pytest.mark.parametrize("rho", [1, 2, 3])

@@ -147,6 +147,26 @@ def test_even_column_is_named(capsys):
     assert capsys.readouterr().err == "fiqs: error: column 3 needs an odd third-row entry to be primitive\n"
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["classify", "--rho", "3", "--matrix", "1,2,3,4,5,6"],
+         "x- is not elliptic: m- = 9 >= 0 (rho=3, reduced=(12, 11, -1, -1))"),
+        (["invariants", "--rho", "1", "--matrix=-3,-2,-3,-3"],
+         "x+ is not elliptic: m+ = -5 <= 0 (rho=1, reduced=(-6, -7))"),
+        (["classify", "--rho", "2", "--matrix", "1,1,0,-2,1"], "columns 1 and 2 coincide"),
+        (["invariants", "--rho", "3", "--matrix", "2,0,0,0,0,-1"], "columns 3 and 4 coincide"),
+    ],
+)
+def test_a_refused_matrix_names_its_reason(capsys, argv, reason):
+    """A matrix with no normal form exits 1 with the reason, no traceback: the point that is not elliptic,
+    or, checked first, the coinciding columns."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"fiqs: error: {reason}\n"
+    assert captured.out == ""
+
+
 def test_invariants_rejects_bad_eta(capsys):
     assert main(["invariants", "--eta", "1,s11,2,2"]) == 1
     assert main(["invariants", "--eta", "2,s99,1,1,-1"]) == 1

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-import fiqs.census
 import fiqs.invariants
 from fiqs import (
     ClassGroup,
@@ -472,7 +471,6 @@ class TestOneKernel:
                 fields = _values(key, matrix_from_eta(key))
                 rec = _record(key, *fields)
                 assert rec == surface_record(key) == surface_record(key, m) == record_from_matrix(m)
-                assert fiqs.census._record_fields(surface_record(key)) == fields
 
     def test_each_path_runs_the_kernel_once(self, monkeypatch):
         calls = {"_torsion": 0, "_ke_rule": 0}
