@@ -53,6 +53,8 @@ from __future__ import annotations
 
 import json
 import re
+import reprlib
+import sys
 from functools import lru_cache
 from typing import Callable, TextIO
 
@@ -297,12 +299,14 @@ def record_to_json_line(rec: SurfaceRecord) -> str:
     return _record_text(rec, _json_frame, ",-2")
 
 
-def _key_int(name: str, value: object) -> int:
-    """A key field as an int, from an int or its text; ValueError naming the field otherwise."""
+def _read_int(what: str, value: object) -> int:
+    """An int, from an int or its text; ValueError naming what was read, its value shortened, otherwise."""
     try:
         return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"field {name!r} must be an integer, got {value!r}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        if str(exc).startswith("Exceeds the limit"):  # a decimal of more than sys.get_int_max_str_digits() digits
+            raise ValueError(f"{what} has more than the {sys.get_int_max_str_digits()} digits int() reads") from None
+        raise ValueError(f"{what} must be an integer, got {reprlib.repr(value)}") from None
 
 
 def _key_from_fields(
@@ -314,7 +318,7 @@ def _key_from_fields(
     not parse raises ``ValueError`` naming it; the series predicate is left
     to :func:`~fiqs.series.matrix_from_eta`.
     """
-    rho = _key_int("rho", rho)
+    rho = _read_int("field 'rho'", rho)
     _check_rho(rho)
     try:
         series_id = SERIES_IDS[rho, series]
@@ -322,10 +326,10 @@ def _key_from_fields(
         raise ValueError(f"field 'series' must be one of {', '.join(SERIES_TAGS)}, got {series!r}") from None
     return SeriesKey(
         series_id,
-        _key_int("iota_plus", iota_plus),
-        _key_int("iota_minus", iota_minus),
-        _key_int("c", c) if rho >= 2 else None,
-        _key_int("d", d) if rho == 3 else None,
+        _read_int("field 'iota_plus'", iota_plus),
+        _read_int("field 'iota_minus'", iota_minus),
+        _read_int("field 'c'", c) if rho >= 2 else None,
+        _read_int("field 'd'", d) if rho == 3 else None,
     )
 
 
@@ -392,12 +396,12 @@ def record_from_json_line(line: str) -> SurfaceRecord:
     if not isinstance(line, str):
         raise ValueError(f"a JSON record line must be a str, got {type(line).__name__}")
     match = _JSON_KEY_PREFIX.match(line)
-    key = match and _key_from_fields(*match.groups())
-    m = key and matrix_from_eta(key)
-    if m and len(line) >= _room(m):
-        rec = _record(key, *_values(key, m))
-        if record_to_json_line(rec) == line:
-            return rec
+    try:
+        rec = match and _rebuild(_key_from_fields(*match.groups()), len(line))
+    except ValueError:  # the prefix names no record: the JSON path below reads the line and names its fault
+        rec = None
+    if rec and record_to_json_line(rec) == line:
+        return rec
     try:
         obj = json.loads(line, object_pairs_hook=_unique_fields)
     except (ValueError, RecursionError) as exc:

@@ -2,7 +2,8 @@
 
 Subcommands: enumerate (record export), invariants (one record),
 classify (normal form + series of a raw third row), count (census table,
-optional plot data file) and verify (claim report).
+optional plot data file) and verify (claim report).  A third row's length
+gives its rho: 4, 5 or 6 entries for rho 1, 2 or 3.
 
 Exit codes: 0 on success, 1 on usage or input errors, 2 when verification
 fails.
@@ -16,7 +17,7 @@ import sys
 from contextlib import nullcontext
 
 from .canon import NormalFormError, RawMatrix, canonicalize, classify
-from .census import _key_from_fields, count, export_records, record_to_json_line
+from .census import _key_from_fields, _read_int, count, export_records, record_to_json_line
 from .invariants import record_from_matrix, surface_record
 from .series import SERIES_TAGS, SeriesKey, _check_index, _check_rho
 from .verify import verify_claims
@@ -33,12 +34,15 @@ class _Parser(argparse.ArgumentParser):
 _DECIMAL = re.compile(r"-?[0-9]+")
 
 
-def _parse_third_row(text: str, rho: int) -> RawMatrix:
+def _parse_third_row(text: str) -> RawMatrix:
+    """The raw matrix of a third row, its rho read from the row's length."""
     parts = [p.strip() for p in text.split(",")]
     for i, part in enumerate(parts, 1):
         if not _DECIMAL.fullmatch(part):
             raise ValueError(f"matrix entry {i} must be a decimal integer, got {part!r}")
-    return RawMatrix(rho, tuple(map(int, parts)))
+    if not 4 <= len(parts) <= 6:
+        raise ValueError(f"a third row has 4, 5 or 6 entries (rho 1, 2 or 3), got {len(parts)}")
+    return RawMatrix(len(parts) - 3, tuple(_read_int(f"matrix entry {i}", part) for i, part in enumerate(parts, 1)))
 
 
 def _parse_eta(text: str) -> SeriesKey:
@@ -48,7 +52,7 @@ def _parse_eta(text: str) -> SeriesKey:
     for name, part in zip(("rho", "series", "iota_plus", "iota_minus", "c", "d"), parts):
         if name != "series" and not _DECIMAL.fullmatch(part):
             raise ValueError(f"field {name!r} must be a decimal integer, got {part!r}")
-    rho = int(parts[0])
+    rho = _read_int("field 'rho'", parts[0])
     _check_rho(rho)
     if len(parts) != rho + 3:
         raise ValueError(f"eta for rho={rho} needs {rho + 3} fields, got {len(parts)}")
@@ -71,12 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_inv = sub.add_parser("invariants", help="full invariant record of one surface")
     group = p_inv.add_mutually_exclusive_group(required=True)
     group.add_argument("--eta", help="RHO,SERIES,IOTA+,IOTA-[,C[,D]]")
-    group.add_argument("--matrix", help="comma-separated third row (needs --rho)")
-    p_inv.add_argument("--rho", type=int, choices=(1, 2, 3), help="rho of --matrix; with --eta, must be its rho")
+    group.add_argument("--matrix", help="comma-separated third row; its length gives rho")
 
     p_cls = sub.add_parser("classify", help="canonicalize a raw third row and name its series")
-    p_cls.add_argument("--rho", type=int, choices=(1, 2, 3), required=True)
-    p_cls.add_argument("--matrix", required=True, help="comma-separated third row")
+    p_cls.add_argument("--matrix", required=True, help="comma-separated third row; its length gives rho")
 
     p_count = sub.add_parser("count", help="census table per Gorenstein index")
     p_count.add_argument("--rho", type=int, choices=(1, 2, 3), required=True)
@@ -108,21 +110,15 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_invariants(args) -> int:
     if args.eta is not None:
-        key = _parse_eta(args.eta)
-        if args.rho is not None and args.rho != key.rho:
-            raise ValueError(f"--rho {args.rho} does not match the rho {key.rho} of --eta")
-        rec = surface_record(key)
+        rec = surface_record(_parse_eta(args.eta))
     else:
-        if args.rho is None:
-            raise ValueError("--matrix requires --rho")
-        m = canonicalize(_parse_third_row(args.matrix, args.rho))
-        rec = record_from_matrix(m)
+        rec = record_from_matrix(canonicalize(_parse_third_row(args.matrix)))
     print(record_to_json_line(rec))
     return 0
 
 
 def _cmd_classify(args) -> int:
-    m = canonicalize(_parse_third_row(args.matrix, args.rho))
+    m = canonicalize(_parse_third_row(args.matrix))
     key = classify(m)
     eta = ",".join(str(x) for x in key.eta())
     print(

@@ -154,10 +154,8 @@ _class_group = lru_cache(maxsize=_MEMO_SIZE, typed=True)(ClassGroup)
 
 
 def _picard_index(o: tuple[int, ...], torsion: int) -> int:
-    num = prod(o)
-    if num % torsion != 0 or num <= 0:
-        raise ArithmeticError(f"Springer expression is not a positive integer for orders {o}")
-    return num // torsion
+    """prod(o) / torsion, an integer as the torsion divides o+, positive as each order is >= 1 (test_normal_form)."""
+    return prod(o) // torsion
 
 
 def _end_chain(rho: int, order: int) -> tuple[int, ...]:

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -40,6 +41,7 @@ from fiqs import (
 )
 from fiqs.census import (
     CSV_COLUMNS,
+    _JSON_FIELDS,
     _cd_count,
     _csv_frame,
     _json_frame,
@@ -48,7 +50,7 @@ from fiqs.census import (
     record_to_obj,
 )
 from fiqs.cli import main
-from fiqs.invariants import _record, _values
+from fiqs.invariants import POINT_LABELS, _record, _values
 from fiqs.verify import _ke_explicit_ranges
 from fiqs.series import _DIGITS, _WEIGHTS, SERIES_IDS, _lcm_pairs, enumerate_eta, matrix_from_eta, series_membership
 
@@ -455,12 +457,31 @@ def member_keys(draw, bound=10**6):
     return key
 
 
+def obj_from_record(rec) -> dict:
+    """The dict form of a record, built field by field from its attributes, apart from the text kernels."""
+    key, m, group = rec.key, rec.matrix, rec.class_group
+    return {
+        "rho": key.rho, "series": key.series.tag, "iota_plus": key.iota_plus, "iota_minus": key.iota_minus,
+        "c": key.c, "d": key.d, "a": m.a, "b": m.b, "gorenstein_index": rec.gorenstein_index,
+        "cl_rank": group.free_rank, "cl_torsion": group.torsion_order,
+        "degree": f"{rec.degree.numerator}/{rec.degree.denominator}",
+        "log_canonicity": f"{rec.log_canonicity.numerator}/{rec.log_canonicity.denominator}",
+        "picard_index": rec.picard_index, "ke": rec.ke,
+        "local_orders": dict(zip(POINT_LABELS[key.rho], rec.orders)),
+        "resolution": {p: list(chain) for p, chain in rec.resolution.chains.items()},
+    }
+
+
 @settings(max_examples=10, deadline=None)  # a chain near 10**6 weights takes about 0.3 s to encode both ways
 @given(member_keys())
 def test_text_kernels_equal_dict_form_at_large_orders(key):
-    """The text kernels equal the dict form at local orders up to about 10**6, far past the export tests."""
-    obj = record_to_obj(surface_record(key))
-    rec = _record(key, *_values(key, matrix_from_eta(key)))
+    """The text kernels equal the record's fields at local orders up to about 10**6, far past the export tests.
+
+    The JSON line is compared as text, so field order counts and ``true`` is not ``1``.
+    """
+    rec = surface_record(key)
+    obj = obj_from_record(rec)
+    assert list(obj) == list(_JSON_FIELDS) and list(obj["local_orders"]) == list(POINT_LABELS[key.rho])
     assert record_to_json_line(rec) == json.dumps(obj, separators=(",", ":"))
     assert record_to_csv_row(rec) == csv_row_from_obj(obj)
 
@@ -662,6 +683,33 @@ def _csv_with(column, value, rec=_GOOD_REC):
 def test_decoders_name_malformed_field(decode, raw, field):
     with pytest.raises(ValueError, match=field):
         decode(raw)
+
+
+_BAD_KEY_PREFIX = '{"rho":3,"series":"s11","iota_plus":1,"iota_minus":1,"c":-99999999999999,"d":-1,'
+
+
+def test_a_line_that_is_no_json_is_malformed_whatever_its_prefix():
+    """A prefix naming a key with no normal form does not decide the message: the line is read as JSON first."""
+    with pytest.raises(ValueError, match="^malformed JSON record: "):
+        record_from_json_line(_BAD_KEY_PREFIX)
+    whole = json.dumps({**record_to_obj(_GOOD_REC), "iota_plus": 1, "iota_minus": 1, "c": -99999999999999, "d": -1},
+                       separators=(",", ":"))
+    assert whole.startswith(_BAD_KEY_PREFIX)
+    with pytest.raises(ValueError, match="^matrix is not in normal form, violated: a > b, a-b >= -c$"):
+        record_from_json_line(whole)
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("-" + "9" * 5000, f"^field 'c' has more than the {sys.get_int_max_str_digits()} digits int\\(\\) reads$"),
+        ("x" * 5000, "^field 'c' must be an integer, got 'xxx"),
+    ],
+)
+def test_a_long_key_cell_is_named_not_echoed(cell, message):
+    with pytest.raises(ValueError, match=message) as exc:
+        record_from_csv_row(_csv_with("c", cell))
+    assert len(str(exc.value)) < 200
 
 
 # One tampered value per field of _GOOD_REC.  A key field gets a value that

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import random
+import sys
 import tempfile
 import tracemalloc
 
@@ -11,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fiqs import (
+    apply_op,
     enumerate_all,
+    raw_from_matrix,
     record_from_csv_row,
     record_from_json_line,
     record_to_csv_row,
@@ -20,10 +24,11 @@ from fiqs import (
 )
 from fiqs.cli import main
 from fiqs.verify import ClaimResult, VerifyReport
+from test_canon import _random_ops
 
 
 def test_classify_scrambled_matrix(capsys):
-    assert main(["classify", "--rho", "1", "--matrix", "0,2,-1,-1"]) == 0
+    assert main(["classify", "--matrix", "0,2,-1,-1"]) == 0
     out = capsys.readouterr().out
     assert "series=s11" in out
     assert "eta=(1,1)" in out
@@ -39,24 +44,29 @@ def test_invariants_by_eta(capsys):
 
 
 def test_invariants_by_matrix(capsys):
-    assert main(["invariants", "--matrix", "1,0,0,-2,1", "--rho", "2"]) == 0
+    assert main(["invariants", "--matrix", "1,0,0,-2,1"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["series"] == "s22"
     assert obj["picard_index"] == 18
 
 
-def test_invariants_matrix_requires_rho(capsys):
-    assert main(["invariants", "--matrix", "0,-2,1,1"]) == 1
-
-
-def test_invariants_eta_refuses_another_rho(capsys):
-    """--rho with --eta must agree with the eta's rho: this once printed the rho = 3 record."""
-    assert main(["invariants", "--eta", "3,s11,3,3,-2,-2", "--rho", "1"]) == 1
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "--matrix", "0,-2,1,1", "--rho", "1"],
+        ["invariants", "--eta", "3,s11,3,3,-2,-2", "--rho", "1"],  # --rho with --eta once printed the rho = 3 record
+        ["invariants", "--eta", "3,s11,3,3,-2,-2", "--rho", "3"],
+        ["classify", "--rho", "1", "--matrix", "0,2,-1,-1"],
+    ],
+)
+def test_classify_and_invariants_refuse_rho(capsys, argv):
+    """The third row's length or the eta gives rho, so --rho is an unrecognized argument: exit 1, nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
     captured = capsys.readouterr()
-    assert captured.err == "fiqs: error: --rho 1 does not match the rho 3 of --eta\n"
+    assert "error: unrecognized arguments: --rho" in captured.err
     assert captured.out == ""
-    assert main(["invariants", "--eta", "3,s11,3,3,-2,-2", "--rho", "3"]) == 0
-    assert json.loads(capsys.readouterr().out)["rho"] == 3
 
 
 def test_enumerate_jsonl_stdout(capsys):
@@ -136,26 +146,26 @@ def test_usage_error_exit_code():
 
 
 def test_bad_matrix_input_exit_code(capsys):
-    assert main(["classify", "--rho", "1", "--matrix", "0,2,x,-1"]) == 1
-    assert main(["classify", "--rho", "1", "--matrix", "0,2,-1"]) == 1
+    assert main(["classify", "--matrix", "0,2,x,-1"]) == 1
+    assert main(["classify", "--matrix", "0,2,-1"]) == 1
     # even entry at an implied-even column breaks primitivity
-    assert main(["classify", "--rho", "1", "--matrix", "0,2,2,-1"]) == 1
+    assert main(["classify", "--matrix", "0,2,2,-1"]) == 1
 
 
 def test_even_column_is_named(capsys):
-    assert main(["classify", "--rho", "1", "--matrix", "0,-3,2,1"]) == 1
+    assert main(["classify", "--matrix", "0,-3,2,1"]) == 1
     assert capsys.readouterr().err == "fiqs: error: column 3 needs an odd third-row entry to be primitive\n"
 
 
 @pytest.mark.parametrize(
     "argv, reason",
     [
-        (["classify", "--rho", "3", "--matrix", "1,2,3,4,5,6"],
+        (["classify", "--matrix", "1,2,3,4,5,6"],
          "x- is not elliptic: m- = 9 >= 0 (rho=3, reduced=(12, 11, -1, -1))"),
-        (["invariants", "--rho", "1", "--matrix=-3,-2,-3,-3"],
+        (["invariants", "--matrix=-3,-2,-3,-3"],
          "x+ is not elliptic: m+ = -5 <= 0 (rho=1, reduced=(-6, -7))"),
-        (["classify", "--rho", "2", "--matrix", "1,1,0,-2,1"], "columns 1 and 2 coincide"),
-        (["invariants", "--rho", "3", "--matrix", "2,0,0,0,0,-1"], "columns 3 and 4 coincide"),
+        (["classify", "--matrix", "1,1,0,-2,1"], "columns 1 and 2 coincide"),
+        (["invariants", "--matrix", "2,0,0,0,0,-1"], "columns 3 and 4 coincide"),
     ],
 )
 def test_a_refused_matrix_names_its_reason(capsys, argv, reason):
@@ -246,20 +256,69 @@ def test_invariants_rejects_non_decimal_eta(capsys, eta, field):
 )
 def test_matrix_rejects_non_decimal_entries(capsys, command, matrix, entry):
     """Only plain decimals make a third row: each of these was once read as its int() value."""
-    assert main([command, "--rho", "1", f"--matrix={matrix}"]) == 1
+    assert main([command, f"--matrix={matrix}"]) == 1
     captured = capsys.readouterr()
     assert f"fiqs: error: matrix entry {entry} must be a decimal integer" in captured.err
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("rho", [1, 2, 3])
+def test_a_third_row_gives_its_rho(capsys, rho):
+    """classify and invariants read rho from the row's length: every normal form with iota <= 6, and a scramble
+    of each, prints its key and matrix, and its record's line."""
+    rng = random.Random(rho)
+    for iota in range(1, 7):
+        for key, m in enumerate_all(rho, iota):
+            scrambled = raw_from_matrix(m)
+            for op in _random_ops(rho, rng, 4):
+                scrambled = apply_op(scrambled, op)
+            eta, matrix = ",".join(map(str, key.eta())), ",".join(map(str, m.third_row()))
+            for row in (m.third_row(), scrambled.third_row):
+                option = "--matrix=" + ",".join(map(str, row))
+                assert main(["classify", option]) == 0
+                want = f"series={key.series.tag} rho={rho} eta=({eta}) iota={key.iota} matrix={matrix}\n"
+                assert capsys.readouterr().out == want
+                assert main(["invariants", option]) == 0
+                assert capsys.readouterr().out == record_to_json_line(surface_record(key, m)) + "\n"
+
+
+@pytest.mark.parametrize("command", ["classify", "invariants"])
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 12])
+def test_a_row_of_another_length_is_named(capsys, command, n):
+    assert main([command, "--matrix=" + ",".join(["-1"] * n)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"fiqs: error: a third row has 4, 5 or 6 entries (rho 1, 2 or 3), got {n}\n"
+    assert captured.out == ""
+
+
+_TOO_LONG = "9" * (sys.get_int_max_str_digits() + 700)  # more digits than int() reads
+
+
+@pytest.mark.parametrize(
+    "argv, what",
+    [
+        (["classify", f"--matrix=0,-2,{_TOO_LONG},1"], "matrix entry 3"),
+        (["invariants", f"--matrix=0,-2,1,1,-{_TOO_LONG}"], "matrix entry 5"),
+        (["invariants", f"--eta=3,s11,3,3,-2,-{_TOO_LONG}"], "field 'd'"),
+        (["invariants", f"--eta={_TOO_LONG},s11,3,3"], "field 'rho'"),
+    ],
+)
+def test_an_integer_too_long_for_int_is_named(capsys, argv, what):
+    """Named by its place in a short message: not echoed, and without int()'s advice to raise the limit."""
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"fiqs: error: {what} has more than the {sys.get_int_max_str_digits()} digits int() reads\n"
+    assert captured.out == ""
+
+
 def test_matrix_entries_may_be_spaced(capsys):
-    assert main(["classify", "--rho", "1", "--matrix", "0, -2, 1, 1"]) == 0
+    assert main(["classify", "--matrix", "0, -2, 1, 1"]) == 0
     assert "matrix=0,-2,1,1" in capsys.readouterr().out
 
 
 def test_matrix_with_leading_negative_entry(capsys):
     # argparse needs the --matrix=... form when the value starts with '-'
-    assert main(["classify", "--rho", "3", "--matrix=-3,-1,0,2,0,2"]) == 0
+    assert main(["classify", "--matrix=-3,-1,0,2,0,2"]) == 0
     out = capsys.readouterr().out
     assert "series=s11" in out and "eta=(3,3,-2,-2)" in out
 
@@ -378,7 +437,7 @@ def test_reader_mutation_fuzz(case):
         (["count", "--rho", "3", "--iota-max", "x"], 1),
         (["enumerate", "--rho", "2", "--iota", "3", "--out", "no/such/dir/f"], 1),
         (["invariants", "--eta", "3,s11,3,3,-2,x"], 1),
-        (["classify", "--rho", "2", "--matrix", ",,"], 1),
+        (["classify", "--matrix", ",,"], 1),
         (["verify", "--help"], 0),
         (["verify", "--iota-max", "3"], 0),
     ],

@@ -12,16 +12,22 @@ right, and this module proves them for every integer parameter tuple:
   puts some orbit element in normal form;
 - converse: an orbit element in normal form forces m+ > 0 > m-.
 
+A fourth statement makes ``invariants._picard_index`` need no guard: every
+local order of a normal form (``series._orders``) is at least 1, so the
+product of the orders is a positive multiple of the torsion, a gcd that
+includes the order of x+.
+
 Here m+ and m- are the sums of the arms' largest and smallest slopes,
 m+ = a + k/2 and m- = b + c + d + k/2 with k one-column arms
 (``canon._SINGLE_COLUMNS``); x+ (x-) is elliptic when m+ > 0 (m- < 0).
 
-The inequalities are read from ``series._INEQUALITIES`` and the orbit maps
-from ``canon._ORBITS``, each as an integer affine function: read at 0 and
-at the unit vectors, checked at further points.  Each statement is refuted
-case by case by Fourier-Motzkin elimination over integer rows: a row is
-divided by the gcd of its coefficients, its constant rounded up, which
-keeps every integer point, so a derived 0 < 0 means no integer point.
+The inequalities are read from ``series._INEQUALITIES``, the orbit maps
+from ``canon._ORBITS`` and the orders from ``series._orders``, each as an
+integer affine function: read at 0 and at the unit vectors, checked at
+further points.  Each statement is refuted case by case by Fourier-Motzkin
+elimination over integer rows: a row is divided by the gcd of its
+coefficients, its constant rounded up, which keeps every integer point, so
+a derived 0 < 0 means no integer point.
 """
 
 from __future__ import annotations
@@ -29,11 +35,14 @@ from __future__ import annotations
 import re
 from itertools import product
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 
+from fiqs import enumerate_all
 from fiqs.canon import _ORBITS, _SINGLE_COLUMNS
-from fiqs.series import _INEQUALITIES, _predicate
+from fiqs.invariants import POINT_LABELS
+from fiqs.series import _INEQUALITIES, _orders, _predicate
 
 # A row (coefficients, constant) states coefficients . x + constant <= 0 on the
 # parameters x = (a, b[, c[, d]]); an affine map is one (coefficients, constant) per output.
@@ -212,6 +221,20 @@ def converse_failures(rho: int) -> tuple[int, list]:
     return cases, failures
 
 
+def _order_forms(rho: int) -> list[Row]:
+    """The local orders of ``series._orders``, read on a stand-in with the matrix's attributes, in POINT_LABELS order."""
+    stand_in = lambda p: SimpleNamespace(rho=rho, **dict(zip("abcd", (*p, None, None))))
+    return [_affine(lambda p, i=i: _orders(stand_in(p))[i], rho + 1) for i in range(len(POINT_LABELS[rho]))]
+
+
+def order_failures(rho: int, shift: int = 0) -> tuple[int, list]:
+    """(cases, the points not refuted) of: p in normal form and the point's local order minus shift <= 0."""
+    nf = _normal_form(rho, _INEQUALITIES[rho])
+    forms = _order_forms(rho)
+    failures = [p for p, (coeffs, const) in zip(POINT_LABELS[rho], forms) if _feasible([*nf, (coeffs, const - shift)])]
+    return len(forms), failures
+
+
 @pytest.mark.parametrize("rho", [1, 2, 3])
 def test_rows_are_the_inequalities(rho):
     """Each row holds at a point exactly when its inequality's text does."""
@@ -275,3 +298,17 @@ def test_the_statements_hold_on_a_box(rho):
         if p[0] > p[1] and all(x < 0 for x in p[2:]):
             passing = {q for q in _ORBITS[rho](p) if holds(*q)}
             assert len(passing) == (2 * p[0] + k > 0 > 2 * sum(p[1:]) + k), p
+
+
+@pytest.mark.parametrize("rho, cases", [(1, 3), (2, 4), (3, 5)])
+def test_every_local_order_of_a_normal_form_is_positive(rho, cases):
+    assert order_failures(rho) == (cases, [])
+
+
+@pytest.mark.parametrize("rho, shifted", [(1, ["x0"]), (2, ["x+", "x0", "x1"]), (3, list(POINT_LABELS[3]))])
+def test_the_prover_finds_an_order_shifted_down(rho, shifted):
+    """With an order shifted down by 2 the prover finds exactly the points of order <= 2 on some surface."""
+    assert order_failures(rho, shift=2) == (len(POINT_LABELS[rho]), shifted)
+    surfaces = (m for iota in range(1, 7) for _, m in enumerate_all(rho, iota))
+    small = {p for m in surfaces for p, o in zip(POINT_LABELS[rho], _orders(m)) if o <= 2}
+    assert set(shifted) == small
