@@ -152,18 +152,17 @@ class SmithForm:
         return t
 
 
-def solve3(m: IntMatrix, rhs: Sequence[int]) -> tuple[Fraction, Fraction, Fraction]:
-    """Solve ``m^T u = rhs`` exactly, i.e. find u with <u, column_j(m)> = rhs[j].
+def _cramer3(entries: Sequence[int], rhs: Sequence[int]) -> tuple[int, int, int, int]:
+    """Cramer's rule for ``m^T u = rhs`` on the nine row-major int entries of m: (n0, n1, n2, det), u_i = n_i / det.
 
-    Cramer's rule on integers: u_i = <rhs, c_i> / det(m), where c_i is the
-    cross product of the two rows of m other than row i (its cofactor row).
-    Raises on singular input.
+    n_i = <rhs, c_i>, where c_i is the cross product of the two rows of m
+    other than row i (its cofactor row), and det = det(m), of either sign;
+    nothing is reduced.  ValueError on a singular matrix.  The only copy of
+    the cofactor formulas: :func:`solve3` makes its ``Fraction``s from this,
+    and :func:`~fiqs.invariants.local_gorenstein_oracle` reads only the
+    denominators, from the integers.
     """
-    if m.rows != 3 or m.cols != 3:
-        raise ValueError(f"solve3 requires a 3x3 matrix, got {m.rows}x{m.cols}")
-    if len(rhs) != 3:
-        raise ValueError("rhs must have length 3")
-    a0, a1, a2, b0, b1, b2, c0, c1, c2 = m.entries
+    a0, a1, a2, b0, b1, b2, c0, c1, c2 = entries
     # cofactor rows: b x c, c x a, a x b for the rows a, b, c of m
     u0, u1, u2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
     v0, v1, v2 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
@@ -172,11 +171,25 @@ def solve3(m: IntMatrix, rhs: Sequence[int]) -> tuple[Fraction, Fraction, Fracti
     if det == 0:
         raise ValueError("singular matrix")
     r0, r1, r2 = rhs
-    return (
-        Fraction(r0 * u0 + r1 * u1 + r2 * u2, det),
-        Fraction(r0 * v0 + r1 * v1 + r2 * v2, det),
-        Fraction(r0 * w0 + r1 * w1 + r2 * w2, det),
-    )
+    return r0 * u0 + r1 * u1 + r2 * u2, r0 * v0 + r1 * v1 + r2 * v2, r0 * w0 + r1 * w1 + r2 * w2, det
+
+
+def solve3(m: IntMatrix, rhs: Sequence[int]) -> tuple[Fraction, Fraction, Fraction]:
+    """Solve ``m^T u = rhs`` exactly, i.e. find u with <u, column_j(m)> = rhs[j].
+
+    Cramer's rule on integers (``_cramer3``), one ``Fraction`` per
+    coordinate of u.  ValueError on a matrix that is not 3x3, on a singular
+    one, and on a rhs that is not three ints (a bool is not an int): the
+    message names the entry, as the check of an ``IntMatrix`` row does.
+    """
+    if m.rows != 3 or m.cols != 3:
+        raise ValueError(f"solve3 requires a 3x3 matrix, got {m.rows}x{m.cols}")
+    try:
+        row = IntMatrix(1, 3, tuple(rhs))
+    except (TypeError, ValueError) as exc:  # not iterable, not of length 3, or an entry that is no int
+        raise ValueError(f"rhs must be a sequence of length 3 of ints: {exc}") from None
+    n0, n1, n2, det = _cramer3(m.entries, row.entries)
+    return Fraction(n0, det), Fraction(n1, det), Fraction(n2, det)
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:

@@ -40,10 +40,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 from .canon import ARM_COLUMNS, classify
-from .core import IntMatrix, smith_normal_form, solve3, value_class
+from .core import IntMatrix, _cramer3, smith_normal_form, value_class
 from .kaehler import _ke_rule
 from .series import FIRST_TWO_ROWS, DefiningMatrix, SeriesKey, _orders, matrix_from_eta
 
@@ -171,9 +171,13 @@ def _local_data(key: SeriesKey, o: tuple[int, ...]) -> LocalData:
     return LocalData(dict(zip(labels, o)), dict(zip(labels, (key.iota_plus, key.iota_minus, 1, 1, 1))))
 
 
+def _chains(rho: int, o: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The resolution chain of each fixed point, in ``POINT_LABELS`` order: the one rule per point."""
+    return (_end_chain(rho, o[0]), _end_chain(rho, o[1]), *((-2,) * (n - 1) for n in o[2:]))
+
+
 def _resolution(rho: int, o: tuple[int, ...]) -> ResolutionGraph:
-    chains = (_end_chain(rho, o[0]), _end_chain(rho, o[1]), *((-2,) * (n - 1) for n in o[2:]))
-    return ResolutionGraph(dict(zip(POINT_LABELS[rho], chains)))
+    return ResolutionGraph(dict(zip(POINT_LABELS[rho], _chains(rho, o))))
 
 
 def _values(key: SeriesKey, m: DefiningMatrix) -> tuple:
@@ -220,16 +224,25 @@ def local_gorenstein_oracle(m: DefiningMatrix, which: str) -> int:
 
     Solves <u, v_i> = alpha_i over the three rays of sigma+/sigma-, where
     alpha_i is the anticanonical coefficient (0 on the elliptic column, 1 on
-    the others); the index is the lcm of the denominators of u.
+    the others); the index is the lcm of the denominators of u.  Only the
+    denominators are read, from the integers of Cramer's rule
+    (:func:`_solve_denominator`); no ``Fraction`` is made.
     """
     if which not in ("plus", "minus"):
         raise ValueError(f"which must be 'plus' or 'minus', got {which!r}")
     i, j, k = SIGMA_RAY_COLUMNS[m.rho][which]
     r1, r2 = FIRST_TWO_ROWS[m.rho]
     t = m.third_row()
-    rays = IntMatrix(3, 3, (r1[i], r1[j], r1[k], r2[i], r2[j], r2[k], t[i], t[j], t[k]))
-    u = solve3(rays, (0, 1, 1))
-    return lcm(u[0].denominator, u[1].denominator, u[2].denominator)
+    return _solve_denominator((r1[i], r1[j], r1[k], r2[i], r2[j], r2[k], t[i], t[j], t[k]), (0, 1, 1))
+
+
+def _solve_denominator(entries: tuple[int, ...], rhs: tuple[int, int, int]) -> int:
+    """The lcm of the reduced denominators of the solution u_i = n_i / det of ``m^T u = rhs`` (m row-major).
+
+    Each is |det| / gcd(n_i, det), and the lcm of |det| / g_i over divisors g_i of det is |det| / gcd(g_0, g_1, g_2).
+    """
+    n0, n1, n2, det = _cramer3(entries, rhs)
+    return abs(det) // gcd(n0, n1, n2, det)
 
 
 def local_data(m: DefiningMatrix) -> LocalData:

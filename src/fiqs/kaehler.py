@@ -8,18 +8,24 @@ fixed per Picard number: {1, 2} for rho=1 (with identical polygons),
 
 The moment polytope is the dual { u : <u, v> >= -1 for all v } of the
 degeneration's Fano polygon, whose integral vertices are written down in
-:func:`degeneration_polygon`.  :func:`barycenters` evaluates the closed
-forms obtained by carrying out the dual-centroid computation symbolically;
-:func:`barycenter_oracle` redoes it from the polygon in integer homogeneous
-coordinates, exact, so the two paths check each other.  The oracle reads
+:func:`degeneration_polygon`.  The closed forms, obtained by carrying out
+the dual-centroid computation symbolically, exist once, in
+``_barycenter_terms``: per special kappa, (kappa, x_num, x_den, y_num,
+y_den) as unreduced ints, whose denominators are negative on a normal form.
+:func:`barycenters` makes them ``Fraction``s; the criterion (``_ke_criterion``)
+reads the integers, x = 0 as x_num == 0 and y > 0 as y_num and y_den of one
+sign, so ``verify_claims`` builds no ``Fraction`` per surface for the
+closed forms: it evaluates the terms once per surface for both the
+criterion and the comparison with the polygons, the latter by
+cross-multiplication.  :func:`barycenter_oracle` redoes the computation
+from the polygon in integer homogeneous coordinates, exact, so the two
+paths check each other; it never reads the closed forms.  The oracle reads
 the matrix only through :func:`degeneration_polygon`, so its value is a
 function of the polygon's vertices alone, and ``verify_claims`` evaluates it
 once per distinct polygon of a Gorenstein index.  No function here checks
 its matrix: a :class:`~fiqs.series.DefiningMatrix` is a normal form when it
-is made.  The criterion itself is one helper, applied to a list of
-closed-form barycenters, so ``verify_claims`` evaluates them once per
-surface for both the criterion and the comparison with the polygons; the
-oracle never reads the closed forms.
+is made.  The public :func:`dual_polygon` and :func:`polygon_centroid` check
+their vertices; the oracle's come from :func:`degeneration_polygon`.
 
 At the family level the criterion collapses to a rule in the normal form:
 no rho=2 surface is Kaehler-Einstein (its single barycenter lies on the
@@ -38,9 +44,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from numbers import Rational
 from typing import Iterable
 
-from .core import value_class
+from .core import IntMatrix, value_class
 from .series import DefiningMatrix, SeriesKey, _check_kappa, matrix_from_eta
 
 __all__ = [
@@ -152,14 +159,32 @@ def _centroid_homogeneous(vertices: list[tuple[int, int, int]]) -> tuple[Fractio
 
 
 def dual_polygon(vertices: tuple[tuple[int, int], ...]) -> list[tuple[Fraction, Fraction]]:
-    """Vertices of { u : <u, v> >= -1 for all v }, for a polygon with 0 inside."""
-    return [(Fraction(p, det), Fraction(q, det)) for p, q, det in _dual_homogeneous(vertices)]
+    """Vertices of { u : <u, v> >= -1 for all v }, for a polygon with 0 inside.
+
+    ValueError naming the first vertex that is not a pair of ints (a bool is not an int).
+    """
+    pairs = []
+    for k, v in enumerate(vertices, 1):
+        try:
+            pairs.append(IntMatrix(1, 2, tuple(v)).entries)  # its constructor checks the pair and its ints
+        except (TypeError, ValueError):
+            raise ValueError(f"vertex {k} must be a pair of ints, got {v!r}") from None
+    return [(Fraction(p, det), Fraction(q, det)) for p, q, det in _dual_homogeneous(tuple(pairs))]
 
 
 def polygon_centroid(vertices: list[tuple[Fraction, Fraction]]) -> tuple[Fraction, Fraction]:
-    """Exact area centroid of a polygon given by vertices in boundary order."""
+    """Exact area centroid of a polygon given by vertices in boundary order.
+
+    ValueError naming the first vertex that is not a pair of rationals, ints or ``Fraction``s (a bool is neither).
+    """
     triples = []
-    for x, y in vertices:
+    for k, v in enumerate(vertices, 1):
+        try:
+            x, y = v
+        except (TypeError, ValueError):
+            x = y = None
+        if not (isinstance(x, Rational) and isinstance(y, Rational)) or type(x) is bool or type(y) is bool:
+            raise ValueError(f"vertex {k} must be a pair of rationals, got {v!r}")
         den = lcm(x.denominator, y.denominator)
         triples.append((x.numerator * (den // x.denominator), y.numerator * (den // y.denominator), den))
     return _centroid_homogeneous(triples)
@@ -174,40 +199,56 @@ def barycenter_oracle(m: DefiningMatrix, kappa: int) -> tuple[Fraction, Fraction
     return _centroid_homogeneous(_dual_homogeneous(degeneration_polygon(m, kappa)))
 
 
-def barycenters(m: DefiningMatrix) -> list[Barycenter]:
-    """Closed-form barycenters for the special degenerations of the matrix."""
+def _barycenter_terms(m: DefiningMatrix) -> list[tuple[int, int, int, int, int]]:
+    """(kappa, x_num, x_den, y_num, y_den) of each special kappa: the closed forms, the only copy, as unreduced ints.
+
+    The barycenter is (x_num / x_den, y_num / y_den).  On a normal form every
+    denominator is negative, hence nonzero: 3(1+a)(1+b) with a >= 0 >= b + 2
+    at rho=1, (2a+1)(2b+2c+1) with b + c <= -1 at rho=2, and 3as and
+    3s(a-s) with a > 0 > s = b+c+d at rho=3.  No sign is normalised, so a
+    sign is read off a numerator and its denominator together.
+    """
     a, b = m.a, m.b
     if m.rho == 1:
-        x = Fraction(-(a + b + 2), 3 * (1 + a) * (1 + b))
-        y = Fraction(a * b - 1, 6 * (1 + a) * (1 + b))
-        return [Barycenter(1, x, y), Barycenter(2, x, y)]
+        den = 3 * (1 + a) * (1 + b)
+        term = (-(a + b + 2), den, a * b - 1, 2 * den)
+        return [(1, *term), (2, *term)]
     if m.rho == 2:
-        x = Fraction(-2 * (a + b + m.c + 1), (2 * a + 1) * (2 * b + 2 * m.c + 1))
-        return [Barycenter(2, x, x / 2)]
+        x_num, x_den = -2 * (a + b + m.c + 1), (2 * a + 1) * (2 * b + 2 * m.c + 1)
+        return [(2, x_num, x_den, x_num, 2 * x_den)]
     c, d = m.c, m.d
     s = b + c + d
-    x = Fraction(-2 * (a + s), 3 * a * s)
-    den = 3 * s * (a - s)
-    y0 = Fraction(s * s - a * (b - c - d), den)
-    y1 = Fraction(a * (b - c + d) - s * s, den)
-    y2 = Fraction(a * (b + c - d) - s * s, den)
-    return [Barycenter(0, x, y0), Barycenter(1, x, y1), Barycenter(2, x, y2)]
+    x_num, x_den, den, ss = -2 * (a + s), 3 * a * s, 3 * s * (a - s), s * s
+    return [
+        (0, x_num, x_den, ss - a * (b - c - d), den),
+        (1, x_num, x_den, a * (b - c + d) - ss, den),
+        (2, x_num, x_den, a * (b + c - d) - ss, den),
+    ]
 
 
-def _ke_criterion(bcs: list[Barycenter]) -> bool:
-    """The barycenter criterion: x = 0 and y > 0 for every special kappa, read off the numerators."""
-    return all(bc.x.numerator == 0 and bc.y.numerator > 0 for bc in bcs)
+def barycenters(m: DefiningMatrix) -> list[Barycenter]:
+    """Closed-form barycenters for the special degenerations of the matrix: the terms as ``Fraction``s."""
+    return [Barycenter(kappa, Fraction(x_num, x_den), Fraction(y_num, y_den))
+            for kappa, x_num, x_den, y_num, y_den in _barycenter_terms(m)]
+
+
+def _ke_criterion(terms: list[tuple[int, int, int, int, int]]) -> bool:
+    """The barycenter criterion on :func:`_barycenter_terms`: x = 0 and y > 0 for every special kappa.
+
+    x = 0 is x_num == 0; y > 0 is y_num nonzero and of the sign of y_den (a product of nonzero ints is positive).
+    """
+    return all(x_num == 0 and y_num * y_den > 0 for _, x_num, _, y_num, y_den in terms)
 
 
 def is_ke_oracle(m: DefiningMatrix) -> bool:
-    """Kaehler-Einstein criterion applied to the closed-form :func:`barycenters`.
+    """Kaehler-Einstein criterion applied to the closed-form barycenters (:func:`_barycenter_terms`).
 
     True when x = 0 and y > 0 for every special kappa.  The closed forms are
     tied to the geometry by comparing them with :func:`barycenter_oracle`
     (``verify_claims`` does so up to its polygon claim's index cap, on the
-    same evaluation of :func:`barycenters` that it tests with the criterion).
+    same evaluation of the closed forms that it tests with the criterion).
     """
-    return _ke_criterion(barycenters(m))
+    return _ke_criterion(_barycenter_terms(m))
 
 
 def is_ke_family(key: SeriesKey) -> bool:

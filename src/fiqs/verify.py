@@ -19,6 +19,12 @@ denominators are (:func:`_equal`), a sign is the numerator's, and a bound is
 a cross-multiplication: deg <= n/d is deg.numerator * d <= n *
 deg.denominator.  No claim row, bound or note goes through ``Fraction``'s
 own comparisons, whose ``numbers.Rational`` check costs more than the test.
+The closed-form barycenters are not ``Fraction``s at all: each surface's are
+unreduced integer pairs (``kaehler._barycenter_terms``, denominators of
+either sign), read by the KE criterion and compared with the polygon
+oracle's ``Fraction``s by cross-multiplication, x_num * x.denominator ==
+x.numerator * x_den.  The exact solve reads only denominators, from the
+integers of Cramer's rule.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .census import count
 from .core import value_class
 from .invariants import (
     SIGMA_RAY_COLUMNS,
-    _resolution,
+    _chains,
     chain_determinant,
     class_group_oracle,
     degree_from_eta,
@@ -42,7 +48,7 @@ from .invariants import (
     picard_index_from_eta,
     record_from_matrix,
 )
-from .kaehler import Barycenter, _ke_criterion, barycenter_oracle, barycenters, degeneration_polygon
+from .kaehler import _barycenter_terms, _ke_criterion, barycenter_oracle, degeneration_polygon
 from .series import SERIES_IDS, DefiningMatrix, SeriesKey, _check_index, enumerate_all
 
 __all__ = ["ClaimResult", "VerifyReport", "verify_claims", "CENSUS_IOTA_MAX", "CENSUS_CLAIMS"]
@@ -167,7 +173,7 @@ class _Index:
 
 
 class _Surface:
-    """One surface of the scan, classified once; its closed-form barycenters are evaluated on first use."""
+    """One surface of the scan, classified once; its closed-form barycenter terms are evaluated on first use."""
 
     __slots__ = ("index", "key", "m", "rec", "_bcs")
 
@@ -175,9 +181,10 @@ class _Surface:
         self.index, self.key, self.m, self.rec, self._bcs = index, key, m, record_from_matrix(m), None
 
     @property
-    def bcs(self) -> list[Barycenter]:
+    def bcs(self) -> list[tuple[int, int, int, int, int]]:
+        """(kappa, x_num, x_den, y_num, y_den) per special kappa, unreduced (``kaehler._barycenter_terms``)."""
         if self._bcs is None:
-            self._bcs = barycenters(self.m)
+            self._bcs = _barycenter_terms(self.m)
         return self._bcs
 
 
@@ -188,27 +195,32 @@ def _canonical_form_fixed(s: _Surface) -> bool:
         return False
 
 
+# The (plus, minus) cone columns of SIGMA_RAY_COLUMNS, one pair per rho.
+_CONES = {rho: (cones["plus"], cones["minus"]) for rho, cones in SIGMA_RAY_COLUMNS.items()}
+
+
 def _local_indices(s: _Surface) -> tuple[int, int]:
     """(iota+, iota-) by ``local_gorenstein_oracle``, once per cone: of s.m, the oracle reads the third row
     at the cone's columns.
     """
-    t, cones, index = s.m.third_row(), SIGMA_RAY_COLUMNS[s.index.rho], s.index
-    (i, j, k), (u, v, w) = cones["plus"], cones["minus"]
+    t, index = s.m.third_row(), s.index
+    (i, j, k), (u, v, w) = _CONES[index.rho]
     return (index.once(local_gorenstein_oracle, ("plus", t[i], t[j], t[k]), s.m, "plus"),
             index.once(local_gorenstein_oracle, ("minus", t[u], t[v], t[w]), s.m, "minus"))
 
 
 def _barycenters_match(s: _Surface) -> bool:
-    for bc in s.bcs:
-        x, y = s.index.once(barycenter_oracle, degeneration_polygon(s.m, bc.kappa), s.m, bc.kappa)
-        if not (_equal(bc.x, x) and _equal(bc.y, y)):
+    """Each closed-form pair equals the polygon oracle's coordinate: x_num * x.denominator == x.numerator * x_den."""
+    for kappa, x_num, x_den, y_num, y_den in s.bcs:
+        x, y = s.index.once(barycenter_oracle, degeneration_polygon(s.m, kappa), s.m, kappa)
+        if x_num * x.denominator != x.numerator * x_den or y_num * y.denominator != y.numerator * y_den:
             return False
     return True
 
 
 def _chain_determinants_match(s: _Surface) -> bool:
-    chains = _resolution(s.key.rho, s.rec.orders).chains.values()
-    return all(chain_determinant(chain) == n for chain, n in zip(chains, s.rec.orders))
+    orders = s.rec.orders
+    return all(chain_determinant(chain) == n for chain, n in zip(_chains(s.key.rho, orders), orders))
 
 
 # The claims checked surface by surface, in report order: the claim, the largest

@@ -3,12 +3,13 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from fiqs import IntMatrix, SmithForm, enumerate_all, smith_normal_form, solve3
+from fiqs.invariants import _solve_denominator
 from fiqs.series import FIRST_TWO_ROWS
 
 
@@ -340,6 +341,41 @@ class TestSolve3:
             solve3(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0]]), (1, 1, 1))
         with pytest.raises(ValueError, match="length 3"):
             solve3(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), (1, 1))
+
+    @pytest.mark.parametrize(
+        "rhs, message",
+        [
+            ((0.5, 1, 1), "entry 1 of row 1 must be an int, got 0.5"),
+            ((0, 1, True), "entry 3 of row 1 must be an int, got True"),
+            ([0, Fraction(1), 1], "entry 2 of row 1 must be an int, got Fraction(1, 1)"),
+            (5, "'int' object is not iterable"),
+            ((1, 1, 1, 1), "expected 3 entries, got 4"),
+        ],
+    )
+    def test_bad_rhs_is_named(self, rhs, message):
+        """A rhs that is not three ints is a ValueError naming the entry, never arithmetic in floats."""
+        with pytest.raises(ValueError) as info:
+            solve3(IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]), rhs)
+        assert str(info.value) == f"rhs must be a sequence of length 3 of ints: {message}"
+
+    @given(
+        st.lists(st.integers(-9, 9) | st.integers(-(10**6), 10**6), min_size=9, max_size=9),
+        st.tuples(*[st.integers(-9, 9) | st.integers(-(10**6), 10**6)] * 3),
+    )
+    @example([1, 0, 0, 0, 1, 0, 0, 0, 1], (0, 1, 1))
+    @example([-1, 2, 0, -1, 0, 2, 4, 1, 1], (0, 1, 1))
+    @example([2, 0, 0, 0, 4, 0, 0, 0, 6], (0, 0, 0))
+    def test_denominator_only_index_equals_the_fraction_lcm(self, entries, rhs):
+        """``_solve_denominator`` (|det| over one gcd) equals the lcm of solve3's reduced denominators.
+
+        Each draw is solved as drawn and with two rows swapped, so each sign of the determinant is seen.
+        """
+        for rows in (entries, entries[3:6] + entries[:3] + entries[6:]):
+            m = IntMatrix(3, 3, tuple(rows))
+            if det_by_permutation_expansion(m) == 0:
+                return
+            want = lcm(*(u.denominator for u in solve3(m, rhs)))
+            assert _solve_denominator(m.entries, rhs) == want
 
 
 _fractions = st.fractions(

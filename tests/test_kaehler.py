@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import re
+
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fiqs import (
     DefiningMatrix,
@@ -16,10 +18,40 @@ from fiqs import (
     is_ke_family,
     is_ke_oracle,
 )
-from fiqs.kaehler import SPECIAL_KAPPAS, _hull_ccw, dual_polygon, polygon_centroid
-from fiqs.series import _orders
+from fiqs.kaehler import (
+    SPECIAL_KAPPAS,
+    Barycenter,
+    _barycenter_terms,
+    _hull_ccw,
+    _ke_criterion,
+    dual_polygon,
+    polygon_centroid,
+)
+from fiqs.series import SERIES_IDS, _orders, matrix_from_eta
 
 from conftest import up_to
+from test_census import member_keys
+from test_verify import reference_ke_criterion
+
+
+def reference_barycenters(m):
+    """Reference: the closed forms with one ``Fraction`` per coordinate, as ``barycenters`` wrote them before."""
+    a, b = m.a, m.b
+    if m.rho == 1:
+        x = Fraction(-(a + b + 2), 3 * (1 + a) * (1 + b))
+        y = Fraction(a * b - 1, 6 * (1 + a) * (1 + b))
+        return [Barycenter(1, x, y), Barycenter(2, x, y)]
+    if m.rho == 2:
+        x = Fraction(-2 * (a + b + m.c + 1), (2 * a + 1) * (2 * b + 2 * m.c + 1))
+        return [Barycenter(2, x, x / 2)]
+    c, d = m.c, m.d
+    s = b + c + d
+    x = Fraction(-2 * (a + s), 3 * a * s)
+    den = 3 * s * (a - s)
+    y0 = Fraction(s * s - a * (b - c - d), den)
+    y1 = Fraction(a * (b - c + d) - s * s, den)
+    y2 = Fraction(a * (b + c - d) - s * s, den)
+    return [Barycenter(0, x, y0), Barycenter(1, x, y1), Barycenter(2, x, y2)]
 
 
 def fraction_dual_polygon(vertices):
@@ -141,6 +173,27 @@ class TestBarycenters:
                     assert (bc.x, bc.y) == barycenter_oracle(m, bc.kappa), m
 
 
+@given(member_keys())
+@example(SeriesKey(SERIES_IDS[1, "s11"], 999999, 999999))  # KE
+@example(SeriesKey(SERIES_IDS[3, "s11"], 999999, 999999, -500000, -500000))  # KE
+@example(SeriesKey(SERIES_IDS[3, "s22"], 1000000, 1000000, -700000, -700000))  # x = 0, not KE
+@example(SeriesKey(SERIES_IDS[2, "s12"], 1, 1, -1))
+@settings(deadline=None)
+def test_barycenter_terms_equal_the_fraction_reference(key):
+    """On normal forms with entries up to about 10**6, the integer terms are the reference closed forms.
+
+    Every denominator is nonzero, ``barycenters`` equals the reference, and the criterion on the
+    unreduced terms equals the criterion on the reference ``Fraction``s.
+    """
+    m = matrix_from_eta(key)
+    terms = _barycenter_terms(m)
+    assert all(x_den != 0 and y_den != 0 for _, _, x_den, _, y_den in terms)
+    reference = reference_barycenters(m)
+    assert [Barycenter(kappa, Fraction(x_num, x_den), Fraction(y_num, y_den))
+            for kappa, x_num, x_den, y_num, y_den in terms] == reference == barycenters(m)
+    assert _ke_criterion(terms) == reference_ke_criterion(reference) == is_ke_oracle(m)
+
+
 class TestPolygons:
     def test_special_kappas(self):
         assert SPECIAL_KAPPAS == {1: (1, 2), 2: (2,), 3: (0, 1, 2)}
@@ -175,6 +228,32 @@ class TestPolygons:
     def test_dual_requires_interior_origin(self):
         with pytest.raises(ValueError):
             dual_polygon(((1, 0), (2, 1), (1, 2)))
+
+    @pytest.mark.parametrize(
+        "vertices, k, v",
+        [
+            (((1.5, 1), (-1, 1), (0, -1)), 1, "(1.5, 1)"),
+            (((1, 1), (-1, True), (0, -1)), 2, "(-1, True)"),
+            (((1, 1), (-1, 1, 0), (0, -1)), 2, "(-1, 1, 0)"),
+            (((1, 1), (-1, 1), 0), 3, "0"),
+        ],
+    )
+    def test_dual_polygon_names_a_bad_vertex(self, vertices, k, v):
+        with pytest.raises(ValueError, match=rf"^vertex {k} must be a pair of ints, got {re.escape(v)}$"):
+            dual_polygon(vertices)
+
+    @pytest.mark.parametrize(
+        "vertices, k, v",
+        [
+            ([(0.5, 0), (1, 0), (0, 1)], 1, "(0.5, 0)"),
+            ([(0, 0), (1, False), (0, 1)], 2, "(1, False)"),
+            ([(0, 0), (1, 0), (Fraction(1), 1, 0)], 3, "(Fraction(1, 1), 1, 0)"),
+            ([(0, 0), "ab", (0, 1)], 2, "'ab'"),
+        ],
+    )
+    def test_polygon_centroid_names_a_bad_vertex(self, vertices, k, v):
+        with pytest.raises(ValueError, match=rf"^vertex {k} must be a pair of rationals, got {re.escape(v)}$"):
+            polygon_centroid(vertices)
 
     def test_centroid_of_triangle(self):
         tri = [(Fraction(0), Fraction(0)), (Fraction(3), Fraction(0)), (Fraction(0), Fraction(3))]

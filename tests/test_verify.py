@@ -13,6 +13,7 @@ from hypothesis import example, given, strategies as st
 
 import fiqs.canon
 import fiqs.census
+import fiqs.core
 import fiqs.invariants
 import fiqs.kaehler
 import fiqs.verify
@@ -81,9 +82,9 @@ _ORACLE_MUTANTS = {
         lambda f: lambda m: _off_torsion(f(m)),
         "class group formula = smith oracle",
     ),
-    "solve3": (
-        fiqs.invariants, "solve3",
-        lambda f: lambda m, rhs: tuple(Fraction(u.numerator, u.denominator + 1) for u in f(m, rhs)),
+    "cramer determinant": (
+        fiqs.invariants, "_cramer3",
+        lambda f: lambda entries, rhs: (*f(entries, rhs)[:3], 2 * f(entries, rhs)[3]),
         "local gorenstein formula = solve oracle",
     ),
     "centroid": (
@@ -111,9 +112,19 @@ _ORACLE_MUTANTS = {
         lambda f: lambda key: f(key) + 1,
         "picard matrix form = series form",
     ),
+    "closed-form x denominator negated": (
+        fiqs.verify, "_barycenter_terms",
+        lambda f: lambda m: [(kappa, x_num, -x_den, *y) for kappa, x_num, x_den, *y in f(m)],
+        "barycenters = polygon dual centroids",
+    ),
     "ke criterion": (
         fiqs.verify, "_ke_criterion",
-        lambda f: lambda bcs: not f(bcs),
+        lambda f: lambda terms: not f(terms),
+        "ke family rule = barycenter test",
+    ),
+    "ke criterion on the y numerator alone": (
+        fiqs.verify, "_ke_criterion",
+        lambda f: lambda terms: all(x_num == 0 and y_num > 0 for _, x_num, _, y_num, _ in terms),
         "ke family rule = barycenter test",
     ),
     "chain determinant": (
@@ -232,6 +243,29 @@ def test_verify_evaluates_each_oracle_input_once_per_call(monkeypatch):
         assert calls == {"barycenter_oracle": polygons, "local_gorenstein_oracle": cones, "degree_from_eta": etas}
 
 
+def test_verify_builds_no_closed_form_fraction(monkeypatch):
+    """verify_claims(6) passes with ``barycenters`` and ``solve3`` raising where they are defined and imported.
+
+    Verify reads the closed-form barycenters as integer pairs and the exact solve as Cramer integers, so
+    neither ``Fraction`` path may come back into it unnoticed.
+    """
+    def refusing(name):
+        def refuse(*args):
+            raise AssertionError(f"verify called {name}")
+
+        return refuse
+
+    for name in ("barycenters", "solve3"):
+        for module in (fiqs.kaehler, fiqs.core, fiqs.verify, fiqs.invariants):
+            monkeypatch.setattr(module, name, refusing(name), raising=False)
+    with pytest.raises(AssertionError, match="barycenters"):
+        fiqs.kaehler.barycenters(_MEMBER)
+    with pytest.raises(AssertionError, match="solve3"):
+        fiqs.core.solve3(None, (0, 1, 1))
+    report = verify_claims(6)
+    assert report.ok, report.to_text()
+
+
 def test_verify_checks_each_surface_once(monkeypatch):
     """One normal-form check per matrix made: each surface's, by enumerate_all, and the canonicalize claim's result."""
     calls = [0]
@@ -264,13 +298,16 @@ def _seen_earlier(iota, m, input_of):
 def test_verify_compares_a_surface_whose_polygon_was_shared(monkeypatch):
     """A wrong closed form is caught on a surface whose polygon an earlier surface of its index gave."""
     assert _seen_earlier(9, _MEMBER, lambda m: fiqs.kaehler.degeneration_polygon(m, 0))
-    correct = fiqs.verify.barycenters
+    correct = fiqs.verify._barycenter_terms
 
     def off_y0(m):
-        bcs = correct(m)
-        return [replace(bcs[0], y=bcs[0].y + 1), *bcs[1:]] if m == _MEMBER else bcs
+        terms = correct(m)
+        if m != _MEMBER:
+            return terms
+        kappa, x_num, x_den, y_num, y_den = terms[0]
+        return [(kappa, x_num, x_den, y_num + y_den, y_den), *terms[1:]]  # y + 1
 
-    monkeypatch.setattr(fiqs.verify, "barycenters", off_y0)
+    monkeypatch.setattr(fiqs.verify, "_barycenter_terms", off_y0)
     assert _failures(verify_claims(9)) == {"barycenters = polygon dual centroids": 1}
 
 
@@ -401,14 +438,21 @@ def test_within_bounds_matches_the_fraction_form(case):
     assert _within_bounds(rho, iota)(deg, eps, pic) == reference_within_bounds(rho, iota)(deg, eps, pic)
 
 
-@given(st.lists(st.tuples(st.sampled_from((0, 1, 2)), st.one_of(_RATIONALS, st.just(Fraction(0))),
-                          st.one_of(_RATIONALS, st.just(Fraction(0)))), max_size=3))
-@example([(0, Fraction(0), Fraction(1, 3)), (1, Fraction(0), Fraction(0))])
-@example([(0, Fraction(0), Fraction(1, 3)), (1, Fraction(0), Fraction(2))])
-@example([(2, Fraction(-1, 5), Fraction(1))])
-def test_ke_criterion_matches_the_fraction_form(triples):
-    bcs = [Barycenter(kappa, x, y) for kappa, x, y in triples]
-    assert _ke_criterion(bcs) == reference_ke_criterion(bcs)
+_NUMERATORS = st.integers(-30, 30) | st.just(0)
+_DENOMINATORS = st.integers(-30, 30).filter(bool)
+
+
+@given(st.lists(st.tuples(st.sampled_from((0, 1, 2)), _NUMERATORS, _DENOMINATORS, _NUMERATORS, _DENOMINATORS),
+                max_size=3))
+@example([(0, 0, -3, -1, -3), (1, 0, 5, 0, -2)])  # y = 1/3, then y = 0
+@example([(0, 0, -3, -1, -3), (1, 0, 5, 4, 2)])
+@example([(0, 0, -3, 1, -3)])  # y = -1/3: a positive numerator over a negative denominator
+@example([(2, 2, -4, 2, 4), (0, 0, 7, -6, -2)])  # x = -1/2, y = 3
+def test_ke_criterion_matches_the_fraction_form(terms):
+    """The criterion on unreduced pairs with denominators of both signs equals the Fraction form."""
+    bcs = [Barycenter(kappa, Fraction(x_num, x_den), Fraction(y_num, y_den))
+           for kappa, x_num, x_den, y_num, y_den in terms]
+    assert _ke_criterion(terms) == reference_ke_criterion(bcs)
 
 
 @given(st.one_of(_RATIONALS, st.integers(-5, 5)), st.one_of(_RATIONALS, st.integers(-5, 5)))
